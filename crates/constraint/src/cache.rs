@@ -155,17 +155,21 @@ mod tests {
     use crate::{Atom, Conjunction, LinExpr, Var};
     use lyric_engine::{run_with, EngineBudget};
 
-    fn x_box() -> Conjunction {
+    /// `0 ≤ x ≤ hi`. The memo is process-global and the harness runs
+    /// these tests on parallel threads, each under its own generation, so
+    /// every test keys its own conjunction: a shared key lets one test's
+    /// insert replace another's entry between its probes.
+    fn x_box(hi: i64) -> Conjunction {
         let x = LinExpr::var(Var::new("x"));
         Conjunction::of([
             Atom::ge(x.clone(), LinExpr::from(0)),
-            Atom::le(x, LinExpr::from(10)),
+            Atom::le(x, LinExpr::from(hi)),
         ])
     }
 
     #[test]
     fn repeated_sat_checks_hit_the_cache() {
-        let c = x_box();
+        let c = x_box(10);
         let ((), stats) = run_with(EngineBudget::unlimited(), true, || {
             assert!(c.satisfiable());
             assert!(c.satisfiable());
@@ -179,7 +183,7 @@ mod tests {
 
     #[test]
     fn cache_disabled_context_never_probes() {
-        let c = x_box();
+        let c = x_box(11);
         let ((), stats) = run_with(EngineBudget::unlimited(), false, || {
             assert!(c.satisfiable());
             assert!(c.satisfiable());
@@ -191,7 +195,7 @@ mod tests {
 
     #[test]
     fn entailment_answers_are_cached_per_atom() {
-        let c = x_box();
+        let c = x_box(12);
         let a = Atom::le(LinExpr::var(Var::new("x")), LinExpr::from(20));
         let ((), stats) = run_with(EngineBudget::unlimited(), true, || {
             assert!(c.implies_atom(&a));
@@ -204,7 +208,7 @@ mod tests {
 
     #[test]
     fn generations_isolate_contexts() {
-        let c = x_box();
+        let c = x_box(13);
         let ((), first) =
             run_with(EngineBudget::unlimited(), true, || assert!(c.satisfiable())).unwrap();
         assert_eq!(first.cache_misses, 1);
@@ -220,7 +224,7 @@ mod tests {
         // One parallel region: the first evaluation of each distinct key
         // misses, every repeat — on whichever worker — hits, because all
         // workers share the query's generation.
-        let c = x_box();
+        let c = x_box(14);
         let opts = lyric_engine::ExecOptions::default().with_threads(4);
         let ((), stats) = lyric_engine::run_with_opts(opts, || {
             assert!(c.satisfiable()); // miss, on the coordinator

@@ -117,10 +117,9 @@ impl Conjunction {
     /// The conjunction's interval abstraction: a per-variable bounding box
     /// that *over-approximates* the point set (see [`crate::IntervalBox`]).
     /// An empty box proves the conjunction unsatisfiable; a nonempty box
-    /// proves nothing. Memoized per engine generation under a context with
-    /// box pruning enabled.
+    /// proves nothing.
     pub fn interval_box(&self) -> crate::IntervalBox {
-        crate::boxcache::box_of(self)
+        crate::IntervalBox::of_conjunction(self)
     }
 
     /// Syntactic check: is this the canonical bottom (or does it contain a
@@ -169,12 +168,14 @@ impl Conjunction {
     /// for free — [`implies_atom`](Self::implies_atom) reduces to a
     /// satisfiability call on `self ∧ ¬a`. Pruning never changes an
     /// answer, only how it is obtained; the `boxes_differential` suite
-    /// pins bit-identical results with the switch on and off.
+    /// pins bit-identical results with the switch on and off. The box is
+    /// computed afresh on every check: it costs less than a memo probe
+    /// and insert keyed by the whole conjunction would.
     pub fn satisfiable(&self) -> bool {
         lyric_engine::tally(|s| s.sat_checks += 1);
         if lyric_engine::boxes_enabled() {
             lyric_engine::tally(|s| s.box_checks += 1);
-            if crate::boxcache::box_of(self).is_empty() {
+            if self.interval_box().is_empty() {
                 lyric_engine::tally(|s| s.box_prunes += 1);
                 lyric_engine::trace_event(|| lyric_engine::EventKind::BoxPrune);
                 return false;

@@ -260,9 +260,11 @@ impl CstObject {
 
     /// Does any disjunct carry existential quantifiers?
     pub fn has_bound_vars(&self) -> bool {
-        self.disjuncts
-            .iter()
-            .any(|d| !self.bound_vars(d).is_empty())
+        self.disjuncts.iter().any(|d| {
+            d.atoms()
+                .iter()
+                .any(|a| a.expr().terms().any(|(v, _)| !self.free.contains(v)))
+        })
     }
 
     /// Smallest §3.1 family containing this object.
@@ -301,24 +303,58 @@ impl CstObject {
     /// Logical conjunction (geometric intersection on shared variables,
     /// natural join otherwise): the schema of the result is `self.free`
     /// followed by the new variables of `other.free`. Bound variables are
-    /// α-renamed apart first.
+    /// α-renamed apart first. The two-operand case of
+    /// [`and_all`](Self::and_all).
     pub fn and(&self, other: &CstObject) -> CstObject {
-        let a = self.freshen_bound();
-        let b = other.freshen_bound();
-        let mut free = a.free.clone();
-        for v in &b.free {
-            if !free.contains(v) {
-                free.push(v.clone());
+        CstObject::and_all([self, other])
+    }
+
+    /// Conjunction of any number of operands, equal to the left fold of
+    /// [`and`](Self::and) up to the names of bound variables: the schema
+    /// is the operands' schemas in order with repeats dropped, and the
+    /// disjuncts are the product of the operands' disjuncts. Each operand
+    /// that has bound variables is α-renamed apart once, and each product
+    /// disjunct is normalized once, instead of once per pairwise step.
+    /// Every (partial disjunct, operand disjunct) pair counts one
+    /// `Disjuncts` unit against the engine budget, as the fold would. With
+    /// no operands the result is the whole 0-dimensional space.
+    pub fn and_all<'a>(parts: impl IntoIterator<Item = &'a CstObject>) -> CstObject {
+        let mut free: Vec<Var> = Vec::new();
+        // One atom list per disjunct of the product so far; `None` until
+        // the first operand arrives.
+        let mut product: Option<Vec<Vec<Atom>>> = None;
+        for part in parts {
+            for v in &part.free {
+                if !free.contains(v) {
+                    free.push(v.clone());
+                }
             }
+            let fresh;
+            let part = if part.has_bound_vars() {
+                fresh = part.freshen_bound();
+                &fresh
+            } else {
+                part
+            };
+            product = Some(match product {
+                None => part.disjuncts.iter().map(|d| d.atoms().to_vec()).collect(),
+                Some(acc) => {
+                    let mut next = Vec::with_capacity(acc.len() * part.disjuncts.len());
+                    for atoms in &acc {
+                        for d in &part.disjuncts {
+                            lyric_engine::note(lyric_engine::Resource::Disjuncts);
+                            let mut joined = Vec::with_capacity(atoms.len() + d.atoms().len());
+                            joined.extend_from_slice(atoms);
+                            joined.extend_from_slice(d.atoms());
+                            next.push(joined);
+                        }
+                    }
+                    next
+                }
+            });
         }
-        let mut ds = Vec::with_capacity(a.disjuncts.len() * b.disjuncts.len());
-        for da in &a.disjuncts {
-            for db in &b.disjuncts {
-                lyric_engine::note(lyric_engine::Resource::Disjuncts);
-                ds.push(da.and(db));
-            }
-        }
-        CstObject::new(free, ds)
+        let product = product.unwrap_or_else(|| vec![Vec::new()]);
+        CstObject::new(free, product.into_iter().map(Conjunction::of))
     }
 
     /// Logical disjunction (union); schemas are merged like [`and`](Self::and).
@@ -450,14 +486,14 @@ impl CstObject {
     }
 
     /// Rename this object's schema positionally to `target`, α-renaming
-    /// bound variables out of the way first.
+    /// bound variables out of the way in the same pass (a disjunct without
+    /// bound variables is only renamed positionally).
     pub fn align_to(&self, target: &[Var]) -> CstObject {
         assert_eq!(target.len(), self.free.len());
         if target == self.free {
             return self.clone();
         }
-        let fresh = self.freshen_bound();
-        let map: BTreeMap<Var, Var> = fresh
+        let positional: BTreeMap<Var, Var> = self
             .free
             .iter()
             .cloned()
@@ -465,7 +501,18 @@ impl CstObject {
             .collect();
         CstObject::new(
             target.to_vec(),
-            fresh.disjuncts.iter().map(|d| d.rename(&map)),
+            self.disjuncts.iter().map(|d| {
+                let bound = self.bound_vars(d);
+                if bound.is_empty() {
+                    return d.rename(&positional);
+                }
+                let mut map = positional.clone();
+                for v in bound {
+                    let fresh = Var::fresh(v.name(), fresh_counter());
+                    map.insert(v, fresh);
+                }
+                d.rename(&map)
+            }),
         )
     }
 
@@ -741,6 +788,27 @@ mod tests {
         // t ∈ [0,1] via q, and t ∈ [0,1] via the second q′: nonempty.
         assert!(j.satisfiable());
         assert!(j.contains_point(&[Rational::from_pair(1, 2)]));
+    }
+
+    #[test]
+    fn and_all_edge_cases() {
+        // No operands: the whole 0-dimensional space.
+        let none = CstObject::and_all([]);
+        assert!(none.free().is_empty() && none.satisfiable());
+        // One operand: itself, up to bound-variable names.
+        let lazy = desk_translation().project(vec![v("u"), v("v")]);
+        let one = CstObject::and_all([&lazy]);
+        assert_eq!(one.free(), lazy.free());
+        assert!(one.denotes_same(&lazy));
+        // The Figure 2 chain in one call equals the pairwise chain.
+        let placed = CstObject::from_conjunction(
+            vec![v("x"), v("y")],
+            Conjunction::of([Atom::eq(e("x"), c(6)), Atom::eq(e("y"), c(4))]),
+        );
+        let parts = [desk_extent(), desk_translation(), placed];
+        let all = CstObject::and_all(&parts);
+        assert_eq!(all, parts[0].and(&parts[1]).and(&parts[2]));
+        assert!(all.contains_point(&[r(4), r(2), r(6), r(4), r(10), r(6)]));
     }
 
     #[test]

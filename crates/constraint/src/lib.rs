@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 mod atom;
-mod boxcache;
 mod cache;
 mod canonical;
 mod conjunction;
@@ -69,7 +68,6 @@ mod linexpr;
 mod var;
 
 pub use atom::{Atom, NormOp, RelOp};
-pub use boxcache::occupancy as box_occupancy;
 pub use cache::{entail_occupancy, sat_occupancy, CacheOccupancy};
 pub use conjunction::{Conjunction, Extremum};
 pub use cst_object::{CstFamily, CstObject, FamilyOp};

@@ -259,6 +259,23 @@ impl Formula {
                 .fold(span.join(first.span()), |acc, (_, a)| acc.join(a.span())),
         }
     }
+
+    /// The leaves of this formula's top-level `AND` tree, left to right
+    /// (the formula itself when it is not an `AND`).
+    pub(crate) fn conjuncts(&self) -> Vec<&Formula> {
+        fn walk<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
+            match f {
+                Formula::And(a, b) => {
+                    walk(a, out);
+                    walk(b, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
 }
 
 /// Relational operators in constraint atoms.

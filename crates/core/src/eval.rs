@@ -24,7 +24,7 @@ use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The answer of a query: column names, rows of oids, and the engine
@@ -622,8 +622,6 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
                 });
             }
         }
-    } else if let Some(pd) = db.schema().class(&v.parent) {
-        let _ = pd; // dimension marker handled by create_view_class
     }
     db.add_class(def)?;
 
@@ -694,13 +692,16 @@ fn oid_function_value(fname: &str, vars: &[String], binding: &Binding) -> Result
 /// needed for CST semantics: for selector variables bound to constraint
 /// objects, the owning object and the attribute's declared variable list;
 /// and every interface-renaming fact discovered while walking paths.
+///
+/// Each field is shared copy-on-write: cloning a binding copies four
+/// pointers, and a field is copied only when an extension changes it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Binding {
-    vals: BTreeMap<String, Oid>,
+    vals: Arc<BTreeMap<String, Oid>>,
     /// Access-path scope of each bound variable (see `scope`).
-    scopes: BTreeMap<String, ScopeKey>,
-    cst_prov: BTreeMap<String, (ScopeKey, Vec<Var>)>,
-    pub(crate) links: Vec<ScopeLink>,
+    scopes: Arc<BTreeMap<String, ScopeKey>>,
+    cst_prov: Arc<BTreeMap<String, (ScopeKey, Vec<Var>)>>,
+    pub(crate) links: Arc<Vec<ScopeLink>>,
 }
 
 impl Binding {
@@ -713,20 +714,14 @@ impl Binding {
     }
 
     fn bind(&mut self, name: &str, oid: Oid, scope: ScopeKey) {
-        self.vals.insert(name.to_string(), oid);
-        self.scopes.insert(name.to_string(), scope);
+        Arc::make_mut(&mut self.vals).insert(name.to_string(), oid);
+        Arc::make_mut(&mut self.scopes).insert(name.to_string(), scope);
     }
 
     fn add_link(&mut self, link: ScopeLink) {
         if !self.links.contains(&link) {
-            self.links.push(link);
+            Arc::make_mut(&mut self.links).push(link);
         }
-    }
-
-    /// Equality key: the visible variable assignment (provenance is
-    /// derived data).
-    fn key(&self) -> &BTreeMap<String, Oid> {
-        &self.vals
     }
 }
 
@@ -965,7 +960,7 @@ pub(crate) fn eval_path(
                                 if let (Oid::Cst(_), AttrTarget::Cst { vars }) =
                                     (member, &decl_target)
                                 {
-                                    b.cst_prov
+                                    Arc::make_mut(&mut b.cst_prov)
                                         .insert(v.clone(), (state.scope.clone(), vars.clone()));
                                 }
                             }
@@ -1088,6 +1083,8 @@ fn eval_cond_inner(
                 String::new,
                 f.span().byte_range(),
             );
+            // One emptiness check on the instantiated object:
+            // canonicalizing first would decide the same emptiness twice.
             let obj = instantiate(ctx, f, binding)?;
             Ok(if obj.satisfiable() {
                 vec![binding.clone()]
@@ -1108,15 +1105,17 @@ fn eval_cond_inner(
     }
 }
 
+/// Drop bindings whose visible variable assignment repeats an earlier
+/// one (provenance is derived data), keeping the first.
 fn dedup_bindings(bindings: Vec<Binding>) -> Vec<Binding> {
-    let mut seen: BTreeSet<BTreeMap<String, Oid>> = BTreeSet::new();
-    let mut out = Vec::new();
-    for b in bindings {
-        if seen.insert(b.key().clone()) {
-            out.push(b);
-        }
+    if bindings.len() <= 1 {
+        return bindings;
     }
-    out
+    let mut seen: BTreeSet<Arc<BTreeMap<String, Oid>>> = BTreeSet::new();
+    bindings
+        .into_iter()
+        .filter(|b| seen.insert(Arc::clone(&b.vals)))
+        .collect()
 }
 
 /// The value set of a comparison operand. Numeric oids are normalized to
@@ -1643,16 +1642,14 @@ fn eval_item(ctx: &Ctx<'_>, item: &SelectItem, b: &Binding) -> Result<Vec<Oid>, 
             }
             Ok(vals)
         }
-        SelectValue::Formula(f) => {
-            let obj = instantiate(ctx, f, b)?;
-            Ok(vec![Oid::cst(obj)])
-        }
+        // The oid canonicalizes the object (§3.1).
+        SelectValue::Formula(f) => Ok(vec![Oid::cst(instantiate(ctx, f, b)?)]),
         SelectValue::Optimize {
             kind,
             objective,
             formula,
         } => {
-            let obj = instantiate(ctx, formula, b)?;
+            let obj = instantiate(ctx, formula, b)?.canonicalize();
             let goal = arith_to_linexpr(ctx, objective, b)?;
             // The LP operators optimize over the formula's point set; the
             // objective must range over its dimensions.

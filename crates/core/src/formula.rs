@@ -11,8 +11,13 @@
 //! 3. the schema-derived implicit equalities (see [`crate::scope`]) are
 //!    conjoined **before the outermost projection is applied** — the
 //!    paper's rule "to create an oid of a new CST object, we first add
-//!    implicit constraint derived by the schema";
-//! 4. the result is canonicalized (§3.1 cheap canonical form).
+//!    implicit constraint derived by the schema".
+//!
+//! Each `AND` tree, the implicit equalities included at the root, becomes
+//! one n-ary [`CstObject::and_all`]. The result is not canonicalized: a
+//! WHERE `(φ)` only decides emptiness, which canonicalization preserves,
+//! while a SELECT item canonicalizes when it becomes an oid (§3.1) and an
+//! optimization canonicalizes before its LP.
 
 use crate::ast::{Arith, CRelOp, Formula};
 use crate::error::LyricError;
@@ -20,9 +25,11 @@ use crate::eval::{eval_path, Binding, Ctx};
 use crate::scope::{implicit_equalities, ResolvedPred, ScopeLink};
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, Conjunction, CstObject, LinExpr, RelOp, Var};
+use lyric_oodb::Oid;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// Instantiate a formula as a constraint object and canonicalize it.
+/// Instantiate a formula as a constraint object under `binding`.
 pub(crate) fn instantiate(
     ctx: &Ctx<'_>,
     f: &Formula,
@@ -34,18 +41,18 @@ pub(crate) fn instantiate(
         f.span().byte_range(),
     );
     let mut preds: Vec<ResolvedPred> = Vec::new();
-    let mut links: Vec<ScopeLink> = binding.links.clone();
+    let mut links = Arc::clone(&binding.links);
     let (proj, body) = match f {
         Formula::Proj { vars, body, .. } => (Some(vars), body.as_ref()),
         _ => (None, f),
     };
-    let obj = build(ctx, body, binding, &mut preds, &mut links)?;
-    let obj = conjoin_equalities(obj, &preds, &links);
-    let obj = match proj {
+    let mut parts = build_conjuncts(ctx, body, binding, &mut preds, &mut links)?;
+    parts.extend(equalities(implicit_equalities(&preds, &links)));
+    let obj = conjoin(parts);
+    Ok(match proj {
         Some(vars) => obj.project(vars.iter().map(Var::new).collect()),
         None => obj,
-    };
-    Ok(obj.canonicalize())
+    })
 }
 
 /// Instantiate the two sides of an entailment predicate `φ |= ψ` and decide
@@ -64,13 +71,11 @@ pub(crate) fn entails(
     binding: &Binding,
 ) -> Result<bool, LyricError> {
     let mut preds: Vec<ResolvedPred> = Vec::new();
-    let mut links: Vec<ScopeLink> = binding.links.clone();
-    let lhs = build(ctx, strip_proj(f1), binding, &mut preds, &mut links)?;
-    let split = preds.len();
+    let mut links = Arc::clone(&binding.links);
+    let mut lhs = build_conjuncts(ctx, strip_proj(f1), binding, &mut preds, &mut links)?;
     let rhs = build(ctx, strip_proj(f2), binding, &mut preds, &mut links)?;
-    let eqs = implicit_equalities(&preds, &links);
-    let _ = split;
-    let lhs = conjoin_atoms(lhs, eqs);
+    lhs.extend(equalities(implicit_equalities(&preds, &links)));
+    let lhs = conjoin(lhs);
 
     let lf: BTreeSet<&Var> = lhs.free().iter().collect();
     let rf: BTreeSet<&Var> = rhs.free().iter().collect();
@@ -101,13 +106,10 @@ fn strip_proj(f: &Formula) -> &Formula {
     }
 }
 
-fn conjoin_equalities(obj: CstObject, preds: &[ResolvedPred], links: &[ScopeLink]) -> CstObject {
-    conjoin_atoms(obj, implicit_equalities(preds, links))
-}
-
-fn conjoin_atoms(obj: CstObject, atoms: Vec<Atom>) -> CstObject {
+/// The implicit equality atoms as one conjunct, if there are any.
+fn equalities(atoms: Vec<Atom>) -> Option<CstObject> {
     if atoms.is_empty() {
-        return obj;
+        return None;
     }
     let free: Vec<Var> = atoms
         .iter()
@@ -115,7 +117,29 @@ fn conjoin_atoms(obj: CstObject, atoms: Vec<Atom>) -> CstObject {
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
-    obj.and(&CstObject::from_conjunction(free, Conjunction::of(atoms)))
+    Some(CstObject::from_conjunction(free, Conjunction::of(atoms)))
+}
+
+/// The conjunction of built conjuncts; a lone conjunct is returned as is.
+fn conjoin(mut parts: Vec<CstObject>) -> CstObject {
+    if parts.len() == 1 {
+        return parts.pop().expect("one conjunct");
+    }
+    CstObject::and_all(&parts)
+}
+
+/// Build the conjuncts of `f`'s top-level `AND` tree, left to right.
+fn build_conjuncts(
+    ctx: &Ctx<'_>,
+    f: &Formula,
+    binding: &Binding,
+    preds: &mut Vec<ResolvedPred>,
+    links: &mut Arc<Vec<ScopeLink>>,
+) -> Result<Vec<CstObject>, LyricError> {
+    f.conjuncts()
+        .into_iter()
+        .map(|c| build(ctx, c, binding, preds, links))
+        .collect()
 }
 
 /// Recursive construction. `preds` and `links` accumulate the CST
@@ -125,14 +149,10 @@ fn build(
     f: &Formula,
     binding: &Binding,
     preds: &mut Vec<ResolvedPred>,
-    links: &mut Vec<ScopeLink>,
+    links: &mut Arc<Vec<ScopeLink>>,
 ) -> Result<CstObject, LyricError> {
     match f {
-        Formula::And(a, b) => {
-            let l = build(ctx, a, binding, preds, links)?;
-            let r = build(ctx, b, binding, preds, links)?;
-            Ok(l.and(&r))
-        }
+        Formula::And(..) => Ok(conjoin(build_conjuncts(ctx, f, binding, preds, links)?)),
         Formula::Or(a, b) => {
             let l = build(ctx, a, binding, preds, links)?;
             let r = build(ctx, b, binding, preds, links)?;
@@ -150,7 +170,8 @@ fn build(
             Ok(inner.project(vars.iter().map(Var::new).collect()))
         }
         Formula::Pred { path, vars } => {
-            let (object, owner, declared) = resolve_cst_path(ctx, path, binding, links)?;
+            let (oid, owner, declared) = resolve_cst_path(ctx, path, binding, links)?;
+            let object = oid.as_cst().expect("resolved to a constraint object");
             let query_vars: Vec<Var> = match vars {
                 Some(vs) => {
                     if vs.len() != object.arity() {
@@ -197,36 +218,37 @@ fn build(
     }
 }
 
-/// Resolve a CST-object reference path: the stored object, its owner's
-/// scope, and the attribute's declared variable list.
+/// Resolve a CST-object reference path: the stored object's oid (which
+/// shares the object rather than copying it), its owner's scope, and the
+/// attribute's declared variable list.
 fn resolve_cst_path(
     ctx: &Ctx<'_>,
     path: &crate::ast::PathExpr,
     binding: &Binding,
-    links: &mut Vec<ScopeLink>,
-) -> Result<(CstObject, crate::scope::ScopeKey, Vec<Var>), LyricError> {
+    links: &mut Arc<Vec<ScopeLink>>,
+) -> Result<(Oid, crate::scope::ScopeKey, Vec<Var>), LyricError> {
     let hits = eval_path(ctx, path, binding)?;
-    let mut resolved: Option<(CstObject, crate::scope::ScopeKey, Vec<Var>)> = None;
+    let mut resolved: Option<(Oid, crate::scope::ScopeKey, Vec<Var>)> = None;
     for hit in hits {
-        for link in hit.binding.links {
-            if !links.contains(&link) {
-                links.push(link);
+        if !Arc::ptr_eq(&hit.binding.links, links) {
+            for link in hit.binding.links.iter() {
+                if !links.contains(link) {
+                    Arc::make_mut(links).push(link.clone());
+                }
             }
         }
-        let obj = hit
-            .value
-            .as_cst()
-            .ok_or_else(|| {
-                LyricError::type_error(format!("{} is not a constraint object", display_path(path)))
-            })?
-            .clone();
-        let (owner, declared) = match hit.cst_info {
-            Some(info) => info,
-            None => (hit.scope.clone(), obj.free().to_vec()),
-        };
+        let obj = hit.value.as_cst().ok_or_else(|| {
+            LyricError::type_error(format!("{} is not a constraint object", display_path(path)))
+        })?;
         match &resolved {
-            None => resolved = Some((obj, owner, declared)),
-            Some((prev, ..)) if *prev == obj => {}
+            None => {
+                let (owner, declared) = match hit.cst_info {
+                    Some(info) => info,
+                    None => (hit.scope.clone(), obj.free().to_vec()),
+                };
+                resolved = Some((hit.value, owner, declared));
+            }
+            Some((prev, ..)) if prev.as_cst() == Some(obj) => {}
             Some(_) => {
                 return Err(LyricError::type_error(format!(
                     "ambiguous CST reference {} (multiple values)",

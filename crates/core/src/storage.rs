@@ -382,7 +382,14 @@ pub(crate) fn formula_to_cst(f: &Formula) -> Result<CstObject, LyricError> {
             let inner = formula_to_cst(body)?;
             Ok(inner.project(vars.iter().map(Var::new).collect()))
         }
-        Formula::And(a, b) => Ok(formula_to_cst(a)?.and(&formula_to_cst(b)?)),
+        Formula::And(..) => {
+            let parts = f
+                .conjuncts()
+                .into_iter()
+                .map(formula_to_cst)
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(CstObject::and_all(&parts))
+        }
         Formula::Or(a, b) => Ok(formula_to_cst(a)?.or(&formula_to_cst(b)?)),
         Formula::Not(a) => Ok(formula_to_cst(a)?.negate()?),
         Formula::Chain { first, rest, .. } => {

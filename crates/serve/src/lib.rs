@@ -18,7 +18,7 @@
 //!   (`lyric::flight::recorder`): recent completed-query summaries and
 //!   sampled trace events;
 //! * `GET /debug/caches` — occupancy and generation of the process-global
-//!   memo caches (sat, entailment, interval-box) plus the server
+//!   memo caches (sat, entailment) plus the server
 //!   database's store-index state;
 //! * `POST /query` — the request body is either a raw LyriC `SELECT`
 //!   statement or a JSON object `{"query": "...", "explain": bool}`,
@@ -305,7 +305,6 @@ fn caches_json(db: &Database) -> Json {
         ("generation", Json::int(lyric::engine::generation())),
         ("sat", occ(lyric::constraint::sat_occupancy())),
         ("entail", occ(lyric::constraint::entail_occupancy())),
-        ("boxes", occ(lyric::constraint::box_occupancy())),
         (
             "index",
             Json::obj([
@@ -497,7 +496,7 @@ mod tests {
         let (status, body) = http_request(addr, "GET", "/debug/caches", "").unwrap();
         assert_eq!(status, 200);
         let json = lyric::trace::json::parse(&body).expect("caches is valid JSON");
-        for key in ["generation", "sat", "entail", "boxes", "index"] {
+        for key in ["generation", "sat", "entail", "index"] {
             assert!(json.get(key).is_some(), "missing {key}");
         }
         let sat = json.get("sat").unwrap();

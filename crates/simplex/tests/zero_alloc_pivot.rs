@@ -12,15 +12,26 @@
 use lyric_arith::Rational;
 use lyric_simplex::{LpProblem, Relop};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the test harness runs the tests of this file on
+    // parallel threads, and a process-wide count would charge one test
+    // with the other's allocations. Const-initialized and without a
+    // destructor, so reading it from the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -68,11 +79,11 @@ fn warm_feasibility_check_allocates_nothing() {
     assert!(lp.is_feasible(), "the office polytope is feasible");
     assert!(lp.is_feasible());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100 {
         assert!(lp.is_feasible());
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     lyric_arith::set_fast_path(prev);
     assert_eq!(
         after - before,
@@ -91,9 +102,9 @@ fn bigint_tier_control_allocates() {
     let prev = lyric_arith::set_fast_path(false);
     let lp = office_polytope();
     assert!(lp.is_feasible());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     assert!(lp.is_feasible());
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     lyric_arith::set_fast_path(prev);
     assert!(
         after > before,
