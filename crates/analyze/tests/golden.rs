@@ -381,14 +381,14 @@ fn rendered_diagnostics_point_at_source() {
 #[test]
 fn rejected_query_never_reaches_the_engine() {
     let mut db = paper_example::database();
-    let (res, stats) =
-        lyric_engine::run_with(lyric_engine::EngineBudget::unlimited(), false, || {
-            lyric::execute(
-                &mut db,
-                "SELECT X FROM Desk X WHERE X.extent[E] AND (E(a,b,c))",
-            )
-        })
-        .expect("no budget installed");
+    let opts = lyric_engine::ExecOptions::default().with_cache(false);
+    let (res, stats, _) = lyric_engine::run(&opts, None, || {
+        lyric::execute(
+            &mut db,
+            "SELECT X FROM Desk X WHERE X.extent[E] AND (E(a,b,c))",
+        )
+    })
+    .expect("no budget installed");
     assert!(
         matches!(res, Err(lyric::LyricError::Analysis(_))),
         "expected analyzer rejection"

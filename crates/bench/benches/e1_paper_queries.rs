@@ -46,11 +46,10 @@ fn bench(c: &mut Criterion) {
     ];
     let db = paper_example::database();
     for (name, q) in &queries {
-        let parsed = parse_query(q).expect("paper query parses");
         group.bench_function(*name, |b| {
             b.iter(|| {
                 let mut d = db.clone();
-                black_box(lyric::execute_parsed(&mut d, &parsed).expect("query evaluates"))
+                black_box(execute(&mut d, q).expect("query evaluates"))
             })
         });
     }

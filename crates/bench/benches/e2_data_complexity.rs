@@ -6,14 +6,11 @@
 //! log–log slopes (~1 and ~2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lyric::parse_query;
+use lyric::execute;
 use lyric_bench::workload::{office_db, Q_LINEAR, Q_PAIRWISE};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let linear = parse_query(Q_LINEAR).expect("parses");
-    let pairwise = parse_query(Q_PAIRWISE).expect("parses");
-
     let mut group = c.benchmark_group("e2_linear_query");
     group.sample_size(10);
     for &n in &[8usize, 16, 32, 64, 128] {
@@ -22,7 +19,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let mut d = db.clone();
-                black_box(lyric::execute_parsed(&mut d, &linear).expect("evaluates"))
+                black_box(execute(&mut d, Q_LINEAR).expect("evaluates"))
             })
         });
     }
@@ -36,7 +33,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let mut d = db.clone();
-                black_box(lyric::execute_parsed(&mut d, &pairwise).expect("evaluates"))
+                black_box(execute(&mut d, Q_PAIRWISE).expect("evaluates"))
             })
         });
     }

@@ -3,7 +3,7 @@
 //! raw exact-simplex microbenchmarks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lyric::parse_query;
+use lyric::execute;
 use lyric_arith::Rational;
 use lyric_bench::workload::{factory_db, factory_query};
 use lyric_simplex::{LpProblem, Relop};
@@ -14,12 +14,12 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for &(np, nm, npr) in &[(2usize, 2usize, 2usize), (8, 4, 3), (16, 6, 4)] {
         let db = factory_db(np, nm, npr, 17);
-        let parsed = parse_query(&factory_query(nm, npr)).expect("factory query parses");
+        let query = factory_query(nm, npr);
         let label = format!("p{np}_m{nm}_pr{npr}");
         group.bench_with_input(BenchmarkId::from_parameter(label), &np, |b, _| {
             b.iter(|| {
                 let mut d = db.clone();
-                black_box(lyric::execute_parsed(&mut d, &parsed).expect("evaluates"))
+                black_box(execute(&mut d, &query).expect("evaluates"))
             })
         });
     }

@@ -4,7 +4,7 @@
 //! `tests/flat_equivalence.rs`; this bench tracks the cost of both routes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lyric::parse_query;
+use lyric::execute;
 use lyric_bench::workload::{office_db, Q_LINEAR};
 use lyric_constraint::Var;
 use lyric_flatrel::FlatDb;
@@ -33,7 +33,6 @@ fn flat_plan(flat: &FlatDb) -> lyric_flatrel::Relation {
 }
 
 fn bench(c: &mut Criterion) {
-    let parsed = parse_query(Q_LINEAR).expect("parses");
     let mut group = c.benchmark_group("e7_flat_translation");
     group.sample_size(10);
     for &n in &[8usize, 32, 96] {
@@ -41,7 +40,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("direct_evaluator", n), &n, |b, _| {
             b.iter(|| {
                 let mut d = db.clone();
-                black_box(lyric::execute_parsed(&mut d, &parsed).expect("evaluates"))
+                black_box(execute(&mut d, Q_LINEAR).expect("evaluates"))
             })
         });
         group.bench_with_input(BenchmarkId::new("translate_database", n), &n, |b, _| {

@@ -9,7 +9,9 @@
 //!   the box (an LP-unbounded direction forces an infinite box side);
 //! * paper queries — every constraint-valued result cell's
 //!   `interval_box` contains its `bounding_box` LP extrema;
-//! * pruning — a box-disjoint query actually records `box_prunes`.
+//! * pruning — a box-disjoint query actually records `box_prunes` with
+//!   the store index off, and the index-on run prunes it to the same
+//!   empty answer.
 //!
 //! Run with `cargo run -p lyric-bench --bin absint_smoke --release`.
 
@@ -132,10 +134,14 @@ fn main() {
     println!("paper queries: {cells} constraint cells box-vs-LP sound");
 
     // (c) Pruning fires: a query whose window is disjoint from every
-    // stored extent must record box prunes and return no rows.
+    // stored extent must record box prunes and return no rows. The store
+    // index would answer it first (no candidate survives the probe), so
+    // the box check runs with the index off; the index-on run must give
+    // the same empty answer by pruning every candidate itself.
     let mut db = paper_example::database();
     let q = "SELECT D FROM Desk D WHERE D.extent[E] AND (E(w,z) AND w >= 1000 AND z >= 1000)";
-    let result = execute_with_options(&mut db, q, &ExecOptions::default().with_boxes(true))
+    let boxes = ExecOptions::default().with_boxes(true);
+    let result = execute_with_options(&mut db, q, &boxes.clone().with_index(false))
         .expect("disjoint query evaluates");
     if !result.rows.is_empty() {
         eprintln!("MISMATCH: disjoint query returned rows");
@@ -148,6 +154,20 @@ fn main() {
     println!(
         "pruning: disjoint query pruned {} of {} box checks",
         result.stats.box_prunes, result.stats.box_checks
+    );
+    let indexed = execute_with_options(&mut db, q, &boxes.with_index(true))
+        .expect("disjoint query evaluates with the index");
+    if indexed != result {
+        eprintln!("MISMATCH: the index changed the disjoint query's answer");
+        failures += 1;
+    }
+    if indexed.stats.index_pruned == 0 {
+        eprintln!("MISMATCH: the index did not prune: {}", indexed.stats);
+        failures += 1;
+    }
+    println!(
+        "pruning: the index pruned {} candidates of the same query",
+        indexed.stats.index_pruned
     );
 
     if failures > 0 {

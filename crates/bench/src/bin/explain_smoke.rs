@@ -1,6 +1,6 @@
-//! CI smoke check for the EXPLAIN subsystem: run the paper corpus under
-//! `execute_explained_with_options` at 1 and 4 threads and assert, for
-//! every report, the invariants the explain layer pins:
+//! CI smoke check for the EXPLAIN subsystem: run the paper corpus through
+//! `execute_shared` with `ExecOptions::explain` at 1 and 4 threads and
+//! assert, for every report, the invariants the explain layer pins:
 //!
 //! * the JSON document passes [`validate_plan_json`] (schema + the
 //!   self-time-sum tolerance baked into the validator);
@@ -47,17 +47,23 @@ fn main() {
     let mut shapes = std::collections::BTreeSet::new();
     let mut expected_sites = 0usize;
     for threads in [1usize, 4] {
-        let opts = ExecOptions::default().with_threads(threads);
+        let opts = ExecOptions::default()
+            .with_threads(threads)
+            .with_explain(true);
         for (i, q) in QUERIES.iter().enumerate() {
             let label = format!("query {i} threads={threads}");
-            let (res, report) = match lyric::execute_explained_with_options(&db, q, &opts) {
-                Ok(pair) => pair,
+            let res = match lyric::execute_shared(&db, q, &opts) {
+                Ok(res) => res,
                 Err(e) => {
                     eprintln!("FAIL: {label}: explained run failed: {e}");
                     failures += 1;
                     continue;
                 }
             };
+            let report = res
+                .plan
+                .as_ref()
+                .expect("an explained run returns its plan");
             reports += 1;
             if shapes.insert(report.shape_hash) {
                 expected_sites += report.plan.node_count();

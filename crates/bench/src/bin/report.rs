@@ -5,7 +5,7 @@
 
 use lyric::paper_example::{self, box2};
 use lyric::trace::Json;
-use lyric::{execute, execute_with_options, parse_query, ExecOptions};
+use lyric::{execute, execute_with_options, ExecOptions};
 use lyric_bench::gridrep::Grid;
 use lyric_bench::workload::{self, Q_LINEAR, Q_PAIRWISE};
 use lyric_constraint::{Conjunction, CstObject, Var};
@@ -112,18 +112,6 @@ fn void(f: impl FnOnce()) -> Json {
     Json::Null
 }
 
-/// All ten counters of an [`EngineStats`](lyric::EngineStats) as a JSON
-/// object, in declaration order.
-fn stats_json(s: &lyric::EngineStats) -> Json {
-    Json::Obj(
-        lyric::trace::stats::COUNTER_NAMES
-            .into_iter()
-            .zip(s.counters())
-            .map(|(n, v)| (n.to_string(), Json::int(v)))
-            .collect(),
-    )
-}
-
 /// The §4.1 worked-example queries shared by E1 (answers/timings) and E10
 /// (hot-span aggregation).
 fn paper_queries() -> Vec<(&'static str, &'static str)> {
@@ -216,7 +204,7 @@ fn e1() -> Json {
             ("rows", Json::int(res.rows.len() as u64)),
             ("best_ms", Json::Num(ms)),
             ("check", Json::str(check)),
-            ("stats", stats_json(&res.stats)),
+            ("stats", res.stats.to_json()),
         ]));
     }
     println!();
@@ -378,10 +366,9 @@ fn e6() {
     for &(np, nm, npr) in &[(2usize, 2usize, 2usize), (8, 4, 3), (16, 6, 4), (32, 8, 6)] {
         let db = workload::factory_db(np, nm, npr, 17);
         let q = workload::factory_query(nm, npr);
-        let parsed = parse_query(&q).expect("factory query parses");
         let (ms, res) = time_ms(3, || {
             let mut d = db.clone();
-            lyric::execute_parsed(&mut d, &parsed).expect("factory query evaluates")
+            execute(&mut d, &q).expect("factory query evaluates")
         });
         println!("| {np} | {nm} | {npr} | {ms:.1} | {} |", res.rows.len());
     }
@@ -583,14 +570,16 @@ fn e9() {
     let conj = workload::random_satisfiable_conjunction(&mut r, 10, 40);
     let vars: Vec<Var> = (0..9).map(|i| Var::new(format!("v{i}"))).collect();
     let (ms, outcome) = time_ms(1, || {
-        lyric::engine::run_with(
-            lyric::EngineBudget::unlimited().with_max_fm_atoms(10_000),
-            false,
+        lyric::engine::run(
+            &ExecOptions::default()
+                .with_budget(lyric::EngineBudget::unlimited().with_max_fm_atoms(10_000))
+                .with_cache(false),
+            None,
             || conj.eliminate_all(vars.iter()).map(|c| c.atoms().len()),
         )
     });
     match outcome {
-        Ok((eliminated, stats)) => println!(
+        Ok((eliminated, stats, _)) => println!(
             "completed within budget in {ms:.1} ms: {:?} atoms out, {} fm atoms produced",
             eliminated.map(|n| n.to_string()),
             stats.fm_atoms
@@ -609,9 +598,9 @@ fn e10() -> Json {
     let mut traces = Vec::new();
     for (_, q) in paper_queries() {
         let mut db = paper_example::database();
-        let (_, trace) = lyric::execute_traced(&mut db, q, lyric::EngineBudget::unlimited())
+        let res = execute_with_options(&mut db, q, &ExecOptions::default().with_trace(true))
             .expect("paper query evaluates");
-        traces.push(trace);
+        traces.push(res.trace.expect("a traced run returns its trace"));
     }
     let total: Duration = traces.iter().map(lyric::trace::Trace::total_duration).sum();
     let rows = lyric::trace::hot_spans(&traces);
@@ -649,7 +638,7 @@ fn e10() -> Json {
             ("self_ms", Json::Num(r.self_time.as_secs_f64() * 1e3)),
             ("total_ms", Json::Num(r.total.as_secs_f64() * 1e3)),
             ("share_pct", Json::Num(r.percent_of(total))),
-            ("stats", stats_json(&r.stats)),
+            ("stats", r.stats.to_json()),
         ]));
     }
     if rows.len() > TOP {
@@ -833,7 +822,7 @@ fn e13() -> Json {
         };
         let (a, b, inner) = (mk_box(0, 10), mk_box(5, 15), mk_box(6, 9));
         let measure = |fast: bool| {
-            let ((ms, _), stats) = lyric::engine::run_with_opts(opts(fast), || {
+            let ((ms, _), stats, _) = lyric::engine::run(&opts(fast), None, || {
                 time_ms(20, || {
                     for _ in 0..10 {
                         assert!(a.and(&b).satisfiable());
@@ -952,17 +941,13 @@ fn e15() -> Json {
     let run_plain = || {
         lyric::execute_shared(&db, Q_LINEAR, &opts).expect("linear query evaluates");
     };
-    // One clone up front: the traced entry point takes `&mut Database`
-    // (CREATE VIEW materializes), but a SELECT never mutates, so reusing
-    // the clone keeps the clone cost out of the traced timing.
-    let mut traced_db = db.clone();
-    let mut run_traced = || {
-        lyric::execute_traced_with_options(&mut traced_db, Q_LINEAR, &opts)
-            .expect("traced linear query evaluates");
+    let traced = opts.clone().with_trace(true);
+    let run_traced = || {
+        lyric::execute_shared(&db, Q_LINEAR, &traced).expect("traced linear query evaluates");
     };
+    let explained = opts.clone().with_explain(true);
     let run_explained = || {
-        lyric::execute_explained_with_options(&db, Q_LINEAR, &opts)
-            .expect("explained linear query evaluates");
+        lyric::execute_shared(&db, Q_LINEAR, &explained).expect("explained linear query evaluates");
     };
     run_plain(); // warm the memo caches so every mode measures steady state
     let (batches, reps) = (6, 5);
@@ -972,7 +957,7 @@ fn e15() -> Json {
     let mut explained_ms = f64::INFINITY;
     for _ in 0..batches {
         plain_a_ms = plain_a_ms.min(time_ms(reps, run_plain).0);
-        traced_ms = traced_ms.min(time_ms(reps, &mut run_traced).0);
+        traced_ms = traced_ms.min(time_ms(reps, run_traced).0);
         explained_ms = explained_ms.min(time_ms(reps, run_explained).0);
         plain_b_ms = plain_b_ms.min(time_ms(reps, run_plain).0);
     }

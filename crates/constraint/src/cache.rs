@@ -153,7 +153,14 @@ pub(crate) fn entails(c: &Conjunction, a: &Atom, solve: impl FnOnce() -> bool) -
 #[cfg(test)]
 mod tests {
     use crate::{Atom, Conjunction, LinExpr, Var};
-    use lyric_engine::{run_with, EngineBudget};
+    use lyric_engine::{EngineStats, ExecOptions};
+
+    /// Run `f` under a fresh engine context with the memo on or off.
+    fn run<T>(cache: bool, f: impl FnOnce() -> T) -> (T, EngineStats) {
+        let opts = ExecOptions::default().with_cache(cache);
+        let (value, stats, _) = lyric_engine::run(&opts, None, f).expect("unlimited budget");
+        (value, stats)
+    }
 
     /// `0 ≤ x ≤ hi`. The memo is process-global and the harness runs
     /// these tests on parallel threads, each under its own generation, so
@@ -170,12 +177,11 @@ mod tests {
     #[test]
     fn repeated_sat_checks_hit_the_cache() {
         let c = x_box(10);
-        let ((), stats) = run_with(EngineBudget::unlimited(), true, || {
+        let ((), stats) = run(true, || {
             assert!(c.satisfiable());
             assert!(c.satisfiable());
             assert!(c.satisfiable());
-        })
-        .unwrap();
+        });
         assert_eq!(stats.sat_checks, 3);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 2);
@@ -184,11 +190,10 @@ mod tests {
     #[test]
     fn cache_disabled_context_never_probes() {
         let c = x_box(11);
-        let ((), stats) = run_with(EngineBudget::unlimited(), false, || {
+        let ((), stats) = run(false, || {
             assert!(c.satisfiable());
             assert!(c.satisfiable());
-        })
-        .unwrap();
+        });
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
         assert_eq!(stats.lp_runs, 2);
     }
@@ -197,11 +202,10 @@ mod tests {
     fn entailment_answers_are_cached_per_atom() {
         let c = x_box(12);
         let a = Atom::le(LinExpr::var(Var::new("x")), LinExpr::from(20));
-        let ((), stats) = run_with(EngineBudget::unlimited(), true, || {
+        let ((), stats) = run(true, || {
             assert!(c.implies_atom(&a));
             assert!(c.implies_atom(&a));
-        })
-        .unwrap();
+        });
         assert_eq!(stats.entailment_checks, 2);
         assert!(stats.cache_hits >= 1, "second probe must hit: {stats}");
     }
@@ -209,12 +213,10 @@ mod tests {
     #[test]
     fn generations_isolate_contexts() {
         let c = x_box(13);
-        let ((), first) =
-            run_with(EngineBudget::unlimited(), true, || assert!(c.satisfiable())).unwrap();
+        let ((), first) = run(true, || assert!(c.satisfiable()));
         assert_eq!(first.cache_misses, 1);
         // A fresh context must not see the previous context's entries.
-        let ((), second) =
-            run_with(EngineBudget::unlimited(), true, || assert!(c.satisfiable())).unwrap();
+        let ((), second) = run(true, || assert!(c.satisfiable()));
         assert_eq!(second.cache_hits, 0);
         assert_eq!(second.cache_misses, 1);
     }
@@ -225,8 +227,8 @@ mod tests {
         // misses, every repeat — on whichever worker — hits, because all
         // workers share the query's generation.
         let c = x_box(14);
-        let opts = lyric_engine::ExecOptions::default().with_threads(4);
-        let ((), stats) = lyric_engine::run_with_opts(opts, || {
+        let opts = ExecOptions::default().with_threads(4);
+        let ((), stats, _) = lyric_engine::run(&opts, None, || {
             assert!(c.satisfiable()); // miss, on the coordinator
             let items = [(); 8];
             let answers = lyric_engine::parallel_map(&items, |_, _| c.satisfiable());

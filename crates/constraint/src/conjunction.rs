@@ -172,11 +172,11 @@ impl Conjunction {
     /// computed afresh on every check: it costs less than a memo probe
     /// and insert keyed by the whole conjunction would.
     pub fn satisfiable(&self) -> bool {
-        lyric_engine::tally(|s| s.sat_checks += 1);
+        lyric_engine::note_live(lyric_engine::Live::SatChecks, 1);
         if lyric_engine::boxes_enabled() {
             lyric_engine::tally(|s| s.box_checks += 1);
             if self.interval_box().is_empty() {
-                lyric_engine::tally(|s| s.box_prunes += 1);
+                lyric_engine::note_live(lyric_engine::Live::BoxPrunes, 1);
                 lyric_engine::trace_event(|| lyric_engine::EventKind::BoxPrune);
                 return false;
             }

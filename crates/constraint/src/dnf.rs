@@ -13,11 +13,8 @@ use std::fmt;
 // DNF products below a minimum pair count are never worth forking a
 // parallel region for: each pair is one conjunction merge, so the spawn
 // cost dominates tiny products (and the paper's worked examples stay on
-// their exact serial path). The default lives in
-// `lyric_engine::DNF_PARALLEL_MIN_PAIRS`; per-query overrides come from
-// `ExecOptions::with_dnf_min_pairs` / `LYRIC_DNF_MIN_PAIRS` and are
-// consulted through `lyric_engine::dnf_parallel_min_pairs` at each
-// product site.
+// their exact serial path). The threshold is
+// `lyric_engine::DNF_PARALLEL_MIN_PAIRS`.
 
 /// A disjunction of conjunctions of normalized atoms.
 ///
@@ -79,7 +76,7 @@ impl Dnf {
 
     /// Logical conjunction (distributes: `|self|·|other|` disjuncts).
     ///
-    /// Products of at least [`lyric_engine::dnf_parallel_min_pairs`]
+    /// Products of at least [`lyric_engine::DNF_PARALLEL_MIN_PAIRS`]
     /// pairs are evaluated row-parallel under a multi-threaded engine
     /// context; [`Dnf::of`] re-sorts the disjuncts, so the result is
     /// identical either way.
@@ -89,7 +86,7 @@ impl Dnf {
             right: other.disjuncts.len(),
         });
         let pairs = self.disjuncts.len() * other.disjuncts.len();
-        if pairs >= lyric_engine::dnf_parallel_min_pairs() {
+        if pairs >= lyric_engine::DNF_PARALLEL_MIN_PAIRS {
             let rows = lyric_engine::parallel_map(&self.disjuncts, |_, a| {
                 other
                     .disjuncts

@@ -1252,12 +1252,15 @@ impl Analyzer<'_> {
                 .with_max_fm_atoms(5_000)
                 .with_max_disjuncts(1_000)
                 .with_deadline(std::time::Duration::from_millis(250));
-            let verdict = lyric_engine::run_with(budget, false, || {
+            let opts = lyric_engine::ExecOptions::default()
+                .with_budget(budget)
+                .with_cache(false);
+            let verdict = lyric_engine::run(&opts, None, || {
                 crate::storage::formula_to_cst(&f)
                     .ok()
                     .map(|c| c.satisfiable())
             });
-            if let Ok((Some(false), _)) = verdict {
+            if let Ok((Some(false), _, _)) = verdict {
                 self.diags.push(
                     Diagnostic::warning(
                         codes::LP_UNSAT,

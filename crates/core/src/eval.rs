@@ -14,12 +14,15 @@
 
 use crate::ast::*;
 use crate::error::LyricError;
+use crate::explain::build_plan;
 use crate::formula::{arith_to_linexpr, display_path, entails, instantiate};
-use crate::parser::parse_query;
+use crate::lexer::lex_spanned;
+use crate::parser::parse_tokens;
 use crate::scope::{ScopeKey, ScopeLink};
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, CstObject, Extremum, Interval, IntervalBox, RelOp, Var};
-use lyric_engine::{span, SpanKind};
+use lyric_engine::{flight, span, ExecOptions, SpanKind};
+use lyric_metrics::querylog::{self, Outcome, QueryRecord};
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -27,8 +30,9 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// The answer of a query: column names, rows of oids, and the engine
-/// work counters accumulated while evaluating it.
+/// The answer of a query: column names, rows of oids, the engine work
+/// counters accumulated while evaluating it, and whatever else its
+/// [`ExecOptions`] asked the run to report.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     pub columns: Vec<String>,
@@ -36,6 +40,29 @@ pub struct QueryResult {
     /// Pipeline statistics for this evaluation: simplex pivots, FM atoms,
     /// DNF disjuncts, sat/entailment checks, memo-cache hits.
     pub stats: lyric_engine::EngineStats,
+    /// The evaluation's span tree, led by the front-end phases (lex,
+    /// parse, analyze); `Some` exactly when [`ExecOptions::trace`] was
+    /// set. Its per-span exclusive deltas sum to `stats` exactly; under a
+    /// thread budget above 1 it grafts per-worker subtrees (distinct
+    /// `tid`s) into the one logical query tree.
+    pub trace: Option<lyric_engine::trace::Trace>,
+    /// EXPLAIN ANALYZE: the plan with its runtime attribution; `Some`
+    /// exactly when [`ExecOptions::explain`] was set. Its per-node
+    /// exclusive counters sum to `stats` exactly.
+    pub plan: Option<crate::explain::ExplainReport>,
+}
+
+impl QueryResult {
+    /// A bare answer: no work counted yet, nothing else reported.
+    fn answer(columns: Vec<String>, rows: Vec<Vec<Oid>>) -> QueryResult {
+        QueryResult {
+            columns,
+            rows,
+            stats: Default::default(),
+            trace: None,
+            plan: None,
+        }
+    }
 }
 
 /// Equality is over the *answer* (columns and rows) only: two evaluations
@@ -58,58 +85,32 @@ impl fmt::Display for QueryResult {
     }
 }
 
-/// Parse and execute a LyriC statement against a database. `CREATE VIEW`
-/// statements mutate the database (new class + extent) and also return the
-/// selected rows.
-///
-/// Runs under an unlimited [`EngineBudget`](lyric_engine::EngineBudget)
-/// with the memo cache enabled; the returned [`QueryResult::stats`] carry
-/// the work counters. Use [`execute_with_budget`] to bound the evaluation.
+/// Parse and execute a LyriC statement under default [`ExecOptions`].
+/// `CREATE VIEW` statements mutate the database (new class + extent) and
+/// also return the selected rows.
 pub fn execute(db: &mut Database, src: &str) -> Result<QueryResult, LyricError> {
-    let q = parse_query(src)?;
-    execute_parsed(db, &q)
+    execute_with_options(db, src, &ExecOptions::default())
 }
 
-/// [`execute`] without the static-analysis gate: the query goes straight
-/// to the evaluator, so semantic errors surface as runtime errors
-/// mid-evaluation. Useful for differential testing of the analyzer and for
-/// callers that have already analyzed the query.
-pub fn execute_unchecked(db: &mut Database, src: &str) -> Result<QueryResult, LyricError> {
-    let q = parse_query(src)?;
-    execute_parsed_unchecked(db, &q)
-}
-
-/// Parse and execute a statement under an explicit evaluation budget.
-/// When a limit is crossed, evaluation aborts promptly and returns
-/// [`LyricError::BudgetExceeded`] with the limit and the amount consumed —
-/// adversarial constraint blowups degrade gracefully instead of hanging.
-pub fn execute_with_budget(
-    db: &mut Database,
-    src: &str,
-    budget: lyric_engine::EngineBudget,
-) -> Result<QueryResult, LyricError> {
-    execute_with_options(
-        db,
-        src,
-        &lyric_engine::ExecOptions::default().with_budget(budget),
-    )
-}
-
-/// Parse and execute a statement under explicit
-/// [`ExecOptions`](lyric_engine::ExecOptions): budget, memo cache, and the
-/// thread budget for parallel regions. With `threads` above 1, FROM-clause
-/// binding, WHERE filtering, SELECT items, and large DNF operations fan
-/// out across a scoped worker pool; answers are identical to the serial
+/// Parse and execute a statement under explicit [`ExecOptions`]: the
+/// evaluation budget (a crossed limit aborts promptly with
+/// [`LyricError::BudgetExceeded`], so adversarial constraint blowups
+/// degrade gracefully instead of hanging), the memo cache, the thread
+/// budget, the acceleration switches, and the two report flags —
+/// `trace` fills [`QueryResult::trace`], `explain` fills
+/// [`QueryResult::plan`]. With `threads` above 1, FROM-clause binding,
+/// WHERE filtering, SELECT items, and large DNF operations fan out across
+/// a scoped worker pool; answers are identical to the serial
 /// (`threads == 1`) evaluation — work is handed out by index and merged
-/// back in index order.
+/// back in index order. This is the entry point for `CREATE VIEW` with
+/// options; EXPLAIN ANALYZE of a `CREATE VIEW` is rejected (use
+/// [`explain`](crate::explain) for its static plan).
 pub fn execute_with_options(
     db: &mut Database,
     src: &str,
-    opts: &lyric_engine::ExecOptions,
+    opts: &ExecOptions,
 ) -> Result<QueryResult, LyricError> {
-    let q = parse_query(src)?;
-    check(db, &q)?;
-    run_in_context(db, &q, opts.clone(), Some(src))
+    run_statement(Target::Exclusive(db), src, opts, true)
 }
 
 /// Execute a `SELECT` statement against a *shared* database reference.
@@ -117,91 +118,171 @@ pub fn execute_with_options(
 /// same `&Database` simultaneously, each evaluation getting its own
 /// engine context (so budgets and stats stay per-query) while sharing the
 /// process-global memo caches. `CREATE VIEW` statements are rejected —
-/// they mutate the database and need [`execute`]'s exclusive access.
+/// they mutate the database and need [`execute_with_options`]'s exclusive
+/// access.
 pub fn execute_shared(
     db: &Database,
     src: &str,
-    opts: &lyric_engine::ExecOptions,
+    opts: &ExecOptions,
 ) -> Result<QueryResult, LyricError> {
-    let q = parse_query(src)?;
-    check(db, &q)?;
-    match &q {
-        Query::Select(s) => {
-            // Slow-query forensics: with `LYRIC_SLOW_EXPLAIN=1` and a slow
-            // threshold configured, run under explain instrumentation so
-            // the slow log line can carry the per-operator summary.
-            if crate::explain::slow_explain_active() {
-                return crate::explain::run_explained_select(db, src, s, opts).map(|(res, _)| res);
-            }
-            let started = Instant::now();
-            let trace_id = Cell::new(0u64);
-            let fguard = flight_begin(src, opts);
-            let progress = fguard.as_ref().map(|g| g.progress());
-            let result = match lyric_engine::run_with_opts_flight(opts.clone(), progress, || {
-                trace_id.set(lyric_engine::generation());
-                if let Some(g) = &fguard {
-                    g.set_trace_id(lyric_engine::generation());
-                }
-                eval_select_query(db, s)
-            }) {
-                Ok((inner, stats)) => inner.map(|mut res| {
-                    res.stats = stats;
-                    res
-                }),
-                Err(exceeded) => Err(exceeded.into()),
+    run_statement(Target::Shared(db), src, opts, true)
+}
+
+/// [`execute`] without the static-analysis gate: the query goes straight
+/// to the evaluator, so semantic errors surface as runtime errors
+/// mid-evaluation — the evaluator-only reference the analyzer-vs-evaluator
+/// differential tests compare against.
+pub fn execute_unchecked(db: &mut Database, src: &str) -> Result<QueryResult, LyricError> {
+    run_statement(Target::Exclusive(db), src, &ExecOptions::default(), false)
+}
+
+/// The database a statement runs against: exclusive access admits
+/// `CREATE VIEW`, shared access `SELECT` only.
+enum Target<'a> {
+    Exclusive(&'a mut Database),
+    Shared(&'a Database),
+}
+
+impl Target<'_> {
+    fn db(&self) -> &Database {
+        match self {
+            Target::Exclusive(db) => db,
+            Target::Shared(db) => db,
+        }
+    }
+}
+
+/// An admitted statement with the access it runs under.
+enum Statement<'a> {
+    Select(&'a Database, &'a SelectQuery),
+    View(&'a mut Database, &'a ViewQuery),
+}
+
+/// The one query runner behind every entry point: lex and parse, the
+/// analyzer gate (skipped for [`execute_unchecked`]), one engine run, and
+/// one [`QueryRecord`] that the query log and the flight recorder (ring,
+/// and the dump an anomaly calls for) read. A statement the front end
+/// rejects never reaches the engine: it costs no engine work, writes no
+/// log line or flight record, and leaves `lyric_queries_total` alone.
+///
+/// Slow-query forensics (`LYRIC_SLOW_EXPLAIN=1` with a query-log sink and
+/// a slow threshold) turns `explain` on for every `SELECT`, so the record
+/// carries the hottest plan nodes.
+fn run_statement(
+    target: Target<'_>,
+    src: &str,
+    opts: &ExecOptions,
+    checked: bool,
+) -> Result<QueryResult, LyricError> {
+    let front = Instant::now();
+    let tokens = lex_spanned(src)?;
+    let lexed = Instant::now();
+    let q = parse_tokens(tokens)?;
+    let parsed = Instant::now();
+    if checked {
+        check(target.db(), &q)?;
+    }
+    let analyzed = Instant::now();
+    let stmt = match (target, &q) {
+        (Target::Exclusive(db), Query::Select(s)) => Statement::Select(db, s),
+        (Target::Shared(db), Query::Select(s)) => Statement::Select(db, s),
+        (Target::Exclusive(db), Query::CreateView(v)) if !opts.explain => Statement::View(db, v),
+        (target, Query::CreateView(_)) => {
+            let entry = match target {
+                Target::Shared(_) => "execute_shared",
+                Target::Exclusive(_) => "EXPLAIN ANALYZE",
             };
-            log_query(
-                src,
-                opts.threads.max(1),
-                started,
-                trace_id.get(),
-                &result,
-                None,
-            );
-            flight_finish(
-                fguard,
-                src,
-                opts.threads.max(1),
-                started,
-                trace_id.get(),
-                &result,
-                None,
-            );
-            result
+            return Err(LyricError::type_error(format!(
+                "{entry} evaluates SELECT statements only; CREATE VIEW mutates the database"
+            )));
         }
-        Query::CreateView(_) => Err(LyricError::type_error(
-            "execute_shared evaluates SELECT statements only; CREATE VIEW mutates the database",
-        )),
-    }
-}
+    };
+    let forensics = crate::explain::slow_explain_active();
+    let plan = match &stmt {
+        Statement::Select(db, s) if opts.explain || forensics => Some(build_plan(db, s)),
+        _ => None,
+    };
 
-/// Execute an already-parsed statement (unlimited budget, cache enabled).
-/// Composes with an outer [`lyric_engine::run_with`]: if a context is
-/// already installed, it is used as-is — its budget applies and the stats
-/// stamped on the result are the context's cumulative counters.
-pub fn execute_parsed(db: &mut Database, q: &Query) -> Result<QueryResult, LyricError> {
-    check(db, q)?;
-    execute_parsed_unchecked(db, q)
-}
+    let started = Instant::now();
+    let (query, query_hash) = (querylog::truncate_query(src), querylog::query_hash(src));
+    let guard = register(&query, query_hash, opts);
+    let trace_id = Cell::new(0u64);
+    let outcome = lyric_engine::run(
+        &ExecOptions {
+            explain: plan.is_some(),
+            ..opts.clone()
+        },
+        guard.as_ref().map(|g| g.progress()),
+        || {
+            trace_id.set(lyric_engine::generation());
+            if let Some(g) = &guard {
+                g.set_trace_id(trace_id.get());
+            }
+            match stmt {
+                Statement::Select(db, s) => eval_select_query(db, s, plan.as_ref().map(|p| &p.1)),
+                Statement::View(db, v) => execute_view(db, v),
+            }
+        },
+    );
 
-/// [`execute_parsed`] without the static-analysis gate; see
-/// [`execute_unchecked`].
-pub fn execute_parsed_unchecked(db: &mut Database, q: &Query) -> Result<QueryResult, LyricError> {
-    if lyric_engine::is_active() {
-        let mut res = execute_in_context(db, q)?;
-        if let Some(stats) = lyric_engine::snapshot() {
-            res.stats = stats;
-        }
-        return Ok(res);
+    let mut summary = None;
+    let result = match outcome {
+        Ok((value, stats, trace)) => value.map(|res| {
+            let mut res = QueryResult { stats, ..res };
+            if let (Some((plan, info)), Some(trace)) = (plan, &trace) {
+                let report = crate::explain::analyzed(plan, &info, trace);
+                summary = forensics.then(|| report.summary_json(3));
+                res.plan = opts.explain.then_some(report);
+            }
+            if opts.trace {
+                let whole = Some((0, src.len()));
+                let phases = [
+                    (SpanKind::Lex, lexed - front, whole),
+                    (SpanKind::Parse, parsed - lexed, whole),
+                    (SpanKind::Analyze, analyzed - parsed, None),
+                ];
+                res.trace = trace.map(|mut t| {
+                    t.root.label = src.trim().to_string();
+                    t.root.source = whole;
+                    t.prepend_phases(&phases[..if checked { 3 } else { 2 }]);
+                    t
+                });
+            }
+            res
+        }),
+        Err(exceeded) => Err(exceeded.into()),
+    };
+
+    let record = QueryRecord {
+        query_hash,
+        query,
+        outcome: match &result {
+            Ok(_) => Outcome::Ok,
+            Err(e @ LyricError::BudgetExceeded { resource, .. }) => Outcome::BudgetExceeded {
+                resource: resource.name(),
+                message: e.to_string(),
+            },
+            Err(e) => Outcome::Error(e.to_string()),
+        },
+        rows: result.as_ref().map_or(0, |r| r.rows.len() as u64),
+        duration_us: started.elapsed().as_micros() as u64,
+        threads: opts.threads.max(1),
+        trace_id: trace_id.get(),
+        end_unix_ms: flight::recorder::unix_ms(),
+        stats: result.as_ref().map(|r| r.stats).unwrap_or_default(),
+        plan: summary,
+    };
+    querylog::log(&record);
+    if let Some(guard) = guard {
+        flight::finish(guard, record);
     }
-    run_in_context(db, q, lyric_engine::ExecOptions::default(), None)
+    result
 }
 
 /// The admission gate: run the static analyzer (default options) and
 /// reject the query on any error-severity diagnostic, *before* the
 /// evaluator — and before any engine budget — is touched.
 pub(crate) fn check(db: &Database, q: &Query) -> Result<(), LyricError> {
-    let _span = lyric_engine::span(SpanKind::Analyze, String::new, None);
     let diags: Vec<_> =
         crate::analyze::analyze(db.schema(), q, &crate::analyze::AnalyzerOptions::default())
             .into_iter()
@@ -226,68 +307,19 @@ fn analyzer_rejections() -> &'static lyric_metrics::Counter {
     })
 }
 
-/// Write one structured query-log line (see `lyric_metrics::querylog`
-/// for the schema). A no-op unless a log sink is installed. `trace_id`
-/// is the engine context generation captured inside the run, so log
-/// lines correlate with memo-cache generations and trace output; on a
-/// budget abort the engine discards the context's counters, so `stats`
-/// are zero for non-`ok` outcomes. `explain` is the pre-serialized
-/// compact explain-analyze summary attached to slow-query lines when
-/// `LYRIC_SLOW_EXPLAIN=1` (see `crate::explain`).
-pub(crate) fn log_query(
-    src: &str,
-    threads: usize,
-    started: Instant,
-    trace_id: u64,
-    result: &Result<QueryResult, LyricError>,
-    explain: Option<&str>,
-) {
-    use lyric_metrics::querylog::{self, Outcome, Record};
-    if !lyric_metrics::enabled() || !querylog::active() {
-        return;
-    }
-    let zero = lyric_engine::EngineStats::default();
-    let (outcome, rows, stats) = match result {
-        Ok(res) => (Outcome::Ok, res.rows.len() as u64, &res.stats),
-        Err(LyricError::BudgetExceeded { resource, .. }) => {
-            (Outcome::BudgetExceeded(resource.name()), 0, &zero)
-        }
-        Err(_) => (Outcome::Error, 0, &zero),
-    };
-    let named: Vec<(&'static str, u64)> = lyric_engine::trace::stats::COUNTER_NAMES
-        .iter()
-        .copied()
-        .zip(stats.counters())
-        .collect();
-    querylog::log(&Record {
-        query: src,
-        outcome,
-        rows,
-        duration_us: started.elapsed().as_micros() as u64,
-        threads,
-        trace_id,
-        stats: &named,
-        explain,
-    });
-}
-
-/// Register `src` in the in-flight registry (when the flight recorder is
-/// enabled) for the duration of one execution. One switch —
+/// Register a statement in the in-flight registry for the duration of its
+/// run, when the flight recorder is enabled. One switch —
 /// `LYRIC_FLIGHT=0` or `flight::set_enabled(false)` — turns off both the
 /// registry and the completed-query ring, which is the recorder-off
 /// baseline experiment E17 measures against.
-pub(crate) fn flight_begin(
-    src: &str,
-    opts: &lyric_engine::ExecOptions,
-) -> Option<lyric_engine::flight::InflightGuard> {
-    use lyric_engine::flight;
+fn register(query: &str, query_hash: u64, opts: &ExecOptions) -> Option<flight::InflightGuard> {
     if !flight::recorder::enabled() {
         return None;
     }
     let b = &opts.budget;
     Some(flight::register(flight::InflightDesc {
-        query: src.to_string(),
-        query_hash: lyric_metrics::querylog::query_hash(src),
+        query: query.to_string(),
+        query_hash,
         threads: opts.threads.max(1),
         caps: flight::BudgetCaps {
             pivots: b.max_pivots,
@@ -295,239 +327,19 @@ pub(crate) fn flight_begin(
             disjuncts: b.max_disjuncts,
             deadline_ms: b.deadline.map(|d| d.as_millis() as u64),
         },
-        trace_id: 0,
     }))
-}
-
-/// Complete a flight scope opened by [`flight_begin`]: push a completed
-/// [`QuerySummary`](lyric_engine::flight::QuerySummary) into the recorder
-/// ring and, on an anomaly — budget abort, engine error after the
-/// analyzer admitted the query, or a `LYRIC_SLOW_MS` breach — write a
-/// black-box dump *before* the guard deregisters, so the dump's in-flight
-/// section still contains the offender with its live counters.
-/// `plan_summary` is the pre-serialized explain-analyze summary when the
-/// query ran under slow-query forensics.
-pub(crate) fn flight_finish(
-    guard: Option<lyric_engine::flight::InflightGuard>,
-    src: &str,
-    threads: usize,
-    started: Instant,
-    trace_id: u64,
-    result: &Result<QueryResult, LyricError>,
-    plan_summary: Option<&str>,
-) {
-    use lyric_engine::flight::{self, Trigger};
-    use lyric_engine::trace::json::Json;
-    let Some(guard) = guard else { return };
-    let zero = lyric_engine::EngineStats::default();
-    let (outcome, resource, rows, stats) = match result {
-        Ok(res) => ("ok", "", res.rows.len() as u64, &res.stats),
-        Err(LyricError::BudgetExceeded { resource, .. }) => {
-            ("budget_exceeded", resource.name(), 0, &zero)
-        }
-        Err(_) => ("error", "", 0, &zero),
-    };
-    let duration_us = started.elapsed().as_micros() as u64;
-    flight::record_query(flight::QuerySummary {
-        query_hash: lyric_metrics::querylog::query_hash(src),
-        query: flight::inflight::truncate_query(src),
-        outcome,
-        resource: resource.to_string(),
-        rows,
-        duration_us,
-        threads,
-        trace_id,
-        end_unix_ms: flight::recorder::unix_ms(),
-        stats: *stats,
-    });
-    let trigger = match result {
-        Err(LyricError::BudgetExceeded { .. }) => Some(Trigger::BudgetAbort),
-        // Front-end rejections are ordinary user errors, not engine
-        // anomalies — no black box for a typo.
-        Err(LyricError::Lex(_) | LyricError::Parse(_) | LyricError::Analysis(_)) => None,
-        Err(_) => Some(Trigger::EngineError),
-        Ok(_) => lyric_metrics::querylog::slow_ms()
-            .filter(|&ms| duration_us / 1000 >= ms)
-            .map(|_| Trigger::Slow),
-    };
-    if let Some(trigger) = trigger {
-        let mut offender = match flight::inflight::current_snapshot().map(|s| s.to_json()) {
-            Some(Json::Obj(pairs)) => pairs,
-            _ => vec![
-                (
-                    "query".to_string(),
-                    Json::str(flight::inflight::truncate_query(src)),
-                ),
-                (
-                    "query_hash".to_string(),
-                    Json::str(format!("{:016x}", lyric_metrics::querylog::query_hash(src))),
-                ),
-            ],
-        };
-        offender.push(("outcome".to_string(), Json::str(outcome)));
-        if !resource.is_empty() {
-            offender.push(("resource".to_string(), Json::str(resource)));
-        }
-        if let Err(e) = result {
-            offender.push(("error".to_string(), Json::str(e.to_string())));
-        }
-        offender.push(("rows".to_string(), Json::int(rows)));
-        offender.push(("duration_us".to_string(), Json::int(duration_us)));
-        if let Some(summary) = plan_summary {
-            let plan =
-                lyric_engine::trace::json::parse(summary).unwrap_or_else(|_| Json::str(summary));
-            offender.push(("plan".to_string(), plan));
-        }
-        let _ = flight::dump(trigger, Some(Json::Obj(offender)));
-    }
-    drop(guard);
-}
-
-/// Parse and execute a statement under a span collector: evaluation runs
-/// inside [`lyric_engine::run_traced`], so every instrumented phase (lex,
-/// parse, analyze, FROM binding, WHERE predicates, SELECT items, LP
-/// solves, FM eliminations) records a span, and the sealed
-/// [`Trace`](lyric_engine::trace::Trace) is returned alongside the result.
-/// The trace's aggregate stats equal [`QueryResult::stats`] exactly — the
-/// per-span deltas partition the query's total work.
-///
-/// The context is installed *before* parsing (unlike [`execute`], whose
-/// parse runs outside any context), so front-end time is attributed too.
-pub fn execute_traced(
-    db: &mut Database,
-    src: &str,
-    budget: lyric_engine::EngineBudget,
-) -> Result<(QueryResult, lyric_engine::trace::Trace), LyricError> {
-    execute_traced_with_options(
-        db,
-        src,
-        &lyric_engine::ExecOptions::default().with_budget(budget),
-    )
-}
-
-/// [`execute_traced`] with explicit [`ExecOptions`](lyric_engine::ExecOptions).
-/// Under a thread budget above 1, the trace grafts per-worker subtrees
-/// (distinct `tid`s) into the single logical query tree; Σ per-span self
-/// stats still equals [`QueryResult::stats`].
-pub fn execute_traced_with_options(
-    db: &mut Database,
-    src: &str,
-    opts: &lyric_engine::ExecOptions,
-) -> Result<(QueryResult, lyric_engine::trace::Trace), LyricError> {
-    let label = src.trim().to_string();
-    let started = Instant::now();
-    let trace_id = Cell::new(0u64);
-    let fguard = flight_begin(src, opts);
-    let progress = fguard.as_ref().map(|g| g.progress());
-    let outcome =
-        lyric_engine::run_traced_opts_flight(opts.clone(), progress, label, src.len(), || {
-            trace_id.set(lyric_engine::generation());
-            if let Some(g) = &fguard {
-                g.set_trace_id(lyric_engine::generation());
-            }
-            let q = parse_query(src)?;
-            check(db, &q)?;
-            execute_in_context(db, &q)
-        });
-    let result = match outcome {
-        Ok((inner, stats, trace)) => inner.map(|mut res| {
-            res.stats = stats;
-            (res, trace)
-        }),
-        Err(exceeded) => Err(exceeded.into()),
-    };
-    if lyric_metrics::querylog::active() || fguard.is_some() {
-        let flat = match &result {
-            Ok((res, _)) => Ok(res.clone()),
-            Err(e) => Err(e.clone()),
-        };
-        log_query(
-            src,
-            opts.threads.max(1),
-            started,
-            trace_id.get(),
-            &flat,
-            None,
-        );
-        flight_finish(
-            fguard,
-            src,
-            opts.threads.max(1),
-            started,
-            trace_id.get(),
-            &flat,
-            None,
-        );
-    }
-    result
-}
-
-/// Install an engine context around the evaluator and translate a budget
-/// abort into [`LyricError::BudgetExceeded`]. With `log_src` present the
-/// query is also written to the structured query log (when a sink is
-/// installed); parsed-only entry points pass `None` since the log keys
-/// lines by source hash.
-fn run_in_context(
-    db: &mut Database,
-    q: &Query,
-    opts: lyric_engine::ExecOptions,
-    log_src: Option<&str>,
-) -> Result<QueryResult, LyricError> {
-    // Slow-query forensics, as in [`execute_shared`]: logged SELECTs run
-    // under explain instrumentation when `LYRIC_SLOW_EXPLAIN=1` is armed.
-    if let (Some(src), Query::Select(s)) = (log_src, q) {
-        if crate::explain::slow_explain_active() {
-            return crate::explain::run_explained_select(db, src, s, &opts).map(|(res, _)| res);
-        }
-    }
-    let started = Instant::now();
-    let trace_id = Cell::new(0u64);
-    let threads = opts.threads.max(1);
-    let fguard = log_src.and_then(|src| flight_begin(src, &opts));
-    let progress = fguard.as_ref().map(|g| g.progress());
-    let result = match lyric_engine::run_with_opts_flight(opts, progress, || {
-        trace_id.set(lyric_engine::generation());
-        if let Some(g) = &fguard {
-            g.set_trace_id(lyric_engine::generation());
-        }
-        execute_in_context(db, q)
-    }) {
-        Ok((inner, stats)) => inner.map(|mut res| {
-            res.stats = stats;
-            res
-        }),
-        Err(exceeded) => Err(exceeded.into()),
-    };
-    if let Some(src) = log_src {
-        log_query(src, threads, started, trace_id.get(), &result, None);
-        flight_finish(fguard, src, threads, started, trace_id.get(), &result, None);
-    }
-    result
-}
-
-/// The evaluator proper; runs inside whatever engine context is installed.
-fn execute_in_context(db: &mut Database, q: &Query) -> Result<QueryResult, LyricError> {
-    match q {
-        Query::Select(s) => eval_select_query(db, s),
-        Query::CreateView(v) => execute_view(db, v),
-    }
 }
 
 /// The `SELECT` arm of the evaluator: needs only shared access to the
 /// database, so [`execute_shared`] can run it from many threads at once.
-fn eval_select_query(db: &Database, s: &SelectQuery) -> Result<QueryResult, LyricError> {
-    eval_select_query_with(db, s, None)
-}
-
-/// [`eval_select_query`] with optional explain instrumentation: when
-/// `explain` is present the operator spans carry plan-node ids and the
+/// With `explain` present the operator spans carry plan-node ids and the
 /// row counters in [`ExplainInfo`](crate::explain::ExplainInfo) are fed.
-pub(crate) fn eval_select_query_with(
+fn eval_select_query(
     db: &Database,
     s: &SelectQuery,
     explain: Option<&crate::explain::ExplainInfo>,
 ) -> Result<QueryResult, LyricError> {
-    let ctx = Ctx::new_explained(db, s, None, explain);
+    let ctx = Ctx::new(db, s, None, explain);
     let (columns, rows) = eval_select(&ctx, s)?;
     let candidate_rows = rows.len() as u64;
     let mut out_rows = Vec::new();
@@ -550,11 +362,7 @@ pub(crate) fn eval_select_query_with(
     if let Some(e) = explain {
         e.add_rows(0, candidate_rows, out_rows.len() as u64);
     }
-    Ok(QueryResult {
-        columns: cols,
-        rows: out_rows,
-        stats: Default::default(),
-    })
+    Ok(QueryResult::answer(cols, out_rows))
 }
 
 fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricError> {
@@ -565,7 +373,7 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
     );
     let grouped = v.select.from.iter().any(|f| f.var == v.name);
     let (columns, rows) = {
-        let ctx = Ctx::new(db, &v.select, Some(&v.name));
+        let ctx = Ctx::new(db, &v.select, Some(&v.name), None);
         eval_select(&ctx, &v.select)?
     };
 
@@ -595,11 +403,10 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
                 out_rows.push(vec![Oid::str(class_name.clone()), m]);
             }
         }
-        return Ok(QueryResult {
-            columns: vec!["class".into(), "member".into()],
-            rows: out_rows,
-            stats: Default::default(),
-        });
+        return Ok(QueryResult::answer(
+            vec!["class".into(), "member".into()],
+            out_rows,
+        ));
     }
 
     // Fixed-name view.
@@ -666,11 +473,7 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
     } else {
         cols.push("member".into());
     }
-    Ok(QueryResult {
-        columns: cols,
-        rows: out_rows,
-        stats: Default::default(),
-    })
+    Ok(QueryResult::answer(cols, out_rows))
 }
 
 fn oid_function_value(fname: &str, vars: &[String], binding: &Binding) -> Result<Oid, LyricError> {
@@ -731,17 +534,13 @@ impl Binding {
 pub(crate) struct Ctx<'a> {
     pub(crate) db: &'a Database,
     declared: BTreeSet<String>,
-    /// Explain instrumentation: the plan-node map and row counters fed by
-    /// `execute_explained`. `None` on every plain evaluation path.
+    /// Explain instrumentation: the plan-node map and row counters an
+    /// explained run feeds. `None` on every plain evaluation path.
     explain: Option<&'a crate::explain::ExplainInfo>,
 }
 
 impl<'a> Ctx<'a> {
-    fn new(db: &'a Database, q: &SelectQuery, view_var: Option<&str>) -> Ctx<'a> {
-        Ctx::new_explained(db, q, view_var, None)
-    }
-
-    fn new_explained(
+    fn new(
         db: &'a Database,
         q: &SelectQuery,
         view_var: Option<&str>,
@@ -1492,10 +1291,8 @@ fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) 
         .filter(|oid| cand.binary_search(oid).is_ok())
         .collect();
     let pruned = (total - kept.len()) as u64;
-    lyric_engine::tally(|s| {
-        s.index_probes += probes;
-        s.index_pruned += pruned;
-    });
+    lyric_engine::note_live(lyric_engine::Live::IndexProbes, probes);
+    lyric_engine::tally(|s| s.index_pruned += pruned);
     lyric_engine::trace_event(|| lyric_engine::trace::EventKind::IndexProbe {
         candidates: total as u64,
         pruned,

@@ -5,49 +5,48 @@
 //! each FROM binding, the WHERE condition tree, each SELECT item),
 //! annotated with the features that govern constraint-query cost —
 //! class extent cardinalities, constraint atom counts, disjunction
-//! alternatives, projection quantifiers — plus the rewrite rules the
-//! FP-algebra optimizer (`lyric_algebra::optimize_explained`) applies to
-//! the query's naive point-free form, reported on the root node.
+//! alternatives, projection quantifiers.
 //!
-//! [`execute_explained`] additionally runs the query with the plan-node
-//! ids threaded through the evaluator's span instrumentation
+//! Under [`ExecOptions::explain`](lyric_engine::ExecOptions::explain) the
+//! query runner additionally evaluates the query with the plan-node ids
+//! threaded through the evaluator's span instrumentation
 //! (`lyric_engine::span_node`) and per-node row counters, then attributes
 //! the sealed trace back to the plan with
-//! [`lyric_trace::plan::analyze`](lyric_engine::trace::plan::analyze).
-//! Two invariants are pinned by `tests/explain_differential.rs`:
+//! [`lyric_trace::plan::analyze`](lyric_engine::trace::plan::analyze)
+//! and returns the report as `QueryResult::plan`. Two invariants are
+//! pinned by `tests/explain_differential.rs`:
 //!
-//! * Σ per-node exclusive counters equals [`QueryResult::stats`]
-//!   **exactly** (the attribution fold is total);
+//! * Σ per-node exclusive counters equals
+//!   [`QueryResult::stats`](crate::QueryResult::stats) **exactly** (the
+//!   attribution fold is total);
 //! * Σ per-node exclusive time equals the trace's summed span self-time
 //!   exactly, which equals the traced total up to the collector's
 //!   saturating-subtraction tolerance on serial runs.
 //!
 //! Every analyzed run also feeds the process-lifetime cost-profile store
 //! (`lyric_metrics::profile`), keyed by `(shape hash, node id)`; and when
-//! `LYRIC_SLOW_EXPLAIN=1` arms slow-query forensics, the normal execution
-//! paths route logged SELECTs through here so the slow-query log line can
-//! carry the top-3-nodes summary ([`ExplainReport::summary_json`]).
+//! `LYRIC_SLOW_EXPLAIN=1` arms slow-query forensics, the runner explains
+//! every SELECT so the slow-query log line can carry the top-3-nodes
+//! summary ([`ExplainReport::summary_json`]).
 //!
 //! Node ids are assigned in preorder (`0` = the SELECT root) and are
 //! stable for a given query text. The node map uses AST pointer identity:
-//! the parsed query is pinned on the caller's stack for the duration of
+//! the parsed query is pinned on the runner's stack for the duration of
 //! the evaluation, so `&Cond` addresses identify condition sites.
 
 use crate::ast::*;
 use crate::error::LyricError;
-use crate::eval::{check, column_name, eval_select_query_with, log_query, QueryResult};
+use crate::eval::{check, column_name};
 use crate::formula::display_path;
 use crate::parser::parse_query;
 use lyric_engine::trace::plan::{self, PlanAnalysis, PlanNode};
-use lyric_engine::trace::Json;
+use lyric_engine::trace::{Json, Trace};
 use lyric_oodb::Database;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-/// The product of [`explain`] / [`execute_explained`]: the plan tree, the
-/// runtime attribution (absent for plain EXPLAIN), and the shape hash
+/// The product of [`explain`] and of an explained run: the plan tree,
+/// the runtime attribution (absent for plain EXPLAIN), and the shape hash
 /// keying the cost-profile store.
 #[derive(Debug, Clone)]
 pub struct ExplainReport {
@@ -71,11 +70,12 @@ impl ExplainReport {
         plan::plan_to_json(&self.plan, self.analysis.as_ref())
     }
 
-    /// Compact JSON array of the `k` hottest nodes by exclusive time —
-    /// the summary the slow-query log attaches. `[]` without an analysis.
-    pub fn summary_json(&self, k: usize) -> String {
+    /// JSON array of the `k` hottest nodes by exclusive time — the
+    /// summary the slow-query log and anomaly dumps attach. `[]` without
+    /// an analysis.
+    pub fn summary_json(&self, k: usize) -> Json {
         let Some(a) = &self.analysis else {
-            return "[]".into();
+            return Json::Arr(Vec::new());
         };
         let top = plan::top_self_nodes(&self.plan, a, k);
         Json::Arr(
@@ -91,13 +91,11 @@ impl ExplainReport {
                 })
                 .collect(),
         )
-        .to_string()
     }
 }
 
-/// EXPLAIN without execution: parse, analyze, and return the static plan
-/// (with the algebra rewrite rules on the root node). For `CREATE VIEW`
-/// the inner SELECT is explained.
+/// EXPLAIN without execution: parse, analyze, and return the static
+/// plan. For `CREATE VIEW` the inner SELECT is explained.
 pub fn explain(db: &Database, src: &str) -> Result<ExplainReport, LyricError> {
     let q = parse_query(src)?;
     check(db, &q)?;
@@ -113,145 +111,43 @@ pub fn explain(db: &Database, src: &str) -> Result<ExplainReport, LyricError> {
     })
 }
 
-/// EXPLAIN ANALYZE: execute a `SELECT` statement with plan-node
-/// instrumentation and return the answer alongside the attributed plan.
-/// The answer (columns, rows, semantic stats) is bit-identical to the
-/// plain [`execute_shared`](crate::execute_shared) evaluation — the
-/// instrumentation only observes. Runs under the default
-/// [`ExecOptions`](lyric_engine::ExecOptions).
-pub fn execute_explained(
-    db: &Database,
-    src: &str,
-) -> Result<(QueryResult, ExplainReport), LyricError> {
-    execute_explained_with_options(db, src, &lyric_engine::ExecOptions::default())
-}
-
-/// [`execute_explained`] with explicit
-/// [`ExecOptions`](lyric_engine::ExecOptions). `CREATE VIEW` is rejected
-/// (it mutates the database; use [`explain`] for its static plan).
-pub fn execute_explained_with_options(
-    db: &Database,
-    src: &str,
-    opts: &lyric_engine::ExecOptions,
-) -> Result<(QueryResult, ExplainReport), LyricError> {
-    let q = parse_query(src)?;
-    check(db, &q)?;
-    match &q {
-        Query::Select(s) => run_explained_select(db, src, s, opts),
-        Query::CreateView(_) => Err(LyricError::type_error(
-            "EXPLAIN ANALYZE evaluates SELECT statements only; CREATE VIEW mutates the database",
-        )),
-    }
-}
-
-/// True when slow-query forensics should route plain executions through
-/// the explained runner: a query-log sink is installed, a slow threshold
-/// is configured, and `LYRIC_SLOW_EXPLAIN=1` armed the gate.
+/// True when slow-query forensics should explain plain executions: a
+/// query-log sink is installed, a slow threshold is configured, and
+/// `LYRIC_SLOW_EXPLAIN=1` armed the gate.
 pub(crate) fn slow_explain_active() -> bool {
     lyric_metrics::enabled()
         && lyric_metrics::querylog::active()
         && lyric_metrics::querylog::slow_explain()
 }
 
-/// The explained runner: trace the evaluation with node-stamped spans,
-/// attribute the trace to the plan, fill the evaluator's row counters in,
-/// feed the cost-profile store, and write the query-log line (with the
-/// top-nodes summary when slow-query forensics is armed). The caller has
-/// already parsed and checked the query.
-pub(crate) fn run_explained_select(
-    db: &Database,
-    src: &str,
-    s: &SelectQuery,
-    opts: &lyric_engine::ExecOptions,
-) -> Result<(QueryResult, ExplainReport), LyricError> {
-    let (plan, info) = build_plan(db, s);
+/// EXPLAIN ANALYZE's attribution: fold an explained run's trace onto its
+/// plan, fill in the evaluator's per-node row counters, and feed the
+/// cost-profile store one observation per node.
+pub(crate) fn analyzed(plan: PlanNode, info: &ExplainInfo, trace: &Trace) -> ExplainReport {
     let shape_hash = plan.shape_hash();
-    let started = Instant::now();
-    let trace_id = Cell::new(0u64);
-    let threads = opts.threads.max(1);
-    let fguard = crate::eval::flight_begin(src, opts);
-    let progress = fguard.as_ref().map(|g| g.progress());
-    let outcome = lyric_engine::run_traced_opts_flight(
-        opts.clone(),
-        progress,
-        src.trim().to_string(),
-        src.len(),
-        || {
-            trace_id.set(lyric_engine::generation());
-            if let Some(g) = &fguard {
-                g.set_trace_id(lyric_engine::generation());
-            }
-            eval_select_query_with(db, s, Some(&info))
-        },
-    );
-    let result = match outcome {
-        Ok((inner, stats, trace)) => inner.map(|mut res| {
-            res.stats = stats;
-            (res, trace)
-        }),
-        Err(exceeded) => Err(exceeded.into()),
-    };
-    match result {
-        Ok((res, trace)) => {
-            let mut analysis = plan::analyze(&plan, &trace);
-            for (id, obs) in analysis.nodes.iter_mut().enumerate() {
-                let (rows_in, rows_out) = info.rows_of(id as u32);
-                obs.rows_in = rows_in;
-                obs.rows_out = rows_out;
-            }
-            for node in plan.by_id() {
-                let obs = &analysis.nodes[node.id as usize];
-                let counters = obs.stats.nonzero_counters();
-                lyric_metrics::profile::record(
-                    shape_hash,
-                    node.id,
-                    node.op,
-                    &lyric_metrics::profile::Obs {
-                        self_us: obs.self_time.as_secs_f64() * 1e6,
-                        rows_in: obs.rows_in,
-                        rows_out: obs.rows_out,
-                        counters: &counters,
-                    },
-                );
-            }
-            let report = ExplainReport {
-                plan,
-                analysis: Some(analysis),
-                shape_hash,
-            };
-            let summary = slow_explain_active().then(|| report.summary_json(3));
-            log_query(
-                src,
-                threads,
-                started,
-                trace_id.get(),
-                &Ok(res.clone()),
-                summary.as_deref(),
-            );
-            crate::eval::flight_finish(
-                fguard,
-                src,
-                threads,
-                started,
-                trace_id.get(),
-                &Ok(res.clone()),
-                summary.as_deref(),
-            );
-            Ok((res, report))
-        }
-        Err(e) => {
-            log_query(src, threads, started, trace_id.get(), &Err(e.clone()), None);
-            crate::eval::flight_finish(
-                fguard,
-                src,
-                threads,
-                started,
-                trace_id.get(),
-                &Err(e.clone()),
-                None,
-            );
-            Err(e)
-        }
+    let mut analysis = plan::analyze(&plan, trace);
+    for (id, obs) in analysis.nodes.iter_mut().enumerate() {
+        (obs.rows_in, obs.rows_out) = info.rows_of(id as u32);
+    }
+    for node in plan.by_id() {
+        let obs = &analysis.nodes[node.id as usize];
+        let counters = obs.stats.nonzero_counters();
+        lyric_metrics::profile::record(
+            shape_hash,
+            node.id,
+            node.op,
+            &lyric_metrics::profile::Obs {
+                self_us: obs.self_time.as_secs_f64() * 1e6,
+                rows_in: obs.rows_in,
+                rows_out: obs.rows_out,
+                counters: &counters,
+            },
+        );
+    }
+    ExplainReport {
+        plan,
+        analysis: Some(analysis),
+        shape_hash,
     }
 }
 
@@ -309,8 +205,8 @@ impl ExplainInfo {
     }
 }
 
-/// Build the plan tree (preorder ids, static annotations, root rewrite
-/// rules) and the evaluator-side node map for one SELECT query.
+/// Build the plan tree (preorder ids, static annotations) and the
+/// evaluator-side node map for one SELECT query.
 pub(crate) fn build_plan(db: &Database, s: &SelectQuery) -> (PlanNode, ExplainInfo) {
     let mut info = ExplainInfo {
         cond_ids: BTreeMap::new(),
@@ -321,7 +217,6 @@ pub(crate) fn build_plan(db: &Database, s: &SelectQuery) -> (PlanNode, ExplainIn
     };
     let mut next: u32 = 1;
     let mut root = PlanNode::new(0, "select", "");
-    root.rules = lyric_algebra::optimize_explained(&query_func(s)).1;
     for f in &s.from {
         let mut n = PlanNode::new(next, "from_bind", format!("{} {}", f.class, f.var));
         info.from_ids.push(next);
@@ -427,55 +322,6 @@ fn formula_features(f: &Formula, n: &mut PlanNode) {
     }
 }
 
-/// The query's naive FP-algebra form (§5): SELECT-item maps over filters
-/// over canonicalized candidates over the FROM extents, outermost first.
-/// This is the program `optimize_explained` rewrites to annotate the root
-/// plan node with the rules that fire (e.g. `hoist_filter_sat` commutes
-/// the satisfiability filter ahead of the per-element canonicalization
-/// map; `fuse_filter` merges conjunct filters).
-fn query_func(s: &SelectQuery) -> lyric_algebra::Func {
-    use lyric_algebra::Func;
-    let mut stages: Vec<Func> = Vec::new();
-    for item in &s.items {
-        match &item.value {
-            SelectValue::Formula(_) => {
-                stages.push(Func::ApplyToAll(Box::new(Func::Canonicalize)));
-            }
-            SelectValue::Optimize { .. } => {
-                stages.push(Func::ApplyToAll(Box::new(Func::Maximize(
-                    lyric_constraint::LinExpr::from(0i64),
-                ))));
-            }
-            SelectValue::Path(_) => {}
-        }
-    }
-    if let Some(w) = &s.where_clause {
-        cond_filters(w, &mut stages);
-    }
-    stages.push(Func::ApplyToAll(Box::new(Func::Canonicalize)));
-    for f in &s.from {
-        stages.push(Func::Extent(f.class.clone()));
-    }
-    Func::Compose(stages)
-}
-
-/// One filter stage per top-level WHERE conjunct: constraint predicates
-/// become satisfiability filters (the form the optimizer hoists);
-/// everything else is an opaque predicate.
-fn cond_filters(c: &Cond, stages: &mut Vec<lyric_algebra::Func>) {
-    use lyric_algebra::Func;
-    match c {
-        Cond::And(a, b) => {
-            cond_filters(a, stages);
-            cond_filters(b, stages);
-        }
-        Cond::Sat(..) | Cond::Entails(..) => {
-            stages.push(Func::Filter(Box::new(Func::Satisfiable)));
-        }
-        _ => stages.push(Func::Filter(Box::new(Func::Id))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,12 +348,6 @@ mod tests {
             .find(|n| n.op == "select_item" && n.atoms > 0)
             .unwrap();
         assert_eq!(item.quantifiers, 2, "((u,v) | …) projects two variables");
-        // The naive FP form of this query admits rewrites.
-        assert!(
-            !report.plan.rules.is_empty(),
-            "rules: {:?}",
-            report.plan.rules
-        );
         assert!(report.analysis.is_none());
         // Text + JSON renderers agree with the validator.
         let json = report.to_json().to_string();
@@ -519,7 +359,9 @@ mod tests {
     fn analyze_attributes_everything_and_preserves_the_answer() {
         let mut db = paper_example::database();
         let plain = crate::execute(&mut db, Q).unwrap();
-        let (res, report) = execute_explained(&db, Q).unwrap();
+        let opts = lyric_engine::ExecOptions::default().with_explain(true);
+        let res = crate::execute_shared(&db, Q, &opts).unwrap();
+        let report = res.plan.as_ref().expect("explain returns the plan");
         assert_eq!(res.columns, plain.columns);
         assert_eq!(res.rows, plain.rows);
         assert_eq!(res.stats.semantic(), plain.stats.semantic());
@@ -533,17 +375,19 @@ mod tests {
         let json = report.to_json().to_string();
         lyric_engine::trace::plan::validate_plan_json(&json).unwrap();
         // The slow-log summary is a JSON array of at most 3 nodes.
-        let summary = report.summary_json(3);
+        let summary = report.summary_json(3).to_string();
         assert!(summary.starts_with('['), "{summary}");
         assert!(summary.contains("\"self_us\""), "{summary}");
     }
 
     #[test]
     fn explain_analyze_rejects_create_view() {
-        let db = paper_example::database();
-        let err = execute_explained(
-            &db,
+        let mut db = paper_example::database();
+        let opts = lyric_engine::ExecOptions::default().with_explain(true);
+        let err = crate::execute_with_options(
+            &mut db,
             "CREATE VIEW V AS SUBCLASS OF Thing SELECT D FROM Desk D",
+            &opts,
         );
         assert!(err.is_err());
     }

@@ -61,12 +61,8 @@ mod token;
 pub use analyze::{analyze, analyze_src, AnalyzerOptions};
 pub use diag::{Diagnostic, Severity};
 pub use error::{LexError, LyricError, ParseError};
-pub use eval::{
-    execute, execute_parsed, execute_parsed_unchecked, execute_shared, execute_traced,
-    execute_traced_with_options, execute_unchecked, execute_with_budget, execute_with_options,
-    QueryResult,
-};
-pub use explain::{execute_explained, execute_explained_with_options, explain, ExplainReport};
+pub use eval::{execute, execute_shared, execute_unchecked, execute_with_options, QueryResult};
+pub use explain::{explain, ExplainReport};
 pub use lexer::{lex, lex_spanned};
 pub use parser::{parse_formula, parse_query};
 pub use span::Span;
@@ -94,7 +90,7 @@ pub use lyric_engine::{default_threads, EngineBudget, EngineStats, ExecOptions};
 pub use lyric_metrics as metrics;
 
 // Re-export the tracing surface (span trees, renderers, exporters) for
-// consumers of [`execute_traced`].
+// consumers of [`QueryResult::trace`].
 pub use lyric_engine::trace;
 
 // Re-export the flight recorder and in-flight registry so the serving

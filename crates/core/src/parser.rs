@@ -18,12 +18,12 @@ use crate::token::Token;
 
 /// Parse a complete LyriC statement.
 pub fn parse_query(src: &str) -> Result<Query, LyricError> {
-    let source = Some((0, src.len()));
-    let (toks, spans) = {
-        let _span = lyric_engine::span(lyric_engine::SpanKind::Lex, String::new, source);
-        lex_spanned(src)?
-    };
-    let _span = lyric_engine::span(lyric_engine::SpanKind::Parse, String::new, source);
+    parse_tokens(lex_spanned(src)?)
+}
+
+/// Parse a statement [`lex_spanned`] already tokenized (the query runner
+/// times the two front-end phases apart).
+pub(crate) fn parse_tokens((toks, spans): (Vec<Token>, Vec<Span>)) -> Result<Query, LyricError> {
     let mut p = Parser {
         toks,
         spans,

@@ -15,28 +15,28 @@
 //!
 //! Cost sites call [`note`] (or [`note_many`]) with a [`Resource`]; the
 //! active context counts the work and, when a budget limit is crossed,
-//! unwinds with a [`BudgetExceeded`] payload. [`run_with`] installs a
-//! context, catches that unwind at the boundary, and returns
-//! `Err(BudgetExceeded)` instead — ordinary panics propagate untouched.
-//! With no active context (`note` outside `run_with`) all accounting is a
+//! unwinds with a [`BudgetExceeded`] payload. [`run`] — the one way to
+//! install a context — catches that unwind at the boundary and returns
+//! `Err(BudgetExceeded)` instead; ordinary panics propagate untouched.
+//! With no active context (`note` outside `run`) all accounting is a
 //! no-op, so library code is usable standalone at zero cost beyond one
 //! thread-local read.
 //!
 //! The unwind-based abort uses [`std::panic::panic_any`] with a private
-//! payload type; callers never observe it because `run_with` downcasts at
-//! the boundary. Cost sites therefore keep their existing infallible
+//! payload type; callers never observe it because `run` downcasts at the
+//! boundary. Cost sites therefore keep their existing infallible
 //! signatures — exactly the "degrade gracefully instead of hanging"
 //! contract from the roadmap.
-
 //!
 //! # Tracing
 //!
-//! [`run_traced`] installs the same context with a [`trace::Collector`]
-//! attached: cost sites additionally open hierarchical spans via [`span`]
-//! and attach structured events via [`trace_event`], and the collector
-//! seals the per-query span tree ([`trace::Trace`]) at the boundary. With
-//! a plain [`run_with`] context (or none), every tracing hook is a no-op
-//! that allocates nothing and never invokes its label/event closures —
+//! Under [`ExecOptions::trace`] (or [`ExecOptions::explain`], which needs
+//! the same tree) [`run`] attaches a [`trace::Collector`] to the context:
+//! cost sites additionally open hierarchical spans via [`span`] and
+//! attach structured events via [`trace_event`], and the collector seals
+//! the per-query span tree ([`trace::Trace`]) at the boundary. Without
+//! one (or outside any context) every tracing hook is a no-op that
+//! allocates nothing and never invokes its label/event closures —
 //! tracing is strictly opt-in per query.
 
 #![warn(missing_docs)]
@@ -54,10 +54,8 @@ mod pool;
 
 pub use parallel::{parallel_map, MIN_PARALLEL_ITEMS};
 
-/// Default minimum `|left|·|right|` pair count before a DNF product is
-/// evaluated row-parallel (see `lyric-constraint`); tunable per query
-/// via [`ExecOptions::with_dnf_min_pairs`] or the `LYRIC_DNF_MIN_PAIRS`
-/// environment variable.
+/// Minimum `|left|·|right|` pair count before a DNF product is evaluated
+/// row-parallel (see `lyric-constraint`).
 pub const DNF_PARALLEL_MIN_PAIRS: usize = 64;
 
 /// The trace data model and sinks (re-exported so dependents need no
@@ -66,10 +64,9 @@ pub use lyric_trace as trace;
 pub use lyric_trace::{EventKind, SpanKind};
 
 /// The flight recorder and in-flight registry (re-exported so dependents
-/// need no direct `lyric-flight` dependency). The engine mirrors its
-/// budgeted counters into a registered query's [`flight::Progress`] when
-/// one is attached via [`run_with_opts_flight`] /
-/// [`run_traced_opts_flight`].
+/// need no direct `lyric-flight` dependency). A [`flight::Progress`] cell
+/// holds every context's live per-query counters; [`run`] takes a
+/// registered query's cell so `/debug/inflight` reads them as they move.
 pub use lyric_flight as flight;
 
 /// The budgetable resources of the constraint pipeline.
@@ -103,7 +100,7 @@ impl fmt::Display for Resource {
     }
 }
 
-/// Raised (as an `Err` from [`run_with`]) when a budget limit is crossed.
+/// Raised (as an `Err` from [`run`]) when a budget limit is crossed.
 /// `limit`/`consumed` are in the resource's native unit — counts for the
 /// counter resources, milliseconds for [`Resource::Time`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -221,7 +218,7 @@ struct ActiveContext {
     boxes: bool,
     /// Store-index probing of FROM extents enabled for this context?
     index: bool,
-    /// Span/event collector; `Some` only under [`run_traced`].
+    /// Span/event collector; `Some` only for a traced or explained run.
     tracer: Option<trace::Collector>,
     /// How many deadline thresholds (50%, 90%) have been announced.
     time_thresholds_emitted: usize,
@@ -230,50 +227,22 @@ struct ActiveContext {
     /// one query share memo entries).
     generation: u64,
     /// Thread budget for parallel regions opened under this context; 1
-    /// means strictly serial evaluation.
+    /// means strictly serial evaluation (and marks worker contexts, whose
+    /// nested regions stay serial).
     threads: usize,
-    /// Minimum item count before a [`parallel_map`] region forks.
-    min_parallel: usize,
-    /// Minimum pair count before DNF products go parallel.
-    dnf_min_pairs: usize,
-    /// Cross-worker budget state of the enclosing parallel region; `Some`
-    /// only in worker contexts. Budgeted counters are mirrored into these
-    /// atomics so a limit crossed by the *sum* of all workers aborts
-    /// promptly, not just one worker's local share.
-    shared: Option<Arc<parallel::SharedRegion>>,
     /// The thread's cumulative arithmetic-path counters at the last
     /// refresh; [`refresh_arith`] drains the delta into `stats`.
     arith_base: lyric_arith::OpCounters,
-    /// Live-progress cell of the in-flight registry slot this query
-    /// registered, if any. Budgeted counters are mirrored in [`note_many`]
-    /// and the non-budgeted trio (sat checks, box prunes, index probes)
-    /// is flushed as deltas in [`tally`] — one relaxed `fetch_add` each,
-    /// the same cost class as the shared-region mirror.
-    flight: Option<Arc<lyric_flight::Progress>>,
-    /// The stats values (sat_checks, box_prunes, index_probes) already
-    /// flushed into `flight`; [`flush_flight`] sends only the delta since,
-    /// and the parallel merge bumps this past absorbed worker sums the
-    /// workers already mirrored themselves.
-    flight_base: [u64; 3],
-}
-
-/// Flush the non-budgeted progress counters (sat checks, box prunes,
-/// index probes) into the context's flight cell as deltas since the last
-/// flush. No-op without an attached flight cell.
-fn flush_flight(active: &mut ActiveContext) {
-    let Some(fl) = &active.flight else { return };
-    let now = [
-        active.stats.sat_checks,
-        active.stats.box_prunes,
-        active.stats.index_probes,
-    ];
-    let cells = [&fl.sat_checks, &fl.box_prunes, &fl.index_probes];
-    for ((cell, now), base) in cells.iter().zip(now).zip(&mut active.flight_base) {
-        if now > *base {
-            cell.fetch_add(now - *base, Ordering::Relaxed);
-            *base = now;
-        }
-    }
+    /// The query's live counters, shared by the coordinator and every
+    /// worker context: budgeted work is counted here and the limit is
+    /// checked against these query-wide totals, so a limit crossed by the
+    /// *sum* of all workers aborts promptly; sat checks, box prunes and
+    /// index probes are counted here at their sites. A registered query's
+    /// in-flight slot reads the same cell.
+    progress: Arc<lyric_flight::Progress>,
+    /// Is `progress` a registered in-flight slot's? Gates the flight
+    /// recorder's event tee, so only registered queries feed its ring.
+    registered: bool,
 }
 
 /// Fold the thread's cumulative small/big/promotion arithmetic counters
@@ -290,14 +259,6 @@ fn refresh_arith(active: &mut ActiveContext) {
     active.arith_base = now;
 }
 
-impl ActiveContext {
-    /// True for a parallel-region worker context (nested regions fall back
-    /// to serial evaluation inside workers).
-    fn is_worker(&self) -> bool {
-        self.shared.is_some()
-    }
-}
-
 thread_local! {
     static CONTEXT: RefCell<Option<ActiveContext>> = const { RefCell::new(None) };
 }
@@ -309,7 +270,7 @@ thread_local! {
 /// generations while the workers of one parallel region share one.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
-/// Private unwind payload; `run_with` downcasts it at the boundary.
+/// Private unwind payload; `run` downcasts it at the boundary.
 struct BudgetUnwind(BudgetExceeded);
 
 /// The default panic hook prints a backtrace banner for every panic,
@@ -376,59 +337,35 @@ pub fn generation() -> u64 {
 /// The budget-consumption thresholds announced as trace events, percent.
 const BUDGET_THRESHOLDS: [u64; 2] = [50, 90];
 
-/// Count `n` units of `r`, aborting the enclosing [`run_with`] when a
-/// budget limit is crossed. A no-op without an active context.
+/// Count `n` units of `r`, aborting the enclosing [`run`] when a budget
+/// limit is crossed. A no-op without an active context.
 pub fn note_many(r: Resource, n: u64) {
     let exceeded = CONTEXT.with(|c| {
         let mut borrow = c.borrow_mut();
         let active = borrow.as_mut()?;
-        // Local stats always take the delta (they feed span deltas and the
-        // merged per-worker sums); inside a parallel region the budgeted
-        // counters are additionally mirrored into the region's shared
-        // atomics, and the limit is checked against the *global* total so
-        // an abort fires promptly no matter how work is split.
-        let local = match r {
-            Resource::Pivots => {
-                active.stats.pivots += n;
-                active.stats.pivots
-            }
-            Resource::FmAtoms => {
-                active.stats.fm_atoms += n;
-                active.stats.fm_atoms
-            }
-            Resource::Disjuncts => {
-                active.stats.disjuncts_produced += n;
-                active.stats.disjuncts_produced
-            }
-            Resource::Time => 0,
+        // Local stats take the delta (they feed span deltas and the merged
+        // per-worker sums); the query-wide total in the shared progress
+        // cell is what the limit is checked against, so an abort fires as
+        // promptly in a parallel region as in a serial run.
+        let cells = match r {
+            Resource::Pivots => Some((&mut active.stats.pivots, &active.progress.pivots)),
+            Resource::FmAtoms => Some((&mut active.stats.fm_atoms, &active.progress.fm_atoms)),
+            Resource::Disjuncts => Some((
+                &mut active.stats.disjuncts_produced,
+                &active.progress.disjuncts,
+            )),
+            Resource::Time => None,
         };
-        if let Some(fl) = &active.flight {
-            match r {
-                Resource::Pivots => fl.add_budgeted(n, 0, 0),
-                Resource::FmAtoms => fl.add_budgeted(0, n, 0),
-                Resource::Disjuncts => fl.add_budgeted(0, 0, n),
-                Resource::Time => {}
-            }
-        }
-        let (counter, before) = match (&active.shared, r) {
-            (_, Resource::Time) => (0, 0),
-            (Some(shared), _) => {
-                let cell = match r {
-                    Resource::Pivots => &shared.pivots,
-                    Resource::FmAtoms => &shared.fm_atoms,
-                    Resource::Disjuncts => &shared.disjuncts,
-                    Resource::Time => unreachable!("handled above"),
-                };
-                let prev = cell.fetch_add(n, Ordering::Relaxed);
-                (prev + n, prev)
-            }
-            (None, _) => (local, local - n),
-        };
+        let before = cells.map_or(0, |(local, total)| {
+            *local += n;
+            total.fetch_add(n, Ordering::Relaxed)
+        });
+        let counter = before + n;
         if let Some(limit) = active.budget.limit_for(r) {
             // Counters are monotonic, so each percent line is crossed by
-            // exactly one note (under a shared region, by exactly one
-            // worker — fetch_add hands out disjoint intervals); announce
-            // crossings to the tracer and the process-lifetime registry.
+            // exactly one note (across workers too — fetch_add hands out
+            // disjoint intervals); announce crossings to the tracer and
+            // the process-lifetime registry.
             for pct in BUDGET_THRESHOLDS {
                 let before = before as u128 * 100;
                 let line = limit as u128 * pct as u128;
@@ -503,9 +440,38 @@ pub fn tally(f: impl FnOnce(&mut EngineStats)) {
     CONTEXT.with(|c| {
         if let Some(active) = c.borrow_mut().as_mut() {
             f(&mut active.stats);
-            if active.flight.is_some() {
-                flush_flight(active);
-            }
+        }
+    });
+}
+
+/// An uncapped counter that `/debug/inflight` shows live beside the
+/// three budgeted ones; see [`note_live`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Live {
+    /// Satisfiability checks.
+    SatChecks,
+    /// Interval-box prunes (LP solves skipped).
+    BoxPrunes,
+    /// Store-index probes.
+    IndexProbes,
+}
+
+/// Count `n` units of a live counter, at its site: into the context's
+/// stats and into the query's shared progress cell. A no-op without an
+/// active context.
+pub fn note_live(counter: Live, n: u64) {
+    CONTEXT.with(|c| {
+        if let Some(active) = c.borrow_mut().as_mut() {
+            let (local, total) = match counter {
+                Live::SatChecks => (&mut active.stats.sat_checks, &active.progress.sat_checks),
+                Live::BoxPrunes => (&mut active.stats.box_prunes, &active.progress.box_prunes),
+                Live::IndexProbes => (
+                    &mut active.stats.index_probes,
+                    &active.progress.index_probes,
+                ),
+            };
+            *local += n;
+            total.fetch_add(n, Ordering::Relaxed);
         }
     });
 }
@@ -588,7 +554,7 @@ pub fn span(
 }
 
 /// [`span`] with an explain-plan node id stamped on the recorded span.
-/// `execute_explained` threads stable node ids through the evaluator's
+/// An explained run threads stable node ids through the evaluator's
 /// operator sites so the trace→plan attribution fold can charge each
 /// span's exclusive time and counters to its plan operator; plain
 /// execution passes `None` everywhere (via [`span`]) and pays nothing.
@@ -623,7 +589,7 @@ pub fn span_node(
 pub fn trace_event(event: impl FnOnce() -> EventKind) {
     CONTEXT.with(|c| {
         if let Some(active) = c.borrow_mut().as_mut() {
-            let tee = active.flight.is_some() && lyric_flight::event_tick();
+            let tee = active.registered && lyric_flight::event_tick();
             if active.tracer.is_none() && !tee {
                 return;
             }
@@ -639,7 +605,9 @@ pub fn trace_event(event: impl FnOnce() -> EventKind) {
 }
 
 /// Per-execution options: the resource budget, whether the sat/entailment
-/// memo cache is consulted, and how many threads parallel regions may use.
+/// memo cache is consulted, how many threads parallel regions may use,
+/// the acceleration switches, and what the run reports besides its answer
+/// (a span tree, an analyzed plan).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Resource limits for the evaluation.
@@ -649,14 +617,6 @@ pub struct ExecOptions {
     /// Thread budget for parallel regions ([`parallel_map`]); 1 means
     /// strictly serial. Defaults to [`default_threads`].
     pub threads: usize,
-    /// Minimum item count before a parallel region forks. Defaults to
-    /// [`default_min_parallel`] (`LYRIC_MIN_PARALLEL`, else
-    /// [`MIN_PARALLEL_ITEMS`]).
-    pub min_parallel: usize,
-    /// Minimum `|left|·|right|` pair count before a DNF product is
-    /// evaluated in parallel. Defaults to [`default_dnf_min_pairs`]
-    /// (`LYRIC_DNF_MIN_PAIRS`, else [`DNF_PARALLEL_MIN_PAIRS`]).
-    pub dnf_min_pairs: usize,
     /// Use the inline small-coefficient arithmetic fast path? Defaults to
     /// [`lyric_arith::default_fast_path`] (`LYRIC_ARITH_FAST`, off only
     /// when set to `0`). `false` forces every rational operation onto the
@@ -673,6 +633,14 @@ pub struct ExecOptions {
     /// `false` scans every extent in full — the differential baseline for
     /// the scan-vs-index soundness layer.
     pub index: bool,
+    /// Record the evaluation's span tree: [`run`] returns it sealed, and
+    /// the query runner hands it back as `QueryResult::trace`. Off by
+    /// default.
+    pub trace: bool,
+    /// EXPLAIN ANALYZE: the query runner attributes the evaluation to its
+    /// plan and hands the analyzed plan back as `QueryResult::plan`; [`run`]
+    /// collects the span tree that attribution reads. Off by default.
+    pub explain: bool,
 }
 
 impl Default for ExecOptions {
@@ -681,11 +649,11 @@ impl Default for ExecOptions {
             budget: EngineBudget::unlimited(),
             cache: true,
             threads: default_threads(),
-            min_parallel: default_min_parallel(),
-            dnf_min_pairs: default_dnf_min_pairs(),
             arith_fast: lyric_arith::default_fast_path(),
             boxes: default_boxes(),
             index: default_index(),
+            trace: false,
+            explain: false,
         }
     }
 }
@@ -709,20 +677,6 @@ impl ExecOptions {
         self
     }
 
-    /// Replace the minimum item count for forking a parallel region
-    /// (clamped to at least 1).
-    pub fn with_min_parallel(mut self, items: usize) -> Self {
-        self.min_parallel = items.max(1);
-        self
-    }
-
-    /// Replace the minimum pair count for parallel DNF products
-    /// (clamped to at least 1).
-    pub fn with_dnf_min_pairs(mut self, pairs: usize) -> Self {
-        self.dnf_min_pairs = pairs.max(1);
-        self
-    }
-
     /// Enable or disable the small-coefficient arithmetic fast path.
     pub fn with_arith_fast(mut self, fast: bool) -> Self {
         self.arith_fast = fast;
@@ -738,6 +692,18 @@ impl ExecOptions {
     /// Enable or disable store-index pre-filtering of FROM extents.
     pub fn with_index(mut self, index: bool) -> Self {
         self.index = index;
+        self
+    }
+
+    /// Record (or not) the evaluation's span tree.
+    pub fn with_trace(mut self, trace: bool) -> Self {
+        self.trace = trace;
+        self
+    }
+
+    /// Run (or not) as EXPLAIN ANALYZE.
+    pub fn with_explain(mut self, explain: bool) -> Self {
+        self.explain = explain;
         self
     }
 }
@@ -778,143 +744,30 @@ pub fn default_threads() -> usize {
         })
 }
 
-fn env_threshold(var: &str, fallback: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(fallback)
-}
-
-/// The default minimum item count for forking a parallel region: the
-/// `LYRIC_MIN_PARALLEL` environment variable when set to a positive
-/// integer, else [`MIN_PARALLEL_ITEMS`].
-pub fn default_min_parallel() -> usize {
-    env_threshold("LYRIC_MIN_PARALLEL", MIN_PARALLEL_ITEMS)
-}
-
-/// The default minimum pair count for parallel DNF products: the
-/// `LYRIC_DNF_MIN_PAIRS` environment variable when set to a positive
-/// integer, else [`DNF_PARALLEL_MIN_PAIRS`].
-pub fn default_dnf_min_pairs() -> usize {
-    env_threshold("LYRIC_DNF_MIN_PAIRS", DNF_PARALLEL_MIN_PAIRS)
-}
-
-/// The effective minimum pair count for parallel DNF products: the
-/// active context's configured value, or [`default_dnf_min_pairs`]
-/// outside any context. `lyric-constraint` consults this at each
-/// product site.
-pub fn dnf_parallel_min_pairs() -> usize {
-    CONTEXT
-        .with(|c| c.borrow().as_ref().map(|a| a.dnf_min_pairs))
-        .unwrap_or_else(default_dnf_min_pairs)
-}
-
-/// Install `budget` for the duration of `f`, returning `f`'s value and
-/// the accumulated [`EngineStats`], or `Err(BudgetExceeded)` if a limit
-/// was crossed. Contexts do not nest: a `run_with` inside an active
-/// context would silently re-scope the outer budget, so it panics —
-/// callers gate on [`is_active`] instead. The thread budget is
-/// [`default_threads`]; use [`run_with_opts`] to pick one explicitly.
-pub fn run_with<T>(
-    budget: EngineBudget,
-    cache: bool,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats), BudgetExceeded> {
-    run_with_opts(
-        ExecOptions::default().with_budget(budget).with_cache(cache),
-        f,
-    )
-}
-
-/// [`run_with`] with explicit [`ExecOptions`] (budget, cache, threads).
-pub fn run_with_opts<T>(
-    opts: ExecOptions,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats), BudgetExceeded> {
-    run_inner(opts, None, None, f).map(|(value, stats, _)| (value, stats))
-}
-
-/// [`run_with_opts`] with an in-flight registry progress cell attached:
-/// budgeted counters and the sat/box/index tallies are mirrored into the
-/// cell as the query runs, so `/debug/inflight` shows live movement. Pass
-/// the cell from [`flight::InflightGuard::progress`]; `None` behaves
-/// exactly like [`run_with_opts`].
-pub fn run_with_opts_flight<T>(
-    opts: ExecOptions,
-    flight: Option<Arc<lyric_flight::Progress>>,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats), BudgetExceeded> {
-    run_inner(opts, None, flight, f).map(|(value, stats, _)| (value, stats))
-}
-
-/// [`run_with`] with a span/event collector attached: cost sites record a
-/// hierarchical [`trace::Trace`] via [`span`] and [`trace_event`], sealed
-/// and returned alongside the stats. `label` names the root span (the
-/// query text, typically) and `source_len` is the source's byte length.
+/// Run `f` under an engine context built from `opts` — the one way to
+/// install one. The budget, memo cache, thread budget and acceleration
+/// switches apply to everything `f` does, and a span collector records it
+/// when [`ExecOptions::trace`] or [`ExecOptions::explain`] asks for one.
+/// `progress` is the query's live counter cell: a registered in-flight
+/// slot's, so `/debug/inflight` reads the run as it moves, or `None` for
+/// a private one.
 ///
-/// On a budget abort the partial trace is discarded with the context —
-/// the caller gets the same `Err(BudgetExceeded)` as [`run_with`].
-pub fn run_traced<T>(
-    budget: EngineBudget,
-    cache: bool,
-    label: impl Into<String>,
-    source_len: usize,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats, trace::Trace), BudgetExceeded> {
-    run_traced_opts(
-        ExecOptions::default().with_budget(budget).with_cache(cache),
-        label,
-        source_len,
-        f,
-    )
-}
-
-/// [`run_traced`] with explicit [`ExecOptions`]. Under a thread budget
-/// above 1, parallel regions record per-worker subtrees (distinct `tid`s)
-/// grafted into the single logical trace tree.
-pub fn run_traced_opts<T>(
-    opts: ExecOptions,
-    label: impl Into<String>,
-    source_len: usize,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats, trace::Trace), BudgetExceeded> {
-    run_traced_opts_flight(opts, None, label, source_len, f)
-}
-
-/// [`run_traced_opts`] with an in-flight registry progress cell attached
-/// (see [`run_with_opts_flight`]).
-pub fn run_traced_opts_flight<T>(
-    opts: ExecOptions,
-    flight: Option<Arc<lyric_flight::Progress>>,
-    label: impl Into<String>,
-    source_len: usize,
-    f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats, trace::Trace), BudgetExceeded> {
-    let collector = trace::Collector::new(label, source_len);
-    run_inner(opts, Some(collector), flight, f)
-        .map(|(value, stats, trace)| (value, stats, trace.expect("collector was installed")))
-}
-
-fn run_inner<T>(
-    opts: ExecOptions,
-    tracer: Option<trace::Collector>,
-    flight: Option<Arc<lyric_flight::Progress>>,
+/// Returns `f`'s value, the accumulated [`EngineStats`] and the sealed
+/// trace (`Some` exactly when a collector was attached), or
+/// `Err(BudgetExceeded)` if a limit was crossed — the partial trace is
+/// discarded with the context. Every run flushes its final stats into
+/// the process-lifetime registry here, once. Contexts do not nest: a
+/// `run` inside an active context would silently re-scope the outer
+/// budget, so it panics — callers gate on [`is_active`] instead.
+pub fn run<T>(
+    opts: &ExecOptions,
+    progress: Option<Arc<lyric_flight::Progress>>,
     f: impl FnOnce() -> T,
 ) -> Result<(T, EngineStats, Option<trace::Trace>), BudgetExceeded> {
     silence_budget_unwinds();
     let generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
     let threads = opts.threads.max(1);
-    let min_parallel = opts.min_parallel.max(1);
-    let dnf_min_pairs = opts.dnf_min_pairs.max(1);
-    metrics::record_options(
-        threads,
-        min_parallel,
-        dnf_min_pairs,
-        opts.arith_fast,
-        opts.boxes,
-        opts.index,
-    );
+    metrics::record_options(threads, opts.arith_fast, opts.boxes, opts.index);
     // Pin the thread's arithmetic mode for the run (workers copy it from
     // the region plan); restored below so nested library use after the
     // query sees the caller's mode again.
@@ -926,23 +779,20 @@ fn run_inner<T>(
             "engine contexts do not nest; check engine::is_active() first"
         );
         *borrow = Some(ActiveContext {
-            budget: opts.budget,
+            budget: opts.budget.clone(),
             stats: EngineStats::default(),
             started: Instant::now(),
             notes_since_clock: 0,
             cache_enabled: opts.cache,
             boxes: opts.boxes,
             index: opts.index,
-            tracer,
+            tracer: (opts.trace || opts.explain).then(|| trace::Collector::new(String::new(), 0)),
             time_thresholds_emitted: 0,
             generation,
             threads,
-            min_parallel,
-            dnf_min_pairs,
-            shared: None,
             arith_base: lyric_arith::op_counters(),
-            flight,
-            flight_base: [0; 3],
+            registered: progress.is_some(),
+            progress: progress.unwrap_or_default(),
         });
     });
 
@@ -952,7 +802,6 @@ fn run_inner<T>(
         .expect("context still installed");
     lyric_arith::set_fast_path(prev_arith_fast);
     refresh_arith(&mut context);
-    flush_flight(&mut context);
     let stats = context.stats;
     let elapsed = context.started.elapsed();
     let trace = context.tracer.map(|t| t.finish(stats));
@@ -979,6 +828,10 @@ fn run_inner<T>(
 mod tests {
     use super::*;
 
+    fn opts(budget: EngineBudget, cache: bool) -> ExecOptions {
+        ExecOptions::default().with_budget(budget).with_cache(cache)
+    }
+
     #[test]
     fn noop_without_context() {
         note_many(Resource::Pivots, 1_000_000);
@@ -989,7 +842,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let ((), stats) = run_with(EngineBudget::unlimited(), true, || {
+        let ((), stats, _) = run(&opts(EngineBudget::unlimited(), true), None, || {
             note_many(Resource::Pivots, 7);
             note_many(Resource::FmAtoms, 3);
             note(Resource::Disjuncts);
@@ -1008,12 +861,58 @@ mod tests {
     }
 
     #[test]
+    fn progress_cell_counts_budgeted_and_live_work() {
+        let progress = Arc::new(lyric_flight::Progress::default());
+        let ((), stats, _) = run(
+            &opts(EngineBudget::unlimited(), false),
+            Some(Arc::clone(&progress)),
+            || {
+                note_many(Resource::Pivots, 7);
+                note_many(Resource::FmAtoms, 3);
+                note(Resource::Disjuncts);
+                note_live(Live::SatChecks, 2);
+                note_live(Live::BoxPrunes, 1);
+                note_live(Live::IndexProbes, 4);
+            },
+        )
+        .expect("unlimited budget");
+        let p = &progress;
+        let live = [
+            &p.pivots,
+            &p.fm_atoms,
+            &p.disjuncts,
+            &p.sat_checks,
+            &p.box_prunes,
+            &p.index_probes,
+        ]
+        .map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(live, [7, 3, 1, 2, 1, 4]);
+        let s = stats;
+        assert_eq!(
+            [
+                s.pivots,
+                s.fm_atoms,
+                s.disjuncts_produced,
+                s.sat_checks,
+                s.box_prunes,
+                s.index_probes
+            ],
+            live,
+            "the live cell and the stats count the same work"
+        );
+    }
+
+    #[test]
     fn budget_aborts_with_payload() {
-        let err = run_with(EngineBudget::unlimited().with_max_pivots(10), false, || {
-            for _ in 0..100 {
-                note(Resource::Pivots);
-            }
-        })
+        let err = run(
+            &opts(EngineBudget::unlimited().with_max_pivots(10), false),
+            None,
+            || {
+                for _ in 0..100 {
+                    note(Resource::Pivots);
+                }
+            },
+        )
         .expect_err("limit of 10 must trip");
         assert_eq!(err.resource, Resource::Pivots);
         assert_eq!(err.limit, 10);
@@ -1024,9 +923,12 @@ mod tests {
 
     #[test]
     fn deadline_aborts() {
-        let err = run_with(
-            EngineBudget::unlimited().with_deadline(Duration::from_millis(1)),
-            false,
+        let err = run(
+            &opts(
+                EngineBudget::unlimited().with_deadline(Duration::from_millis(1)),
+                false,
+            ),
+            None,
             || loop {
                 note(Resource::Pivots);
             },
@@ -1039,7 +941,7 @@ mod tests {
     #[test]
     fn ordinary_panics_pass_through() {
         let caught = std::panic::catch_unwind(|| {
-            let _ = run_with(EngineBudget::unlimited(), false, || {
+            let _ = run(&opts(EngineBudget::unlimited(), false), None, || {
                 panic!("user panic");
             });
         });
@@ -1050,8 +952,8 @@ mod tests {
     #[test]
     fn generation_bumps_per_context() {
         let before = generation();
-        let _ = run_with(EngineBudget::unlimited(), true, || {});
-        let _ = run_with(EngineBudget::unlimited(), true, || {});
+        let _ = run(&opts(EngineBudget::unlimited(), true), None, || {});
+        let _ = run(&opts(EngineBudget::unlimited(), true), None, || {});
         assert_eq!(generation(), before + 2);
     }
 
@@ -1062,9 +964,12 @@ mod tests {
     fn deadline_trips_within_one_stride() {
         use std::cell::Cell;
         let noted = Cell::new(0u64);
-        let err = run_with(
-            EngineBudget::unlimited().with_deadline(Duration::ZERO),
-            false,
+        let err = run(
+            &opts(
+                EngineBudget::unlimited().with_deadline(Duration::ZERO),
+                false,
+            ),
+            None,
             || loop {
                 noted.set(noted.get() + 1);
                 note(Resource::Pivots);
@@ -1081,11 +986,9 @@ mod tests {
 
     #[test]
     fn traced_run_records_spans_events_and_thresholds() {
-        let ((), stats, trace) = run_traced(
-            EngineBudget::unlimited().with_max_pivots(1_000),
-            true,
-            "test query",
-            10,
+        let ((), stats, trace) = run(
+            &opts(EngineBudget::unlimited().with_max_pivots(1_000), true).with_trace(true),
+            None,
             || {
                 let _w = span(SpanKind::Where, || "w".into(), Some((2, 8)));
                 note_many(Resource::Pivots, 600); // crosses the 50% line
@@ -1094,6 +997,7 @@ mod tests {
             },
         )
         .expect("within budget");
+        let trace = trace.expect("traced run seals a trace");
         assert_eq!(stats.pivots, 950);
         assert_eq!(*trace.total_stats(), stats);
         assert_eq!(trace.summed_self_stats(), stats);
@@ -1118,14 +1022,11 @@ mod tests {
     #[test]
     fn span_guard_closes_during_budget_unwind() {
         // A budget abort unwinds through open SpanGuards; Drop must close
-        // them so the sealed trace stays well-formed for run_with callers
-        // (run_traced discards the trace on Err, but the collector still
-        // sees balanced enter/exit).
-        let err = run_traced(
-            EngineBudget::unlimited().with_max_pivots(5),
-            false,
-            "q",
-            1,
+        // them so the collector sees balanced enter/exit (`run` discards
+        // the partial trace on Err).
+        let err = run(
+            &opts(EngineBudget::unlimited().with_max_pivots(5), false).with_trace(true),
+            None,
             || {
                 let _g = span(SpanKind::LpSolve, || "solve".into(), None);
                 note_many(Resource::Pivots, 50);
@@ -1138,7 +1039,7 @@ mod tests {
 
     #[test]
     fn span_and_event_are_inert_without_tracing() {
-        let ((), stats) = run_with(EngineBudget::unlimited(), false, || {
+        let ((), stats, trace) = run(&opts(EngineBudget::unlimited(), false), None, || {
             let _g = span(
                 SpanKind::Where,
                 || unreachable!("label closure must not run when tracing is off"),
@@ -1149,6 +1050,7 @@ mod tests {
         })
         .expect("unlimited budget");
         assert!(stats.is_zero());
+        assert!(trace.is_none(), "no collector unless trace or explain asks");
         // And outside any context at all.
         let _g = span(SpanKind::Where, || unreachable!(), None);
         trace_event(|| unreachable!());

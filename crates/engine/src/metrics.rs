@@ -5,7 +5,7 @@
 //! [`EngineMetrics`] struct, so the hot paths pay one `OnceLock` load
 //! plus a striped atomic increment. The per-query [`EngineStats`]
 //! counters are flushed into their cumulative registry counters exactly
-//! once, at the [`run_inner`](crate) boundary teardown — after all
+//! once, at the [`run`](crate::run) boundary teardown — after all
 //! worker deltas have been merged — so the registry totals are *exactly*
 //! the sum of every query's final stats (the `metrics_smoke` CI binary
 //! asserts this equality over a live `/metrics` scrape).
@@ -57,8 +57,6 @@ pub(crate) struct EngineMetrics {
     worker_items_us: Histogram,
     worker_merge_us: Histogram,
     threads_gauge: Gauge,
-    min_parallel_gauge: Gauge,
-    dnf_min_pairs_gauge: Gauge,
     arith_fast_gauge: Gauge,
     boxes_gauge: Gauge,
     index_gauge: Gauge,
@@ -132,14 +130,6 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
                 "lyric_threads",
                 "Thread budget of the most recently installed engine context.",
             ),
-            min_parallel_gauge: r.gauge(
-                "lyric_min_parallel_items",
-                "Effective minimum item count for forking a parallel region.",
-            ),
-            dnf_min_pairs_gauge: r.gauge(
-                "lyric_dnf_parallel_min_pairs",
-                "Effective minimum pair count for parallel DNF products.",
-            ),
             arith_fast_gauge: r.gauge(
                 "lyric_arith_fast",
                 "1 when the most recent context used the small-coefficient \
@@ -174,21 +164,12 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
 }
 
 /// Record the effective execution options of a freshly installed context.
-pub(crate) fn record_options(
-    threads: usize,
-    min_parallel: usize,
-    dnf_min_pairs: usize,
-    arith_fast: bool,
-    boxes: bool,
-    index: bool,
-) {
+pub(crate) fn record_options(threads: usize, arith_fast: bool, boxes: bool, index: bool) {
     if !lyric_metrics::enabled() {
         return;
     }
     let m = metrics();
     m.threads_gauge.set(threads as u64);
-    m.min_parallel_gauge.set(min_parallel as u64);
-    m.dnf_min_pairs_gauge.set(dnf_min_pairs as u64);
     m.arith_fast_gauge.set(arith_fast as u64);
     m.boxes_gauge.set(boxes as u64);
     m.index_gauge.set(index as u64);

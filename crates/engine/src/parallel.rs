@@ -8,9 +8,7 @@
 //! serial loop unless *all* of the following hold: an engine context is
 //! active, its thread budget is at least 2, the caller is not already
 //! inside a worker (nested regions run serial — the outer region owns the
-//! thread budget), and there are at least as many items as the context's
-//! configured minimum (`ExecOptions::min_parallel`, defaulting to
-//! [`MIN_PARALLEL_ITEMS`] via `LYRIC_MIN_PARALLEL`).
+//! thread budget), and there are at least [`MIN_PARALLEL_ITEMS`] items.
 //! The serial path is byte-for-byte the pre-parallel engine: same
 //! iteration order, same note order, same trace shape.
 //!
@@ -18,11 +16,11 @@
 //! [`ActiveContext`] carrying the parent's budget, deadline clock, cache
 //! flag, and generation, but a *zeroed* local [`EngineStats`] — local
 //! counters are per-worker deltas, so span deltas never double-count
-//! across threads. The budgeted counters (pivots, FM atoms, disjuncts)
-//! are additionally mirrored into the region's [`SharedRegion`] atomics,
-//! seeded with the parent's pre-region totals; limits are checked against
-//! that global sum, so `BudgetExceeded` fires as promptly as in a serial
-//! run and carries the same resource classification.
+//! across threads. Every worker shares the query's progress cell, where
+//! the budgeted counters (pivots, FM atoms, disjuncts) accumulate for the
+//! whole query; limits are checked against those totals, so
+//! `BudgetExceeded` fires as promptly as in a serial run and carries the
+//! same resource classification.
 //!
 //! # Determinism
 //!
@@ -34,30 +32,19 @@
 //! deterministic (cache-off) workloads. A panic in any worker (including
 //! the engine's internal budget unwind) aborts the handout, and the first
 //! payload in worker order is re-raised on the calling thread after the
-//! join, where `run_with`'s boundary translates a budget unwind into
+//! join, where `run`'s boundary translates a budget unwind into
 //! `Err(BudgetExceeded)` exactly as for serial evaluation.
 
 use crate::pool::StealQueue;
 use crate::{trace, ActiveContext, EngineStats, BUDGET_THRESHOLDS, CONTEXT};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Cross-worker state of one parallel region: the budgeted counters as
-/// atomics, seeded with the parent context's pre-region totals.
-pub(crate) struct SharedRegion {
-    pub(crate) pivots: AtomicU64,
-    pub(crate) fm_atoms: AtomicU64,
-    pub(crate) disjuncts: AtomicU64,
-}
-
-/// Default minimum item count for forking a region: parallel regions
-/// with fewer items stay serial, since forking threads for a couple of
-/// bindings costs more than it saves, and tiny workloads (the paper's
-/// worked examples) keep their exact serial cache-hit patterns.
-/// Override per query with `ExecOptions::with_min_parallel` or
-/// process-wide with `LYRIC_MIN_PARALLEL`.
+/// Minimum item count for forking a region: parallel regions with fewer
+/// items stay serial, since forking threads for a couple of bindings
+/// costs more than it saves, and tiny workloads (the paper's worked
+/// examples) keep their exact serial cache-hit patterns.
 pub const MIN_PARALLEL_ITEMS: usize = 4;
 
 /// Worker thread ids start here; [`trace::MAIN_TID`] is the coordinator.
@@ -81,16 +68,15 @@ struct RegionPlan {
     generation: u64,
     started: Instant,
     threads: usize,
-    min_parallel: usize,
-    dnf_min_pairs: usize,
     /// The parent thread's arithmetic mode; copied onto worker threads.
     arith_fast: bool,
     /// The parent tracer's origin `Instant`; `Some` iff tracing.
     trace_origin: Option<Instant>,
-    /// The query's in-flight progress cell, shared with every worker so
-    /// `/debug/inflight` shows whole-region totals.
-    flight: Option<Arc<lyric_flight::Progress>>,
-    shared: Arc<SharedRegion>,
+    /// The query's progress cell, shared with every worker: the budget
+    /// totals all workers check against, and what `/debug/inflight` reads.
+    progress: Arc<lyric_flight::Progress>,
+    /// Whether `progress` is a registered in-flight slot's (the event tee).
+    registered: bool,
 }
 
 /// Decide whether a region over `items` items forks, and capture the plan
@@ -101,7 +87,9 @@ fn plan_region(items: usize) -> Option<RegionPlan> {
     let plan = CONTEXT.with(|c| {
         let borrow = c.borrow();
         let active = borrow.as_ref()?;
-        if active.is_worker() || active.threads < 2 || items < active.min_parallel {
+        // Worker contexts run with a thread budget of 1, so nested
+        // regions stay serial here too.
+        if active.threads < 2 || items < MIN_PARALLEL_ITEMS {
             crate::metrics::parallel_region(false);
             return None;
         }
@@ -113,16 +101,10 @@ fn plan_region(items: usize) -> Option<RegionPlan> {
             generation: active.generation,
             started: active.started,
             threads: active.threads,
-            min_parallel: active.min_parallel,
-            dnf_min_pairs: active.dnf_min_pairs,
             arith_fast: lyric_arith::fast_path_enabled(),
             trace_origin: active.tracer.as_ref().map(|t| t.origin()),
-            flight: active.flight.clone(),
-            shared: Arc::new(SharedRegion {
-                pivots: AtomicU64::new(active.stats.pivots),
-                fm_atoms: AtomicU64::new(active.stats.fm_atoms),
-                disjuncts: AtomicU64::new(active.stats.disjuncts_produced),
-            }),
+            progress: Arc::clone(&active.progress),
+            registered: active.registered,
         })
     });
     if plan.is_some() {
@@ -176,12 +158,9 @@ impl<'a> WorkerContext<'a> {
                 time_thresholds_emitted: BUDGET_THRESHOLDS.len(),
                 generation: plan.generation,
                 threads: 1,
-                min_parallel: plan.min_parallel,
-                dnf_min_pairs: plan.dnf_min_pairs,
-                shared: Some(plan.shared.clone()),
                 arith_base: lyric_arith::op_counters(),
-                flight: plan.flight.clone(),
-                flight_base: [0; 3],
+                progress: Arc::clone(&plan.progress),
+                registered: plan.registered,
             });
         });
         WorkerContext {
@@ -218,9 +197,9 @@ impl Drop for WorkerContext<'_> {
 /// to the serial loop `items.iter().enumerate().map(|(i, x)| f(i, x))`.
 ///
 /// `f` runs under a worker engine context: `note`/`tally`/`span` hooks
-/// work as usual, budget aborts propagate to the enclosing
-/// `run_with`/`run_traced` boundary, and recorded spans appear in the
-/// trace under per-worker subtrees with distinct `tid`s.
+/// work as usual, budget aborts propagate to the enclosing `run`
+/// boundary, and recorded spans appear in the trace under per-worker
+/// subtrees with distinct `tid`s.
 pub fn parallel_map<I, R, F>(items: &[I], f: F) -> Vec<R>
 where
     I: Sync,
@@ -290,15 +269,6 @@ where
                 continue;
             };
             active.stats.absorb(&report.stats);
-            if active.flight.is_some() {
-                // Workers mirrored their own sat/box/index tallies into the
-                // shared flight cell as they ran; absorbing their stats into
-                // the parent must advance the parent's flushed base past
-                // those sums, or the parent's next tally would re-send them.
-                active.flight_base[0] += report.stats.sat_checks;
-                active.flight_base[1] += report.stats.box_prunes;
-                active.flight_base[2] += report.stats.index_probes;
-            }
             crate::metrics::merge_worker_items(&report.items_hist);
             if let Some((span, dropped)) = report.subtree {
                 if let Some(tracer) = active.tracer.as_mut() {
@@ -340,9 +310,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        note, note_many, run_traced_opts, run_with_opts, EngineBudget, ExecOptions, Resource,
-    };
+    use crate::{note, note_many, run, EngineBudget, ExecOptions, Resource};
+    use std::sync::atomic::Ordering;
 
     fn opts(threads: usize) -> ExecOptions {
         ExecOptions::default()
@@ -354,7 +323,8 @@ mod tests {
     fn results_keep_item_order() {
         for threads in [1, 2, 4, 8] {
             let items: Vec<u64> = (0..100).collect();
-            let (out, stats) = run_with_opts(opts(threads), || {
+            let progress = Arc::new(lyric_flight::Progress::default());
+            let (out, stats, _) = run(&opts(threads), Some(Arc::clone(&progress)), || {
                 parallel_map(&items, |i, &x| {
                     note(Resource::Pivots);
                     (i as u64) * 1_000 + x * x
@@ -364,6 +334,11 @@ mod tests {
             let expect: Vec<u64> = (0..100).map(|x| x * 1_000 + x * x).collect();
             assert_eq!(out, expect);
             assert_eq!(stats.pivots, 100, "worker deltas sum to serial count");
+            assert_eq!(
+                progress.pivots.load(Ordering::Relaxed),
+                100,
+                "every worker counts into the one progress cell"
+            );
         }
     }
 
@@ -378,7 +353,7 @@ mod tests {
     fn small_regions_stay_serial() {
         // Under MIN_PARALLEL_ITEMS the current thread evaluates everything,
         // so thread-local state set by f is visible to the caller.
-        let ((), _) = run_with_opts(opts(8), || {
+        let ((), _, _) = run(&opts(8), None, || {
             let items = [1, 2, 3];
             let tid = std::thread::current().id();
             let out = parallel_map(&items, |_, _| std::thread::current().id());
@@ -390,7 +365,7 @@ mod tests {
     #[test]
     fn nested_regions_fall_back_to_serial() {
         let items: Vec<u32> = (0..16).collect();
-        let (out, stats) = run_with_opts(opts(4), || {
+        let (out, stats, _) = run(&opts(4), None, || {
             parallel_map(&items, |_, &x| {
                 let inner: Vec<u32> = (0..8).collect();
                 // Inside a worker, a nested parallel_map must not fork.
@@ -411,14 +386,14 @@ mod tests {
     #[test]
     fn budget_abort_propagates_with_serial_classification() {
         let items: Vec<u64> = (0..64).collect();
-        let serial = run_with_opts(opts(1), || {
+        let serial = run(&opts(1), None, || {
             parallel_map(&items, |_, _| note_many(Resource::Disjuncts, 10))
         })
         .map(|_| ());
         for threads in [2, 4, 8] {
             let mut o = opts(threads);
             o.budget = EngineBudget::unlimited().with_max_disjuncts(100);
-            let err = run_with_opts(o, || {
+            let err = run(&o, None, || {
                 parallel_map(&items, |_, _| note_many(Resource::Disjuncts, 10))
             })
             .expect_err("limit of 100 must trip under parallel execution");
@@ -432,7 +407,7 @@ mod tests {
     #[test]
     fn worker_panics_propagate_as_ordinary_panics() {
         let caught = std::panic::catch_unwind(|| {
-            let _ = run_with_opts(opts(4), || {
+            let _ = run(&opts(4), None, || {
                 let items: Vec<u32> = (0..32).collect();
                 parallel_map(&items, |_, &x| {
                     if x == 17 {
@@ -449,7 +424,7 @@ mod tests {
     #[test]
     fn traced_regions_graft_worker_subtrees() {
         let items: Vec<u32> = (0..32).collect();
-        let ((), stats, trace) = run_traced_opts(opts(4), "q", 1, || {
+        let ((), stats, trace) = run(&opts(4).with_trace(true), None, || {
             let _outer = crate::span(crate::SpanKind::Where, || "w".into(), None);
             let _ = parallel_map(&items, |i, _| {
                 let _s = crate::span(crate::SpanKind::SatCheck, || format!("s{i}"), None);
@@ -457,6 +432,7 @@ mod tests {
             });
         })
         .unwrap();
+        let trace = trace.expect("traced run seals a trace");
         assert_eq!(stats.pivots, 32);
         assert_eq!(*trace.total_stats(), stats);
         // Σ self-stats still partitions the total across worker subtrees.

@@ -5,7 +5,7 @@
 //! counting global allocator pins the first half; diverging closures pin
 //! the second.
 
-use lyric_engine::{span, trace_event, EngineBudget, EventKind, SpanKind};
+use lyric_engine::{span, trace_event, EngineBudget, EventKind, ExecOptions, SpanKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,9 +29,12 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_tracing_allocates_nothing() {
-    // Install the context outside the measured window: run_with itself
+    // Install the context outside the measured window: `run` itself
     // allocates (the context, the panic-hook once-init).
-    let ((), stats) = lyric_engine::run_with(EngineBudget::unlimited(), false, || {
+    let opts = ExecOptions::default()
+        .with_budget(EngineBudget::unlimited())
+        .with_cache(false);
+    let ((), stats, _) = lyric_engine::run(&opts, None, || {
         // Warm up thread-locals before counting.
         let _warm = span(SpanKind::Where, || unreachable!(), None);
         drop(_warm);

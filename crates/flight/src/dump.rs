@@ -3,9 +3,10 @@
 //!
 //! A ring buffer is only useful if its contents survive the incident.
 //! When a query aborts on budget, panics, fails in the engine after
-//! passing the analyzer, or breaches the `LYRIC_SLOW_MS` threshold, the
-//! engine calls [`dump`] with a [`Trigger`] and an *offender* summary
-//! (query text, outcome, plan). The dump is one self-contained JSON
+//! passing the analyzer, or breaches the `LYRIC_SLOW_MS` threshold,
+//! [`crate::finish`] calls [`dump`] with a [`Trigger`] and an *offender*
+//! built from the query's record (query text, outcome, plan). The dump
+//! is one self-contained JSON
 //! document — recorder rings, in-flight registry, build identity —
 //! written to `LYRIC_FLIGHT_DIR` (or the [`set_dump_dir`] override) as
 //! `flight-<unix_ms>-<trigger>-<n>.json`. No directory configured means
@@ -20,6 +21,7 @@
 
 use crate::inflight;
 use crate::recorder;
+use lyric_metrics::querylog::{Outcome, QueryRecord};
 use lyric_trace::json::Json;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,7 +114,7 @@ pub fn build_doc(trigger: Trigger, offender: Option<Json>) -> Json {
             Json::Arr(
                 recorder::recent_queries()
                     .iter()
-                    .map(|q| q.to_json())
+                    .map(recorder::record_json)
                     .collect(),
             ),
         ),
@@ -152,6 +154,38 @@ pub fn dump(trigger: Trigger, offender: Option<Json>) -> Option<PathBuf> {
         }
         Err(_) => None,
     }
+}
+
+/// The dump's `offender` member for a finished query: its in-flight slot
+/// (live counters included) while the caller still holds the registry
+/// guard, then the record's outcome, tripped resource and error, rows,
+/// duration, and plan summary.
+pub(crate) fn offender(record: &QueryRecord) -> Json {
+    let mut pairs = match inflight::current_snapshot().map(|s| s.to_json()) {
+        Some(Json::Obj(pairs)) => pairs,
+        _ => vec![
+            ("query".to_string(), Json::str(record.query.clone())),
+            (
+                "query_hash".to_string(),
+                Json::str(format!("{:016x}", record.query_hash)),
+            ),
+        ],
+    };
+    pairs.push(("outcome".to_string(), Json::str(record.outcome.name())));
+    match &record.outcome {
+        Outcome::Ok => {}
+        Outcome::BudgetExceeded { resource, message } => {
+            pairs.push(("resource".to_string(), Json::str(*resource)));
+            pairs.push(("error".to_string(), Json::str(message.clone())));
+        }
+        Outcome::Error(message) => pairs.push(("error".to_string(), Json::str(message.clone()))),
+    }
+    pairs.push(("rows".to_string(), Json::int(record.rows)));
+    pairs.push(("duration_us".to_string(), Json::int(record.duration_us)));
+    if let Some(plan) = &record.plan {
+        pairs.push(("plan".to_string(), plan.clone()));
+    }
+    Json::Obj(pairs)
 }
 
 /// The panic-hook entry: dump if (and only if) the panicking thread has

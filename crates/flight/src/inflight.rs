@@ -1,17 +1,17 @@
 //! The in-flight query registry: who is running *right now*, and how
 //! far along are they?
 //!
-//! Every `execute*` entry point registers a slot before evaluation
-//! starts and holds the returned [`InflightGuard`] across the run; the
-//! guard's `Drop` deregisters the slot on **every** exit path — normal
-//! return, error return, budget unwind, and panic — so the registry can
-//! never leak a ghost query. While the query runs, the engine mirrors
-//! its budgeted counters into the slot's shared [`Progress`] atomics
-//! (the same delta stream that feeds the parallel region's shared
-//! budget), so a `/debug/inflight` scrape or REPL `:inflight` sees live
-//! pivot/FM/sat-check movement and the percentage of the budget already
-//! consumed — the difference between "hung" and "three more minutes of
-//! quantifier elimination".
+//! The query runner registers a slot before evaluation starts and holds
+//! the returned [`InflightGuard`] across the run; the guard's `Drop`
+//! deregisters the slot on **every** exit path — normal return, error
+//! return, budget unwind, and panic — so the registry can never leak a
+//! ghost query. The slot's [`Progress`] atomics are the query's engine
+//! counters themselves: the engine counts its budgeted work into them
+//! and checks the budget against them, on the coordinator and on every
+//! parallel worker, so a `/debug/inflight` scrape or REPL `:inflight`
+//! sees live pivot/FM/sat-check movement and the percentage of the
+//! budget already consumed — the difference between "hung" and "three
+//! more minutes of quantifier elimination".
 
 use lyric_trace::json::Json;
 use std::collections::BTreeMap;
@@ -19,29 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Query source text is truncated to this many characters in slots,
-/// summaries, and dumps (enough to recognize the query, bounded enough
-/// that rings and dumps stay small).
-pub const QUERY_TRUNCATE: usize = 160;
-
-/// Truncate query text for display, appending an ellipsis when cut, and
-/// collapsing newlines so truncated text stays one line.
-pub fn truncate_query(src: &str) -> String {
-    let mut out = String::with_capacity(QUERY_TRUNCATE + 1);
-    for (taken, c) in src.chars().enumerate() {
-        if taken == QUERY_TRUNCATE {
-            out.push('…');
-            break;
-        }
-        out.push(if c == '\n' || c == '\r' { ' ' } else { c });
-    }
-    out
-}
-
-/// Live progress counters for one in-flight query, mirrored by the
-/// engine's `note_many`/`tally` paths as relaxed deltas. Coordinator
-/// and worker threads share one `Arc<Progress>`, so the values are the
-/// query's whole-region totals.
+/// Live progress counters for one query: the engine's shared per-query
+/// atomics, counted at their sites with relaxed adds. Coordinator and
+/// worker threads share one `Arc<Progress>`, so the values are the
+/// query's whole-run totals, and the parallel budget check reads them.
 #[derive(Default)]
 pub struct Progress {
     /// Simplex pivot steps (budgeted).
@@ -56,22 +37,6 @@ pub struct Progress {
     pub box_prunes: AtomicU64,
     /// Store-index probes answered.
     pub index_probes: AtomicU64,
-}
-
-impl Progress {
-    /// Add deltas to the three budgeted counters (the engine's
-    /// `note_many` mirror; zero deltas are skipped).
-    pub fn add_budgeted(&self, pivots: u64, fm_atoms: u64, disjuncts: u64) {
-        if pivots > 0 {
-            self.pivots.fetch_add(pivots, Ordering::Relaxed);
-        }
-        if fm_atoms > 0 {
-            self.fm_atoms.fetch_add(fm_atoms, Ordering::Relaxed);
-        }
-        if disjuncts > 0 {
-            self.disjuncts.fetch_add(disjuncts, Ordering::Relaxed);
-        }
-    }
 }
 
 /// The budget limits the query was admitted with, for the "% consumed"
@@ -91,7 +56,8 @@ pub struct BudgetCaps {
 
 /// What a query registers about itself on entry.
 pub struct InflightDesc {
-    /// The query source (registry truncates it; hash is of the full text).
+    /// The query source, truncated for display
+    /// (`lyric_metrics::querylog::truncate_query`).
     pub query: String,
     /// FNV-1a hash of the full query source.
     pub query_hash: u64,
@@ -99,12 +65,13 @@ pub struct InflightDesc {
     pub threads: usize,
     /// Budget caps, for percentage readouts.
     pub caps: BudgetCaps,
-    /// Engine context generation (the per-process trace id).
-    pub trace_id: u64,
 }
 
 struct Slot {
     desc: InflightDesc,
+    /// Engine context generation (the per-process trace id); 0 until the
+    /// run back-fills it.
+    trace_id: u64,
     started: Instant,
     progress: Arc<Progress>,
 }
@@ -198,7 +165,7 @@ pub struct InflightGuard {
 }
 
 impl InflightGuard {
-    /// The shared progress cell the engine mirrors deltas into.
+    /// The shared progress cell the engine counts into.
     pub fn progress(&self) -> Arc<Progress> {
         Arc::clone(&self.progress)
     }
@@ -213,7 +180,7 @@ impl InflightGuard {
     /// trace id) exists, so the caller back-fills it from inside the run.
     pub fn set_trace_id(&self, trace_id: u64) {
         if let Some(slot) = lock(slots()).get_mut(&self.id) {
-            slot.desc.trace_id = trace_id;
+            slot.trace_id = trace_id;
         }
     }
 }
@@ -232,17 +199,15 @@ impl Drop for InflightGuard {
 }
 
 /// Register a query as in-flight. The returned guard must live for the
-/// whole evaluation; progress mirroring starts once the engine attaches
-/// [`InflightGuard::progress`] to its context.
+/// whole evaluation; progress moves once the engine runs the query with
+/// [`InflightGuard::progress`] as its counter cell.
 pub fn register(desc: InflightDesc) -> InflightGuard {
     static NEXT_ID: AtomicU64 = AtomicU64::new(1);
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     let progress = Arc::new(Progress::default());
     let slot = Slot {
-        desc: InflightDesc {
-            query: truncate_query(&desc.query),
-            ..desc
-        },
+        desc,
+        trace_id: 0,
         started: Instant::now(),
         progress: Arc::clone(&progress),
     };
@@ -284,7 +249,7 @@ fn snapshot_slot(id: u64, slot: &Slot) -> InflightSnapshot {
         query: slot.desc.query.clone(),
         query_hash: slot.desc.query_hash,
         threads: slot.desc.threads,
-        trace_id: slot.desc.trace_id,
+        trace_id: slot.trace_id,
         elapsed_us,
         counters,
         budget_pct,
@@ -338,7 +303,6 @@ mod tests {
                 pivots: Some(1000),
                 ..Default::default()
             },
-            trace_id: 7,
         }
     }
 
@@ -347,7 +311,7 @@ mod tests {
         let before = len();
         let g = register(desc("SELECT X FROM Desk X"));
         assert_eq!(len(), before + 1);
-        g.progress().add_budgeted(250, 0, 0);
+        g.progress().pivots.fetch_add(250, Ordering::Relaxed);
         let snap = current_snapshot().expect("this thread registered");
         assert_eq!(snap.counters[0], 250);
         assert_eq!(snap.budget_pct, Some(25));
@@ -365,15 +329,6 @@ mod tests {
         });
         assert!(result.is_err());
         assert_eq!(len(), before, "drop ran during unwind");
-    }
-
-    #[test]
-    fn truncation_is_char_safe_and_single_line() {
-        let long = "é".repeat(QUERY_TRUNCATE + 40);
-        let cut = truncate_query(&long);
-        assert_eq!(cut.chars().count(), QUERY_TRUNCATE + 1);
-        assert!(cut.ends_with('…'));
-        assert_eq!(truncate_query("a\nb"), "a b");
     }
 
     #[test]

@@ -6,26 +6,28 @@
 //! the live-introspection and post-mortem layer the ROADMAP's serving
 //! and streaming items sit on. Three pieces:
 //!
-//! * [`inflight`] — a registry of currently-executing queries. Every
-//!   `execute*` entry registers a slot (query hash + truncated text,
-//!   start time, thread count, budget caps) and the engine mirrors its
-//!   budgeted counters into the slot's shared atomics, so
-//!   `/debug/inflight` and REPL `:inflight` show live progress and
-//!   percent-of-budget. A guard type deregisters on every exit path,
-//!   including budget unwind and panic.
+//! * [`inflight`] — a registry of currently-executing queries. The
+//!   query runner registers a slot (query hash + truncated text, start
+//!   time, thread count, budget caps) whose [`Progress`] atomics are the
+//!   engine's own per-query counters, so `/debug/inflight` and REPL
+//!   `:inflight` show live progress and percent-of-budget. A guard type
+//!   deregisters on every exit path, including budget unwind and panic.
 //! * [`recorder`] — fixed-capacity lock-striped [`ring::Ring`]s of
-//!   completed-query summaries and sampled trace events (teed from the
+//!   completed-query records and sampled trace events (teed from the
 //!   existing `lyric-trace` instrumentation sites; zero-alloc when
 //!   disabled, 1-in-N sampled when enabled).
-//! * [`dump`] — the anomaly black box: on budget abort, panic,
+//! * [`mod@dump`] — the anomaly black box: on budget abort, panic,
 //!   analyzer-pass-but-engine-error, or a `LYRIC_SLOW_MS` breach, the
-//!   recorder state plus the offender's summary is serialized to a
+//!   recorder state plus the offender's record is serialized to a
 //!   structured JSON file under `LYRIC_FLIGHT_DIR`.
 //!
-//! Like `lyric-trace` and `lyric-metrics`, this crate is dependency-free
-//! (std plus those two) and sits *below* `lyric-engine` in the
-//! workspace: the engine pushes deltas in, surfaces pull JSON out, and
-//! nothing here ever blocks a query on more than a striped mutex.
+//! The runner hands each finished query's [`QueryRecord`] to [`finish`],
+//! which pushes it onto the ring and writes the dump an anomaly calls
+//! for. Like `lyric-trace` and `lyric-metrics`, this crate is
+//! dependency-free (std plus those two) and sits *below* `lyric-engine`
+//! in the workspace: the engine counts into the slot, surfaces pull JSON
+//! out, and nothing here ever blocks a query on more than a striped
+//! mutex.
 //!
 //! Environment: `LYRIC_FLIGHT=0` disables query recording,
 //! `LYRIC_FLIGHT_EVENTS=1` enables the event tee,
@@ -43,7 +45,28 @@ pub mod ring;
 
 pub use dump::{dump, panic_dump, set_dump_dir, Trigger};
 pub use inflight::{register, BudgetCaps, InflightDesc, InflightGuard, Progress};
-pub use recorder::{
-    event_tick, record_event, record_query, set_enabled, set_events_enabled, QuerySummary,
-};
+pub use recorder::{event_tick, record_event, record_query, set_enabled, set_events_enabled};
 pub use ring::Ring;
+
+use lyric_metrics::querylog::{Outcome, QueryRecord};
+
+/// Close a registered query's flight scope: push its record onto the
+/// ring and, on an anomaly — a budget abort, an engine error, or a
+/// `LYRIC_SLOW_MS` breach — write a black-box dump *before* the guard
+/// deregisters, so the dump's in-flight section still holds the
+/// offender with its live counters.
+pub fn finish(guard: InflightGuard, record: QueryRecord) {
+    let trigger = match record.outcome {
+        Outcome::BudgetExceeded { .. } => Some(Trigger::BudgetAbort),
+        Outcome::Error(_) => Some(Trigger::EngineError),
+        Outcome::Ok => lyric_metrics::querylog::slow_ms()
+            .filter(|&ms| record.duration_us / 1000 >= ms)
+            .map(|_| Trigger::Slow),
+    };
+    let anomaly = trigger.map(|t| (t, dump::offender(&record)));
+    record_query(record);
+    if let Some((trigger, offender)) = anomaly {
+        let _ = dump(trigger, Some(offender));
+    }
+    drop(guard);
+}

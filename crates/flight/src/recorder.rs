@@ -4,7 +4,7 @@
 //! Aircraft flight recorders answer "what were the last minutes like?"
 //! after the fact; this one does the same for the engine. Two rings:
 //!
-//! * **queries** — a [`QuerySummary`] per completed query (any
+//! * **queries** — the [`QueryRecord`] of each completed query (any
 //!   outcome), capacity [`QUERY_RING`]. Recording is on by default and
 //!   costs one striped-ring push per query; `LYRIC_FLIGHT=0` (or
 //!   [`set_enabled`]) turns it off.
@@ -18,9 +18,9 @@
 //!   `crates/engine/tests/trace_overhead.rs`.
 
 use crate::ring::Ring;
+use lyric_metrics::querylog::{Outcome, QueryRecord};
 use lyric_trace::json::Json;
 use lyric_trace::model::EventKind;
-use lyric_trace::stats::{EngineStats, COUNTER_NAMES};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Once, OnceLock};
 
@@ -112,7 +112,8 @@ pub fn event_tick() -> bool {
         return false;
     }
     static TICK: AtomicU64 = AtomicU64::new(0);
-    TICK.fetch_add(1, Ordering::Relaxed).is_multiple_of(sample_every())
+    TICK.fetch_add(1, Ordering::Relaxed)
+        .is_multiple_of(sample_every())
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
@@ -145,69 +146,30 @@ impl FlightEvent {
     }
 }
 
-/// One completed query in the query ring.
-#[derive(Clone)]
-pub struct QuerySummary {
-    /// FNV-1a hash of the full query source.
-    pub query_hash: u64,
-    /// Truncated query text.
-    pub query: String,
-    /// `"ok"`, `"budget_exceeded"`, or `"error"`.
-    pub outcome: &'static str,
-    /// The tripped resource name for budget aborts; empty otherwise.
-    pub resource: String,
-    /// Result rows (0 on error).
-    pub rows: u64,
-    /// Wall-clock duration in microseconds.
-    pub duration_us: u64,
-    /// Thread budget the query ran with.
-    pub threads: usize,
-    /// Engine context generation.
-    pub trace_id: u64,
-    /// Completion wall-clock time, ms since the Unix epoch.
-    pub end_unix_ms: u64,
-    /// Per-query engine counters.
-    pub stats: EngineStats,
-}
-
-impl QuerySummary {
-    /// The summary as a JSON object (the `/debug/flight` element).
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            (
-                "query_hash".to_string(),
-                Json::str(format!("{:016x}", self.query_hash)),
-            ),
-            ("query".to_string(), Json::str(self.query.clone())),
-            ("outcome".to_string(), Json::str(self.outcome)),
-        ];
-        if !self.resource.is_empty() {
-            pairs.push(("resource".to_string(), Json::str(self.resource.clone())));
-        }
-        pairs.extend([
-            ("rows".to_string(), Json::int(self.rows)),
-            ("duration_us".to_string(), Json::int(self.duration_us)),
-            ("threads".to_string(), Json::int(self.threads as u64)),
-            ("trace_id".to_string(), Json::int(self.trace_id)),
-            ("end_unix_ms".to_string(), Json::int(self.end_unix_ms)),
-            (
-                "stats".to_string(),
-                Json::Obj(
-                    COUNTER_NAMES
-                        .into_iter()
-                        .zip(self.stats.counters())
-                        .filter(|(_, v)| *v > 0)
-                        .map(|(k, v)| (k.to_string(), Json::int(v)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        Json::Obj(pairs)
+/// A query record as a `/debug/flight` element: identity, outcome and
+/// tripped resource, rows, timing, and the nonzero engine counters.
+pub(crate) fn record_json(r: &QueryRecord) -> Json {
+    let mut pairs = vec![
+        ("query_hash", Json::str(format!("{:016x}", r.query_hash))),
+        ("query", Json::str(r.query.clone())),
+        ("outcome", Json::str(r.outcome.name())),
+    ];
+    if let Outcome::BudgetExceeded { resource, .. } = &r.outcome {
+        pairs.push(("resource", Json::str(*resource)));
     }
+    pairs.extend([
+        ("rows", Json::int(r.rows)),
+        ("duration_us", Json::int(r.duration_us)),
+        ("threads", Json::int(r.threads as u64)),
+        ("trace_id", Json::int(r.trace_id)),
+        ("end_unix_ms", Json::int(r.end_unix_ms)),
+        ("stats", r.stats.nonzero_json()),
+    ]);
+    Json::obj(pairs)
 }
 
-fn query_ring() -> &'static Ring<QuerySummary> {
-    static R: OnceLock<Ring<QuerySummary>> = OnceLock::new();
+fn query_ring() -> &'static Ring<QueryRecord> {
+    static R: OnceLock<Ring<QueryRecord>> = OnceLock::new();
     R.get_or_init(|| Ring::new(QUERY_RING))
 }
 
@@ -227,11 +189,11 @@ fn recorded_counter() -> &'static lyric_metrics::Counter {
 }
 
 /// Record a completed query (no-op while the recorder is disabled).
-pub fn record_query(summary: QuerySummary) {
+pub fn record_query(record: QueryRecord) {
     if !enabled() {
         return;
     }
-    query_ring().push(summary);
+    query_ring().push(record);
     recorded_counter().inc();
 }
 
@@ -245,8 +207,8 @@ pub fn record_event(trace_id: u64, kind: &EventKind) {
     });
 }
 
-/// The held query summaries, oldest first.
-pub fn recent_queries() -> Vec<QuerySummary> {
+/// The held query records, oldest first.
+pub fn recent_queries() -> Vec<QueryRecord> {
     query_ring().snapshot()
 }
 
@@ -271,7 +233,7 @@ pub fn to_json() -> Json {
         ("queries_recorded", Json::int(query_ring().pushed())),
         (
             "queries",
-            Json::Arr(recent_queries().iter().map(|q| q.to_json()).collect()),
+            Json::Arr(recent_queries().iter().map(record_json).collect()),
         ),
         (
             "events",
@@ -284,21 +246,21 @@ pub fn to_json() -> Json {
 mod tests {
     use super::*;
 
-    fn summary(hash: u64) -> QuerySummary {
-        QuerySummary {
+    fn summary(hash: u64) -> QueryRecord {
+        QueryRecord {
             query_hash: hash,
             query: "SELECT X FROM Desk X".to_string(),
-            outcome: "ok",
-            resource: String::new(),
+            outcome: Outcome::Ok,
             rows: 1,
             duration_us: 42,
             threads: 1,
             trace_id: hash,
             end_unix_ms: unix_ms(),
-            stats: EngineStats {
+            stats: lyric_trace::stats::EngineStats {
                 pivots: 3,
                 ..Default::default()
             },
+            plan: None,
         }
     }
 

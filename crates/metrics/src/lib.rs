@@ -3,9 +3,9 @@
 //! Per-query telemetry ([`EngineStats`], traces) dies with its
 //! `QueryResult`; a long-lived engine needs the *cumulative* picture —
 //! how many pivots since startup, what the p99 query latency is, how
-//! often budgets trip. This crate is that layer, and it is deliberately
-//! dependency-free (std only) so it can sit below every other crate in
-//! the workspace:
+//! often budgets trip. This crate is that layer. Its one dependency is
+//! `lyric-trace` (itself dependency-free), for the counter set and the
+//! JSON writer, so it can sit below every other crate in the workspace:
 //!
 //! * a global [`Registry`] of named metrics: monotonic [`Counter`]s
 //!   (stripe-sharded atomics, so hot increment sites do not contend),
@@ -15,10 +15,11 @@
 //! * Prometheus text-format 0.0.4 exposition via [`render_prometheus`],
 //!   with a validating [`prometheus::parse`] used by the tests and the
 //!   `metrics_smoke` CI binary;
-//! * a structured JSON query log ([`querylog`]): one line per query with
-//!   the query hash, row count, duration, per-query engine counters,
-//!   thread count, budget outcome, and trace id, plus a slow-query
-//!   threshold configurable through `LYRIC_SLOW_MS`.
+//! * the per-query record every sink reads ([`querylog::QueryRecord`])
+//!   and the structured JSON query log written from it: one line per
+//!   query with the query hash, row count, duration, per-query engine
+//!   counters, thread count, budget outcome, and trace id, plus a
+//!   slow-query threshold configurable through `LYRIC_SLOW_MS`.
 //!
 //! Metrics are enabled by default; [`set_enabled`] (or the
 //! `LYRIC_METRICS=0` environment variable) turns every recording path

@@ -2,7 +2,8 @@
 //! observations, keyed by `(query-shape hash, node id)`, accumulated for
 //! the process lifetime.
 //!
-//! Every `execute_explained` run feeds one [`Obs`] per plan node here;
+//! Every explained run (`ExecOptions::explain`) feeds one [`Obs`] per
+//! plan node here;
 //! the store keeps an exponentially-weighted moving average of each
 //! feature with **α = 1/8**: after observation `x`, each average moves
 //! `x̄ ← x̄ + α·(x − x̄)` (the first observation seeds `x̄ = x` directly).
@@ -20,6 +21,7 @@
 //! and the summary counters/gauges ride the normal Prometheus
 //! exposition.
 
+use lyric_trace::json::Json;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -29,8 +31,8 @@ pub const ALPHA: f64 = 0.125;
 /// Cap on distinct `(shape, node)` sites retained.
 pub const MAX_SITES: usize = 4096;
 
-/// One runtime observation of one plan node, as fed by
-/// `execute_explained`.
+/// One runtime observation of one plan node, as fed by every explained
+/// run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Obs<'a> {
     /// Exclusive wall-clock microseconds attributed to the node.
@@ -161,52 +163,34 @@ pub fn record(shape_hash: u64, node_id: u32, op: &str, obs: &Obs<'_>) {
     sites_gauge().set(site_count);
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        out.push_str(&format!("{}", v as i64));
-    } else {
-        out.push_str(&format!("{v:.3}"));
-    }
-}
-
 /// Serialize the whole store as one JSON document (the `GET /profiles`
 /// body): configuration (`alpha`, `max_sites`), totals, and one profile
-/// object per site in deterministic `(shape, node)` order.
+/// object per site in deterministic `(shape, node)` order. Averages are
+/// rounded to three decimals.
 pub fn snapshot_json() -> String {
+    let milli = |v: f64| Json::Num((v * 1e3).round() / 1e3);
     let guard = lock(store());
-    let mut out = String::with_capacity(256 + guard.sites.len() * 160);
-    out.push_str(&format!(
-        "{{\"alpha\":{ALPHA},\"max_sites\":{MAX_SITES},\"sites\":{},\"dropped\":{},\"profiles\":[",
-        guard.sites.len(),
-        guard.dropped
-    ));
-    for (i, ((shape, node), site)) in guard.sites.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"shape\":");
-        crate::querylog::push_json_str(&mut out, &format!("{shape:016x}"));
-        out.push_str(&format!(",\"node\":{node},\"op\":"));
-        crate::querylog::push_json_str(&mut out, &site.op);
-        out.push_str(&format!(",\"count\":{},\"self_us\":", site.count));
-        push_f64(&mut out, site.self_us);
-        out.push_str(",\"rows_in\":");
-        push_f64(&mut out, site.rows_in);
-        out.push_str(",\"rows_out\":");
-        push_f64(&mut out, site.rows_out);
-        out.push_str(",\"counters\":{");
-        for (j, (name, avg)) in site.counters.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            crate::querylog::push_json_str(&mut out, name);
-            out.push(':');
-            push_f64(&mut out, *avg);
-        }
-        out.push_str("}}");
-    }
-    out.push_str("]}");
-    out
+    let profiles = guard.sites.iter().map(|((shape, node), site)| {
+        let counters = site.counters.iter().map(|(name, avg)| (*name, milli(*avg)));
+        Json::obj([
+            ("shape", Json::str(format!("{shape:016x}"))),
+            ("node", Json::int(*node as u64)),
+            ("op", Json::str(site.op.as_str())),
+            ("count", Json::int(site.count)),
+            ("self_us", milli(site.self_us)),
+            ("rows_in", milli(site.rows_in)),
+            ("rows_out", milli(site.rows_out)),
+            ("counters", Json::obj(counters)),
+        ])
+    });
+    Json::obj([
+        ("alpha", Json::Num(ALPHA)),
+        ("max_sites", Json::int(MAX_SITES as u64)),
+        ("sites", Json::int(guard.sites.len() as u64)),
+        ("dropped", Json::int(guard.dropped)),
+        ("profiles", Json::Arr(profiles.collect())),
+    ])
+    .to_string()
 }
 
 /// Number of sites currently retained.

@@ -40,11 +40,13 @@
 //! `lyric_slow_queries_total` counter. Lines are written atomically
 //! under one mutex, so concurrent queries never interleave bytes.
 
+use lyric_trace::json::Json;
+use lyric_trace::stats::EngineStats;
 use std::io::Write;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
 
-/// The query-log line schema version written by [`format_record`].
+/// The query-log line schema version written by [`QueryRecord::log_json`].
 /// Bumped to 2 when `git_rev` (and the `v` member itself) were added;
 /// v1 lines carry neither.
 pub const SCHEMA_VERSION: u64 = 2;
@@ -59,38 +61,114 @@ pub fn query_hash(src: &str) -> u64 {
     h
 }
 
-/// How one query ended, for the `outcome` field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome<'a> {
-    /// Evaluation completed.
-    Ok,
-    /// A resource budget tripped; carries the resource name.
-    BudgetExceeded(&'a str),
-    /// Any other evaluation error.
-    Error,
+/// Query source text is truncated to this many characters in records,
+/// in-flight slots and dumps (enough to recognize the query, bounded
+/// enough that rings and dumps stay small).
+pub const QUERY_TRUNCATE: usize = 160;
+
+/// Truncate query text for display, appending an ellipsis when cut, and
+/// collapsing newlines so truncated text stays one line.
+pub fn truncate_query(src: &str) -> String {
+    let mut out = String::with_capacity(QUERY_TRUNCATE + 1);
+    for (taken, c) in src.chars().enumerate() {
+        if taken == QUERY_TRUNCATE {
+            out.push('…');
+            break;
+        }
+        out.push(if c == '\n' || c == '\r' { ' ' } else { c });
+    }
+    out
 }
 
-/// One query-log record; [`log`] serializes it as a single JSON line.
-pub struct Record<'a> {
-    /// The query source text (hashed, never logged verbatim).
-    pub query: &'a str,
+/// How one query ended.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// Evaluation completed.
+    Ok,
+    /// A resource budget tripped.
+    BudgetExceeded {
+        /// The tripped resource's name.
+        resource: &'static str,
+        /// The error message (limit and amount consumed).
+        message: String,
+    },
+    /// Any other evaluation error; carries its message.
+    Error(String),
+}
+
+impl Outcome {
+    /// The `outcome` member: `"ok"`, `"budget_exceeded"` or `"error"`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Outcome::Ok => "ok",
+            Outcome::BudgetExceeded { .. } => "budget_exceeded",
+            Outcome::Error(_) => "error",
+        }
+    }
+}
+
+/// One finished query as every sink sees it. The query runner builds it
+/// once per admitted statement; the query-log line ([`Self::log_json`]),
+/// the flight recorder's ring entry and the anomaly dump's offender are
+/// all projections of it.
+#[derive(Clone, Debug)]
+pub struct QueryRecord {
+    /// FNV-1a hash of the full query source ([`query_hash`]).
+    pub query_hash: u64,
+    /// The source text, truncated for display ([`truncate_query`]).
+    pub query: String,
     /// How the query ended.
-    pub outcome: Outcome<'a>,
-    /// Result rows (0 on error).
+    pub outcome: Outcome,
+    /// Answer rows (0 unless the outcome is `ok`).
     pub rows: u64,
-    /// Wall-clock duration in microseconds.
+    /// Evaluation wall-clock in microseconds.
     pub duration_us: u64,
     /// The thread budget the query ran with.
     pub threads: usize,
     /// The engine context generation (doubles as a per-process trace id).
     pub trace_id: u64,
-    /// Per-query engine counters as `(name, value)` pairs.
-    pub stats: &'a [(&'static str, u64)],
-    /// Pre-serialized compact explain-analyze summary (the top nodes by
-    /// exclusive time), spliced verbatim into the line as the `explain`
-    /// member. Populated only when `LYRIC_SLOW_EXPLAIN=1` and the slow
-    /// threshold is configured; `None` otherwise.
-    pub explain: Option<&'a str>,
+    /// Completion wall-clock time, ms since the Unix epoch.
+    pub end_unix_ms: u64,
+    /// Per-query engine counters; zero unless the outcome is `ok`, since
+    /// an aborted context's counters are discarded.
+    pub stats: EngineStats,
+    /// The explain-analyze summary (the hottest plan nodes by exclusive
+    /// time), present when slow-query forensics ran the query explained.
+    pub plan: Option<Json>,
+}
+
+impl QueryRecord {
+    /// The query-log line: one JSON object in the v2 schema, with the
+    /// `slow` member when a threshold is configured and the plan summary
+    /// as the `explain` member.
+    pub fn log_json(&self) -> Json {
+        let mut pairs = vec![
+            ("v", Json::int(SCHEMA_VERSION)),
+            ("query_hash", Json::str(format!("{:016x}", self.query_hash))),
+            ("git_rev", Json::str(crate::build::git_rev())),
+            ("outcome", Json::str(self.outcome.name())),
+        ];
+        if let Outcome::BudgetExceeded { resource, .. } = &self.outcome {
+            pairs.push(("resource", Json::str(*resource)));
+        }
+        pairs.extend([
+            ("rows", Json::int(self.rows)),
+            ("duration_us", Json::int(self.duration_us)),
+            ("threads", Json::int(self.threads as u64)),
+            ("trace_id", Json::int(self.trace_id)),
+        ]);
+        if let Some(thr) = slow_ms() {
+            pairs.push((
+                "slow",
+                Json::Bool(self.duration_us >= thr.saturating_mul(1000)),
+            ));
+        }
+        if let Some(plan) = &self.plan {
+            pairs.push(("explain", plan.clone()));
+        }
+        pairs.push(("stats", self.stats.to_json()));
+        Json::obj(pairs)
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -219,91 +297,24 @@ fn slow_counter() -> &'static crate::Counter {
     })
 }
 
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Serialize a record as its one-line JSON form (no trailing newline).
-pub fn format_record(r: &Record<'_>) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str(&format!("{{\"v\":{SCHEMA_VERSION},\"query_hash\":"));
-    push_json_str(&mut out, &format!("{:016x}", query_hash(r.query)));
-    out.push_str(",\"git_rev\":");
-    push_json_str(&mut out, crate::build::git_rev());
-    out.push_str(",\"outcome\":");
-    match r.outcome {
-        Outcome::Ok => out.push_str("\"ok\""),
-        Outcome::BudgetExceeded(resource) => {
-            out.push_str("\"budget_exceeded\",\"resource\":");
-            push_json_str(&mut out, resource);
-        }
-        Outcome::Error => out.push_str("\"error\""),
-    }
-    out.push_str(&format!(
-        ",\"rows\":{},\"duration_us\":{},\"threads\":{},\"trace_id\":{}",
-        r.rows, r.duration_us, r.threads, r.trace_id
-    ));
-    if let Some(thr) = slow_ms() {
-        let slow = r.duration_us >= thr.saturating_mul(1000);
-        out.push_str(if slow {
-            ",\"slow\":true"
-        } else {
-            ",\"slow\":false"
-        });
-    }
-    if let Some(explain) = r.explain {
-        out.push_str(",\"explain\":");
-        out.push_str(explain);
-    }
-    out.push_str(",\"stats\":{");
-    for (i, (name, value)) in r.stats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        out.push_str(&format!(":{value}"));
-    }
-    out.push_str("}}");
-    out
-}
-
-/// Log one query. A no-op when metrics are disabled or no sink is
-/// installed; when a slow threshold is configured, only queries at or
+/// Write one query's line. A no-op when metrics are disabled or no sink
+/// is installed; when a slow threshold is configured, only queries at or
 /// above it are written (each also bumping `lyric_slow_queries_total`).
-pub fn log(r: &Record<'_>) {
+pub fn log(r: &QueryRecord) {
     if !crate::enabled() {
-        return;
-    }
-    let slow = match slow_ms() {
-        Some(thr) => {
-            let slow = r.duration_us >= thr.saturating_mul(1000);
-            if slow {
-                slow_counter().inc();
-            }
-            Some(slow)
-        }
-        None => None,
-    };
-    if slow == Some(false) {
         return;
     }
     let mut guard = lock(sink_slot());
     let Some(sink) = guard.as_mut() else {
         return;
     };
-    let mut line = format_record(r);
+    if let Some(thr) = slow_ms() {
+        if r.duration_us < thr.saturating_mul(1000) {
+            return;
+        }
+        slow_counter().inc();
+    }
+    let mut line = r.log_json().to_string();
     line.push('\n');
     let _ = sink.write_all(line.as_bytes());
     let _ = sink.flush();
@@ -313,16 +324,22 @@ pub fn log(r: &Record<'_>) {
 mod tests {
     use super::*;
 
-    fn record<'a>(stats: &'a [(&'static str, u64)]) -> Record<'a> {
-        Record {
-            query: "SELECT X FROM Desk X",
+    fn record() -> QueryRecord {
+        QueryRecord {
+            query_hash: query_hash("SELECT X FROM Desk X"),
+            query: "SELECT X FROM Desk X".to_string(),
             outcome: Outcome::Ok,
             rows: 3,
             duration_us: 1500,
             threads: 2,
             trace_id: 41,
-            stats,
-            explain: None,
+            end_unix_ms: 0,
+            stats: EngineStats {
+                pivots: 7,
+                cache_hits: 2,
+                ..Default::default()
+            },
+            plan: None,
         }
     }
 
@@ -334,9 +351,17 @@ mod tests {
     }
 
     #[test]
+    fn truncation_is_char_safe_and_single_line() {
+        let long = "é".repeat(QUERY_TRUNCATE + 40);
+        let cut = truncate_query(&long);
+        assert_eq!(cut.chars().count(), QUERY_TRUNCATE + 1);
+        assert!(cut.ends_with('…'));
+        assert_eq!(truncate_query("a\nb"), "a b");
+    }
+
+    #[test]
     fn record_formats_as_one_json_line() {
-        let stats = [("pivots", 7u64), ("cache_hits", 2u64)];
-        let line = format_record(&record(&stats));
+        let line = record().log_json().to_string();
         assert!(!line.contains('\n'));
         assert!(line.starts_with("{\"v\":2,\"query_hash\":\""));
         assert!(line.contains("\"git_rev\":\""));
@@ -344,7 +369,8 @@ mod tests {
         assert!(line.contains("\"rows\":3"));
         assert!(line.contains("\"duration_us\":1500"));
         assert!(line.contains("\"trace_id\":41"));
-        assert!(line.contains("\"stats\":{\"pivots\":7,\"cache_hits\":2}"));
+        assert!(line.contains(",\"stats\":{\"pivots\":7,"));
+        assert!(line.contains(",\"cache_hits\":2,"));
     }
 
     #[test]
@@ -353,8 +379,7 @@ mod tests {
         // `git_rev` is byte-identical to a v1 line, so consumers that
         // scan for `"outcome"`, `"explain"`, or `"stats"` substrings
         // keep working unchanged on both versions.
-        let stats = [("pivots", 7u64)];
-        let line = format_record(&record(&stats));
+        let line = record().log_json().to_string();
         let outcome_at = line.find("\"outcome\"").unwrap();
         assert!(line.find("\"v\":2").unwrap() < outcome_at);
         assert!(line.find("\"git_rev\"").unwrap() < outcome_at);
@@ -362,20 +387,25 @@ mod tests {
 
     #[test]
     fn budget_outcome_carries_the_resource() {
-        let stats = [("pivots", 100u64)];
-        let mut r = record(&stats);
-        r.outcome = Outcome::BudgetExceeded("simplex pivots");
-        let line = format_record(&r);
+        let mut r = record();
+        r.outcome = Outcome::BudgetExceeded {
+            resource: "simplex pivots",
+            message: String::new(),
+        };
+        let line = r.log_json().to_string();
         assert!(line.contains("\"outcome\":\"budget_exceeded\""));
         assert!(line.contains("\"resource\":\"simplex pivots\""));
     }
 
     #[test]
     fn explain_summary_is_spliced_verbatim() {
-        let stats = [("pivots", 7u64)];
-        let mut r = record(&stats);
-        r.explain = Some("[{\"node\":3,\"op\":\"sat\",\"self_us\":120}]");
-        let line = format_record(&r);
+        let mut r = record();
+        r.plan = Some(Json::Arr(vec![Json::obj([
+            ("node", Json::int(3)),
+            ("op", Json::str("sat")),
+            ("self_us", Json::int(120)),
+        ])]));
+        let line = r.log_json().to_string();
         assert!(
             line.contains(",\"explain\":[{\"node\":3,\"op\":\"sat\",\"self_us\":120}],\"stats\":{"),
             "{line}"
@@ -392,12 +422,5 @@ mod tests {
         set_slow_explain(false);
         assert!(!slow_explain());
         set_slow_ms(None);
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

@@ -23,9 +23,9 @@
 //! * `POST /query` — the request body is either a raw LyriC `SELECT`
 //!   statement or a JSON object `{"query": "...", "explain": bool}`,
 //!   evaluated against the server's shared [`Database`] via
-//!   [`execute_shared`] (or `execute_explained_with_options` when
-//!   `explain` is true, adding a `plan` member — the operator tree with
-//!   runtime attribution); the response is a JSON object with `columns`,
+//!   [`execute_shared`] (with `ExecOptions::explain` set when `explain`
+//!   is true, adding a `plan` member — the operator tree with runtime
+//!   attribution); the response is a JSON object with `columns`,
 //!   `row_count`, `rows` (oids as strings), `duration_ms`, and the
 //!   per-query `stats` counters, or `{"error": ...}` with status 400.
 //!   JSON bodies are validated strictly: unknown members, a non-string
@@ -223,17 +223,9 @@ fn parse_query_body(body: &str) -> Result<QueryRequest, String> {
 fn run_query(db: &Database, opts: &ExecOptions, body: &str) -> Result<Json, String> {
     let req = parse_query_body(body)?;
     let src = req.query.trim();
+    let opts = opts.clone().with_explain(req.explain);
     let started = Instant::now();
-    let (result, report) = if req.explain {
-        lyric::execute_explained_with_options(db, src, opts)
-            .map(|(res, rep)| (res, Some(rep)))
-            .map_err(|e| e.to_string())?
-    } else {
-        (
-            execute_shared(db, src, opts).map_err(|e| e.to_string())?,
-            None,
-        )
-    };
+    let result = execute_shared(db, src, &opts).map_err(|e| e.to_string())?;
     let duration_ms = started.elapsed().as_secs_f64() * 1e3;
     let columns: Vec<Json> = result.columns.iter().map(Json::str).collect();
     let rows: Vec<Json> = result
@@ -241,21 +233,14 @@ fn run_query(db: &Database, opts: &ExecOptions, body: &str) -> Result<Json, Stri
         .iter()
         .map(|row| Json::Arr(row.iter().map(|oid| Json::str(oid.to_string())).collect()))
         .collect();
-    let stats = Json::obj(
-        lyric::trace::stats::COUNTER_NAMES
-            .iter()
-            .copied()
-            .zip(result.stats.counters())
-            .map(|(name, value)| (name, Json::int(value))),
-    );
     let mut reply = vec![
         ("columns".to_string(), Json::Arr(columns)),
         ("row_count".to_string(), Json::int(rows.len() as u64)),
         ("rows".to_string(), Json::Arr(rows)),
         ("duration_ms".to_string(), Json::Num(duration_ms)),
-        ("stats".to_string(), stats),
+        ("stats".to_string(), result.stats.to_json()),
     ];
-    if let Some(report) = report {
+    if let Some(report) = &result.plan {
         reply.push(("plan".to_string(), report.to_json()));
     }
     Ok(Json::Obj(reply))

@@ -28,7 +28,7 @@ struct Pending {
     node: Option<u32>,
 }
 
-/// Accumulates one query's span tree. Created by `lyric_engine::run_traced`
+/// Accumulates one query's span tree. Created by `lyric_engine::run`
 /// and fed through the engine's span/event hooks. Parallel regions create
 /// one [`Collector::worker`] per worker thread against the *same* origin
 /// `Instant`, so worker offsets nest inside the parent's open span; the
@@ -120,7 +120,7 @@ impl Collector {
     }
 
     /// [`enter`](Collector::enter) with an explain-plan node id stamped on
-    /// the span; `execute_explained` threads the id so the attribution
+    /// the span; an explained run threads the id so the attribution
     /// fold ([`crate::plan::analyze`]) can charge the span's exclusive
     /// time and counters to its plan operator.
     pub fn enter_node(
@@ -300,6 +300,31 @@ mod tests {
                 assert!(ch.end() <= s.end());
             }
         });
+    }
+
+    #[test]
+    fn prepended_phases_lead_the_tree_and_keep_it_nested() {
+        let mut c = Collector::new("q", 8);
+        c.enter(SpanKind::Where, "w".into(), None, stats(0));
+        c.event(EventKind::CacheHit);
+        c.exit(stats(2));
+        let mut t = c.finish(stats(2));
+        let (where_start, total) = (t.root.children[0].start, t.root.duration);
+        let ms = Duration::from_millis;
+        t.prepend_phases(&[
+            (SpanKind::Lex, ms(1), Some((0, 8))),
+            (SpanKind::Analyze, ms(2), None),
+        ]);
+        let kinds: Vec<SpanKind> = t.root.children.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Lex, SpanKind::Analyze, SpanKind::Where]);
+        assert_eq!(t.root.start, Duration::ZERO);
+        assert_eq!(t.root.duration, total + ms(3));
+        assert_eq!(t.root.children[1].start, ms(1));
+        let wher = &t.root.children[2];
+        assert_eq!(wher.start, where_start + ms(3));
+        assert!(wher.events[0].at >= wher.start);
+        assert_eq!(t.summed_self_stats().pivots, 2);
+        assert!(crate::chrome::validate_chrome_trace(&crate::chrome::to_chrome_trace(&t)).is_ok());
     }
 
     #[test]

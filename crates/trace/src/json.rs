@@ -2,10 +2,12 @@
 //!
 //! The workspace builds offline with no external crates (see DESIGN.md
 //! §5), so serde is out of reach; this module is the shared hand-rolled
-//! substitute. It is used by the Chrome trace exporter, the bench
-//! `report` binary's `BENCH_report.json`, and the CI smoke validator
-//! (`validate_trace`), which parses exported traces back to prove they
-//! are structurally loadable.
+//! substitute, and the workspace's one JSON writer. It is used by the
+//! Chrome trace exporter, the query log and flight recorder
+//! (`lyric-metrics`, `lyric-flight`), the bench `report` binary's
+//! `BENCH_report.json`, and the CI smoke validator (`validate_trace`),
+//! which parses exported traces back to prove they are structurally
+//! loadable.
 //!
 //! The model is deliberately small: numbers are `f64` (every value we
 //! serialize — counters, microsecond timestamps — fits well inside the
@@ -391,6 +393,14 @@ mod tests {
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn strings_are_escaped() {
+        assert_eq!(
+            Json::str("a\"b\\c\nd\u{1}").to_string(),
+            "\"a\\\"b\\\\c\\nd\\u0001\""
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use agg::{hot_spans, HotSpan};
 pub use chrome::to_chrome_trace;
 pub use collect::Collector;
 pub use json::Json;
-pub use model::{EventKind, SpanKind, Trace, TraceEvent, TraceSpan, MAIN_TID};
+pub use model::{EventKind, Phase, SpanKind, Trace, TraceEvent, TraceSpan, MAIN_TID};
 pub use plan::{NodeObs, PlanAnalysis, PlanNode};
 pub use render::render_tree;
 pub use stats::EngineStats;

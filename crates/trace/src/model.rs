@@ -172,7 +172,7 @@ pub struct TraceSpan {
     /// Child spans, in execution order.
     pub children: Vec<TraceSpan>,
     /// The explain-plan node this span is attributed to, when the query
-    /// ran under `execute_explained`. Spans without a node id (engine
+    /// ran explained (`ExecOptions::explain`). Spans without a node id (engine
     /// internals such as LP solves, or anything below the instrumented
     /// operator sites) are attributed to their nearest annotated ancestor
     /// by [`crate::plan::analyze`]; `None` everywhere on plain traces.
@@ -225,6 +225,10 @@ impl TraceSpan {
     }
 }
 
+/// One front-end phase for [`Trace::prepend_phases`]: its kind, how
+/// long it took, and the source range it covered.
+pub type Phase = (SpanKind, Duration, Option<(usize, usize)>);
+
 /// A finished trace: the root [`TraceSpan`] (always [`SpanKind::Query`])
 /// plus collection metadata.
 #[derive(Debug, Clone)]
@@ -271,5 +275,42 @@ impl Trace {
             tids.insert(s.tid);
         });
         tids.into_iter().collect()
+    }
+
+    /// Put phases that ran *before* the collector started — a query's
+    /// front end, which passes before its engine context is installed —
+    /// at the head of the tree: each [`Phase`] becomes one of the root's
+    /// first children, in order, every recorded offset shifts by their
+    /// total, and the root widens to cover them.
+    pub fn prepend_phases(&mut self, phases: &[Phase]) {
+        fn shift(s: &mut TraceSpan, by: Duration) {
+            s.start += by;
+            s.events.iter_mut().for_each(|e| e.at += by);
+            s.children.iter_mut().for_each(|c| shift(c, by));
+        }
+        let lead: Duration = phases.iter().map(|p| p.1).sum();
+        shift(&mut self.root, lead);
+        self.root.start -= lead;
+        self.root.duration += lead;
+        let mut at = self.root.start;
+        let front: Vec<TraceSpan> = phases
+            .iter()
+            .map(|&(kind, duration, source)| {
+                at += duration;
+                TraceSpan {
+                    kind,
+                    tid: self.root.tid,
+                    label: String::new(),
+                    source,
+                    start: at - duration,
+                    duration,
+                    stats: EngineStats::default(),
+                    events: Vec::new(),
+                    children: Vec::new(),
+                    node: None,
+                }
+            })
+            .collect();
+        self.root.children.splice(0..0, front);
     }
 }

@@ -6,8 +6,7 @@
 //! query: one node per operator site (FROM binding, WHERE predicate,
 //! SELECT item, …), annotated with the static features that govern
 //! constraint-query cost — class extent sizes, constraint atom counts,
-//! disjunct counts, quantifier depth — plus the algebra rewrite rules the
-//! optimizer applied to the query's FP form. Node ids are assigned in
+//! disjunct counts, quantifier depth. Node ids are assigned in
 //! preorder, `0..node_count()`, and are **stable for a given query text**:
 //! they are threaded through the evaluator's span instrumentation
 //! (`TraceSpan::node`) so that [`analyze`] can charge every span's
@@ -30,7 +29,7 @@
 
 use crate::json::Json;
 use crate::model::{Trace, TraceSpan};
-use crate::stats::{EngineStats, COUNTER_NAMES};
+use crate::stats::EngineStats;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -58,9 +57,6 @@ pub struct PlanNode {
     /// Existential quantifiers (`EXIST … :`) syntactically under this
     /// operator.
     pub quantifiers: u32,
-    /// Algebra rewrite rules the optimizer applied to this query's FP
-    /// form, in application order (root node only).
-    pub rules: Vec<&'static str>,
     /// Child operators, in evaluation order.
     pub children: Vec<PlanNode>,
 }
@@ -78,7 +74,6 @@ impl PlanNode {
             atoms: 0,
             disjuncts: 0,
             quantifiers: 0,
-            rules: Vec::new(),
             children: Vec::new(),
         }
     }
@@ -312,9 +307,6 @@ pub fn render_plan(plan: &PlanNode, analysis: Option<&PlanAnalysis>) -> String {
         if !annot.is_empty() {
             let _ = write!(out, "  [{}]", annot.join(" "));
         }
-        if !n.rules.is_empty() {
-            let _ = write!(out, "  rules: {}", n.rules.join(", "));
-        }
         if let Some(a) = analysis {
             let obs = &a.nodes[n.id as usize];
             let pct = 100.0 * obs.self_time.as_secs_f64() / total.as_secs_f64();
@@ -369,20 +361,8 @@ fn node_json(n: &PlanNode, analysis: Option<&PlanAnalysis>) -> Json {
             pairs.push((key.into(), Json::int(v as u64)));
         }
     }
-    if !n.rules.is_empty() {
-        pairs.push((
-            "rules".into(),
-            Json::Arr(n.rules.iter().map(|r| Json::str(*r)).collect()),
-        ));
-    }
     if let Some(a) = analysis {
         let obs = &a.nodes[n.id as usize];
-        let mut counters: Vec<(String, Json)> = Vec::new();
-        for (name, v) in COUNTER_NAMES.into_iter().zip(obs.stats.counters()) {
-            if v > 0 {
-                counters.push((name.into(), Json::int(v)));
-            }
-        }
         pairs.push((
             "analyze".into(),
             Json::obj([
@@ -391,7 +371,7 @@ fn node_json(n: &PlanNode, analysis: Option<&PlanAnalysis>) -> Json {
                 ("invocations", Json::int(obs.invocations)),
                 ("self_us", us(obs.self_time)),
                 ("total_us", us(obs.time)),
-                ("counters", Json::Obj(counters)),
+                ("counters", obs.stats.nonzero_json()),
             ]),
         ));
     }
@@ -417,13 +397,7 @@ pub fn plan_to_json(plan: &PlanNode, analysis: Option<&PlanAnalysis>) -> Json {
     if let Some(a) = analysis {
         pairs.push(("total_us".into(), us(a.total)));
         pairs.push(("total_self_us".into(), us(a.total_self)));
-        let mut counters: Vec<(String, Json)> = Vec::new();
-        for (name, v) in COUNTER_NAMES.into_iter().zip(a.total_stats.counters()) {
-            if v > 0 {
-                counters.push((name.into(), Json::int(v)));
-            }
-        }
-        pairs.push(("stats".into(), Json::Obj(counters)));
+        pairs.push(("stats".into(), a.total_stats.nonzero_json()));
     }
     pairs.push(("plan".into(), node_json(plan, analysis)));
     Json::Obj(pairs)
@@ -528,7 +502,6 @@ mod tests {
 
     fn sample_plan() -> PlanNode {
         let mut root = PlanNode::new(0, "select", "q");
-        root.rules = vec!["fuse_filter"];
         let mut from = PlanNode::new(1, "from_bind", "cabinet X");
         from.extent_size = Some(4);
         let mut wher = PlanNode::new(2, "where", "");
@@ -595,7 +568,6 @@ mod tests {
         let rendered = render_plan(&plan, Some(&a));
         assert!(rendered.contains("#0 select q"), "{rendered}");
         assert!(rendered.contains("extent=4"), "{rendered}");
-        assert!(rendered.contains("rules: fuse_filter"), "{rendered}");
         assert!(rendered.contains("atoms=2"), "{rendered}");
         assert!(rendered.contains("rows="), "{rendered}");
     }

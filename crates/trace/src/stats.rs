@@ -6,6 +6,7 @@
 //! telemetry stack, `lyric-engine` builds the thread-local context on top
 //! of it.
 
+use crate::json::Json;
 use std::fmt;
 
 /// Monotonic work counters for one engine context. All counters are
@@ -207,6 +208,20 @@ impl EngineStats {
             .zip(self.counters())
             .filter(|(_, v)| *v > 0)
             .collect()
+    }
+
+    /// Every counter as a JSON object keyed by [`COUNTER_NAMES`], in
+    /// declaration order (the query log's and `POST /query`'s `stats`).
+    pub fn to_json(&self) -> Json {
+        let pairs = COUNTER_NAMES.into_iter().zip(self.counters());
+        Json::obj(pairs.map(|(name, v)| (name, Json::int(v))))
+    }
+
+    /// The nonzero counters as a JSON object (the flight recorder's and
+    /// the explain plan's compact form).
+    pub fn nonzero_json(&self) -> Json {
+        let pairs = self.nonzero_counters().into_iter();
+        Json::obj(pairs.map(|(name, v)| (name, Json::int(v))))
     }
 
     /// True when every counter is zero.

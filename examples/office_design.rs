@@ -10,8 +10,8 @@
 //! cargo run --example office_design
 //! ```
 
+use lyric::execute;
 use lyric::paper_example::{box2, point2, translation2};
-use lyric::{execute, parse_query};
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, Conjunction, CstObject, Extremum, LinExpr, Var};
 use lyric_oodb::{Database, Oid, Value};
@@ -125,13 +125,13 @@ fn main() {
         ]),
     );
     // Fetch each placed object's global extent through a LyriC query.
-    let parsed = parse_query(
+    let res = execute(
+        &mut db,
         "SELECT O, ((u,v) | E AND D AND L(x,y))
          FROM Object_In_Room O
          WHERE O.catalog_object[C] AND C.extent[E] AND C.translation[D] AND O.location[L]",
     )
-    .expect("parses");
-    let res = lyric::execute_parsed(&mut db, &parsed).expect("extents query");
+    .expect("extents query");
     for row in &res.rows {
         let footprint = row[1].as_cst().expect("cst column");
         // Forbid centers within 1 (the new desk's half-size) of the

@@ -62,10 +62,7 @@
 //! `LYRIC_FLIGHT_DIR` on a budget abort, panic, or `LYRIC_SLOW_MS`
 //! breach.
 
-use lyric::{
-    default_threads, execute_traced_with_options, execute_with_options, paper_example,
-    EngineBudget, ExecOptions,
-};
+use lyric::{default_threads, execute_with_options, paper_example, EngineBudget, ExecOptions};
 use std::io::{self, BufRead, Write};
 
 /// Shell state beyond the database itself.
@@ -135,21 +132,12 @@ fn main() {
 /// Execute one statement, tracing it when the session asks for it.
 fn run_statement(db: &mut lyric::oodb::Database, session: &Session, stmt: &str) {
     let traced = session.trace || session.chrome_path.is_some();
-    let (result, trace) = if traced {
-        match execute_traced_with_options(db, stmt, &session.exec_options()) {
-            Ok((r, t)) => (r, Some(t)),
-            Err(e) => {
-                println!("error: {e}");
-                return;
-            }
-        }
-    } else {
-        match execute_with_options(db, stmt, &session.exec_options()) {
-            Ok(r) => (r, None),
-            Err(e) => {
-                println!("error: {e}");
-                return;
-            }
+    let opts = session.exec_options().with_trace(traced);
+    let result = match execute_with_options(db, stmt, &opts) {
+        Ok(r) => r,
+        Err(e) => {
+            println!("error: {e}");
+            return;
         }
     };
     if result.rows.is_empty() {
@@ -158,7 +146,7 @@ fn run_statement(db: &mut lyric::oodb::Database, session: &Session, stmt: &str) 
         print!("{result}");
         println!("({} row{})", result.rows.len(), plural(result.rows.len()));
     }
-    if let Some(trace) = &trace {
+    if let Some(trace) = &result.trace {
         if session.trace {
             print!("{}", lyric::trace::render_tree(trace));
         }
@@ -273,8 +261,13 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
             if src.is_empty() {
                 println!("usage: :explain [analyze] <query>  (single line, ';' optional)");
             } else if analyze {
-                match lyric::execute_explained_with_options(db, src, &session.exec_options()) {
-                    Ok((result, report)) => {
+                let opts = session.exec_options().with_explain(true);
+                match lyric::execute_shared(db, src, &opts) {
+                    Ok(result) => {
+                        let report = result
+                            .plan
+                            .as_ref()
+                            .expect("an explained run returns its plan");
                         println!("({} row{})", result.rows.len(), plural(result.rows.len()));
                         print!("{}", report.render());
                     }
@@ -292,12 +285,16 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
             if src.is_empty() {
                 println!("usage: :profile <query>  (single line, ';' optional)");
             } else {
-                match execute_traced_with_options(db, src, &session.exec_options()) {
-                    Ok((result, trace)) => {
+                match execute_with_options(db, src, &session.exec_options().with_trace(true)) {
+                    Ok(result) => {
+                        let trace = result
+                            .trace
+                            .as_ref()
+                            .expect("a traced run returns its trace");
                         println!("({} row{})", result.rows.len(), plural(result.rows.len()));
-                        print!("{}", lyric::trace::render_tree(&trace));
+                        print!("{}", lyric::trace::render_tree(trace));
                         println!("[engine: {}]", result.stats);
-                        export_chrome(session, &trace);
+                        export_chrome(session, trace);
                     }
                     Err(e) => println!("error: {e}"),
                 }
@@ -393,10 +390,11 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
                     );
                 }
                 for q in queries.iter().rev().take(SHOW).rev() {
-                    let outcome = if q.resource.is_empty() {
-                        q.outcome.to_string()
-                    } else {
-                        format!("{} ({})", q.outcome, q.resource)
+                    let outcome = match &q.outcome {
+                        lyric::metrics::querylog::Outcome::BudgetExceeded { resource, .. } => {
+                            format!("{} ({resource})", q.outcome.name())
+                        }
+                        other => other.name().to_string(),
                     };
                     println!(
                         "  {:>9.1}ms {outcome:<16} {} row{} trace {}  {}",

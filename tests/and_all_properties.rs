@@ -14,7 +14,7 @@
 //!   bound variables and `≠` atoms.
 
 use lyric::constraint::{Atom, Conjunction, CstObject, NormOp, Var};
-use lyric::engine::{run_with_opts, EngineStats, ExecOptions};
+use lyric::engine::{run, EngineStats, ExecOptions};
 use lyric_bench::workload;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -143,7 +143,8 @@ fn fold_with(parts: &[CstObject], and: impl Fn(&CstObject, &CstObject) -> CstObj
 
 /// The engine counters charged while running `f`.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, EngineStats) {
-    run_with_opts(ExecOptions::default(), f).expect("unlimited budget")
+    let (value, stats, _) = run(&ExecOptions::default(), None, f).expect("unlimited budget");
+    (value, stats)
 }
 
 /// A `≠` atom over `v0..v2` with the expression of a random atom.

@@ -194,10 +194,11 @@ proptest! {
         let d = workload::random_conjunction(&mut r, 3, 3);
         let run = |boxes: bool| {
             let o = ExecOptions::default().with_boxes(boxes);
-            lyric::engine::run_with_opts(o, || {
+            let (answers, stats, _) = lyric::engine::run(&o, None, || {
                 (c.satisfiable(), d.satisfiable(), c.implies(&d))
             })
-            .expect("unlimited budget")
+            .expect("unlimited budget");
+            (answers, stats)
         };
         let (ans_on, stats_on) = run(true);
         let (ans_off, stats_off) = run(false);

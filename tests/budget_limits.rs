@@ -3,11 +3,31 @@
 //! limit and the amount consumed — and default (unlimited) budgets must
 //! leave every result unchanged.
 
-use lyric::engine::{run_with, EngineBudget, Resource};
-use lyric::{execute, execute_with_budget, LyricError};
+use lyric::engine::{run, BudgetExceeded, EngineBudget, EngineStats, ExecOptions, Resource};
+use lyric::{execute, execute_with_options, LyricError, QueryResult};
 use lyric_bench::workload;
 use lyric_constraint::Var;
 use std::time::{Duration, Instant};
+
+/// Run `f` in an engine context under `budget`, with the memo cache on
+/// or off.
+fn run_under<T>(
+    budget: EngineBudget,
+    cache: bool,
+    f: impl FnOnce() -> T,
+) -> Result<(T, EngineStats), BudgetExceeded> {
+    let opts = ExecOptions::default().with_budget(budget).with_cache(cache);
+    run(&opts, None, f).map(|(value, stats, _)| (value, stats))
+}
+
+/// Execute `query` under `budget` (default options otherwise).
+fn execute_budgeted(
+    db: &mut lyric::oodb::Database,
+    query: &str,
+    budget: EngineBudget,
+) -> Result<QueryResult, LyricError> {
+    execute_with_options(db, query, &ExecOptions::default().with_budget(budget))
+}
 
 /// A dense conjunction whose all-but-one-variable elimination is far
 /// outside the §3.1 restriction: Fourier–Motzkin compounds the |L|·|U|
@@ -23,7 +43,7 @@ fn dense_conjunction() -> (lyric_constraint::Conjunction, Vec<Var>) {
 fn fm_blowup_aborts_under_atom_budget() {
     let (conj, victims) = dense_conjunction();
     let started = Instant::now();
-    let err = run_with(
+    let err = run_under(
         EngineBudget::unlimited().with_max_fm_atoms(10_000),
         false,
         || conj.eliminate_all(victims.iter()),
@@ -43,7 +63,7 @@ fn fm_blowup_aborts_under_atom_budget() {
 fn fm_blowup_aborts_under_deadline() {
     let (conj, victims) = dense_conjunction();
     let started = Instant::now();
-    let err = run_with(
+    let err = run_under(
         EngineBudget::unlimited().with_deadline(Duration::from_millis(100)),
         false,
         || conj.eliminate_all(victims.iter()),
@@ -65,7 +85,7 @@ fn dnf_negation_aborts_under_disjunct_budget() {
     // exponential corner the paper excludes from the disjunctive family.
     let mut r = workload::rng(7);
     let dnf = workload::random_dnf(&mut r, 12, 6, 3);
-    let err = run_with(
+    let err = run_under(
         EngineBudget::unlimited().with_max_disjuncts(20_000),
         false,
         || dnf.negate(),
@@ -80,7 +100,7 @@ fn query_level_budget_returns_structured_error() {
     let mut db = lyric::paper_example::database();
     let query = "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
          FROM Office_Object CO WHERE CO.extent[E] AND CO.translation[D]";
-    let err = execute_with_budget(&mut db, query, EngineBudget::unlimited().with_max_pivots(1))
+    let err = execute_budgeted(&mut db, query, EngineBudget::unlimited().with_max_pivots(1))
         .expect_err("1 pivot cannot evaluate a paper query");
     match err {
         LyricError::BudgetExceeded {
@@ -96,7 +116,7 @@ fn query_level_budget_returns_structured_error() {
     }
     // The same query under the interactive envelope completes and reports
     // its work.
-    let res = execute_with_budget(&mut db, query, EngineBudget::interactive())
+    let res = execute_budgeted(&mut db, query, EngineBudget::interactive())
         .expect("interactive budget is generous enough for paper queries");
     assert_eq!(res.rows.len(), 2);
     assert!(res.stats.pivots > 0);
@@ -105,7 +125,7 @@ fn query_level_budget_returns_structured_error() {
 #[test]
 fn default_budget_leaves_results_unchanged() {
     // The same statements through `execute` (unlimited budget, cache on)
-    // and `execute_with_budget(interactive)` answer identically.
+    // and `execute_budgeted(interactive)` answer identically.
     let queries = [
         "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]",
         "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
@@ -117,7 +137,7 @@ fn default_budget_leaves_results_unchanged() {
         let mut db1 = lyric::paper_example::database();
         let mut db2 = lyric::paper_example::database();
         let unlimited = execute(&mut db1, q).expect("paper query evaluates");
-        let budgeted = execute_with_budget(&mut db2, q, EngineBudget::interactive())
+        let budgeted = execute_budgeted(&mut db2, q, EngineBudget::interactive())
             .expect("interactive budget suffices");
         assert_eq!(unlimited, budgeted, "answers must not depend on the budget");
     }
@@ -132,7 +152,7 @@ fn library_results_identical_with_and_without_context() {
         let c = workload::random_conjunction(&mut r, 4, 8);
         let d = workload::random_dnf(&mut r, 6, 4, 3);
         let bare = (c.satisfiable(), d.simplify(), c.find_point());
-        let (ctx, stats) = run_with(EngineBudget::unlimited(), true, || {
+        let (ctx, stats) = run_under(EngineBudget::unlimited(), true, || {
             (c.satisfiable(), d.simplify(), c.find_point())
         })
         .expect("unlimited budget");

@@ -2,9 +2,20 @@
 //! never change an answer, only skip repeated solves — checked on random
 //! conjunctions with the cache on, off, and absent (no engine context).
 
-use lyric::engine::{run_with, EngineBudget};
+use lyric::engine::{run, BudgetExceeded, EngineBudget, EngineStats, ExecOptions};
 use lyric_bench::workload;
 use proptest::prelude::*;
+
+/// Run `f` in an engine context under `budget`, with the memo cache on
+/// or off.
+fn run_under<T>(
+    budget: EngineBudget,
+    cache: bool,
+    f: impl FnOnce() -> T,
+) -> Result<(T, EngineStats), BudgetExceeded> {
+    let opts = ExecOptions::default().with_budget(budget).with_cache(cache);
+    run(&opts, None, f).map(|(value, stats, _)| (value, stats))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -18,7 +29,7 @@ proptest! {
         let a = workload::random_atom(&mut r, 4);
 
         let bare = (c.satisfiable(), c.implies_atom(&a));
-        let (cached, _) = run_with(EngineBudget::unlimited(), true, || {
+        let (cached, _) = run_under(EngineBudget::unlimited(), true, || {
             // Ask twice so the second round actually exercises hits.
             let first = (c.satisfiable(), c.implies_atom(&a));
             let second = (c.satisfiable(), c.implies_atom(&a));
@@ -26,7 +37,7 @@ proptest! {
             first
         })
         .expect("unlimited budget");
-        let (uncached, _) = run_with(EngineBudget::unlimited(), false, || {
+        let (uncached, _) = run_under(EngineBudget::unlimited(), false, || {
             (c.satisfiable(), c.implies_atom(&a))
         })
         .expect("unlimited budget");
@@ -43,7 +54,7 @@ proptest! {
         let d = workload::random_dnf(&mut r, 8, 5, 3);
         let bare = d.simplify();
         let (cached, _) =
-            run_with(EngineBudget::unlimited(), true, || d.simplify()).expect("unlimited");
+            run_under(EngineBudget::unlimited(), true, || d.simplify()).expect("unlimited");
         prop_assert_eq!(bare, cached);
     }
 }
@@ -53,7 +64,7 @@ fn repeated_checks_produce_cache_hits() {
     let mut r = workload::rng(11);
     let c = workload::random_satisfiable_conjunction(&mut r, 3, 8);
     let a = workload::random_atom(&mut r, 3);
-    let ((), stats) = run_with(EngineBudget::unlimited(), true, || {
+    let ((), stats) = run_under(EngineBudget::unlimited(), true, || {
         for _ in 0..5 {
             let _ = c.satisfiable();
             let _ = c.implies_atom(&a);

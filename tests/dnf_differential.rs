@@ -98,7 +98,7 @@ proptest! {
             let o = lyric::ExecOptions::default()
                 .with_cache(false)
                 .with_arith_fast(fast);
-            let (out, _stats) = lyric::engine::run_with_opts(o, || {
+            let (out, _stats, _) = lyric::engine::run(&o, None, || {
                 (a.and(&b), a.or(&b), a.simplify(), a.negate())
             })
             .expect("unlimited budget");

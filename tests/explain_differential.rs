@@ -19,7 +19,10 @@
 //!   stable for a query text across runs and thread counts.
 
 use lyric::trace::plan::validate_plan_json;
-use lyric::{execute_explained_with_options, execute_with_options, paper_example, ExecOptions};
+use lyric::{
+    execute_shared, execute_with_options, paper_example, ExecOptions, ExplainReport, LyricError,
+    QueryResult,
+};
 
 const PAPER_QUERIES: [&str; 5] = [
     "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]",
@@ -38,6 +41,17 @@ const PAPER_QUERIES: [&str; 5] = [
     "SELECT MAX(w + z SUBJECT TO ((w,z) | E)), MIN(w SUBJECT TO ((w,z) | E))
      FROM Desk D WHERE D.extent[E]",
 ];
+
+/// Run `q` as EXPLAIN ANALYZE under `o`: the answer and its analyzed plan.
+fn run_explained(
+    db: &lyric::oodb::Database,
+    q: &str,
+    o: &ExecOptions,
+) -> Result<(QueryResult, ExplainReport), LyricError> {
+    let mut res = execute_shared(db, q, &o.clone().with_explain(true))?;
+    let report = res.plan.take().expect("an explained run returns its plan");
+    Ok((res, report))
+}
 
 fn opts(threads: usize, boxes: bool, fast: bool) -> ExecOptions {
     ExecOptions::default()
@@ -68,8 +82,8 @@ fn assert_explain_free(
 ) -> (u64, Vec<(u64, u64)>) {
     let plain = execute_with_options(&mut db.clone(), q, o)
         .unwrap_or_else(|e| panic!("{label}: plain run failed: {e}"));
-    let (explained, report) = execute_explained_with_options(db, q, o)
-        .unwrap_or_else(|e| panic!("{label}: explained run failed: {e}"));
+    let (explained, report) =
+        run_explained(db, q, o).unwrap_or_else(|e| panic!("{label}: explained run failed: {e}"));
     assert_same_answer(&explained, &plain, label);
     assert_eq!(
         explained.stats.semantic(),
@@ -147,8 +161,8 @@ fn paper_queries_are_explain_invariant() {
 fn shape_hash_survives_cache_warming() {
     let db = paper_example::database();
     let o = ExecOptions::default();
-    let (_, first) = execute_explained_with_options(&db, PAPER_QUERIES[1], &o).unwrap();
-    let (_, second) = execute_explained_with_options(&db, PAPER_QUERIES[1], &o).unwrap();
+    let (_, first) = run_explained(&db, PAPER_QUERIES[1], &o).unwrap();
+    let (_, second) = run_explained(&db, PAPER_QUERIES[1], &o).unwrap();
     assert_eq!(first.shape_hash, second.shape_hash);
     assert_eq!(first.plan, second.plan, "static plan is identical");
 }
@@ -161,7 +175,7 @@ fn explained_budget_aborts_match_plain() {
     let o = ExecOptions::default().with_budget(EngineBudget::default().with_max_pivots(1));
     let q = PAPER_QUERIES[4]; // the LP query must pivot
     let plain = execute_with_options(&mut db.clone(), q, &o);
-    let explained = execute_explained_with_options(&db, q, &o);
+    let explained = run_explained(&db, q, &o);
     match (&plain, &explained) {
         (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
         other => panic!(

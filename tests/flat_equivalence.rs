@@ -2,7 +2,6 @@
 //! exactly the answers of the direct object evaluator, across synthetic
 //! databases of several sizes and seeds.
 
-use lyric::parse_query;
 use lyric_bench::workload::{office_db, Q_LINEAR};
 use lyric_constraint::{CstObject, Var};
 use lyric_flatrel::FlatDb;
@@ -43,11 +42,10 @@ fn flat_linear_regions(flat: &FlatDb) -> Vec<(Oid, CstObject)> {
 
 #[test]
 fn flat_translation_matches_direct_evaluator() {
-    let parsed = parse_query(Q_LINEAR).unwrap();
     for (n, seed) in [(4usize, 1u64), (12, 2), (24, 3)] {
         let db = office_db(n, seed);
         let mut d = db.clone();
-        let direct = lyric::execute_parsed(&mut d, &parsed).unwrap();
+        let direct = lyric::execute(&mut d, Q_LINEAR).unwrap();
         let flat = FlatDb::from_database(&db);
         let regions = flat_linear_regions(&flat);
 
@@ -78,11 +76,7 @@ fn flat_selection_matches_direct_filter() {
     // ⋈ Desk extent relation.
     let db = office_db(10, 5);
     let mut d = db.clone();
-    let direct = lyric::execute_parsed(
-        &mut d,
-        &parse_query("SELECT X FROM Desk X WHERE X.color = 'red'").unwrap(),
-    )
-    .unwrap();
+    let direct = lyric::execute(&mut d, "SELECT X FROM Desk X WHERE X.color = 'red'").unwrap();
     let flat = FlatDb::from_database(&db);
     let red = flat
         .extent("Desk")
@@ -102,14 +96,11 @@ fn flat_constraint_selection_matches_satisfiability_predicate() {
     // Direct: room objects whose footprint reaches u >= 150.
     let db = office_db(16, 8);
     let mut d = db.clone();
-    let direct = lyric::execute_parsed(
+    let direct = lyric::execute(
         &mut d,
-        &parse_query(
-            "SELECT O FROM Object_In_Room O
-             WHERE O.catalog_object[C] AND C.extent[E] AND C.translation[D] AND O.location[L]
-               AND (E AND D AND L(x,y) AND u >= 150)",
-        )
-        .unwrap(),
+        "SELECT O FROM Object_In_Room O
+         WHERE O.catalog_object[C] AND C.extent[E] AND C.translation[D] AND O.location[L]
+           AND (E AND D AND L(x,y) AND u >= 150)",
     )
     .unwrap();
     // Flat: join the same relations and add the constraint atom.

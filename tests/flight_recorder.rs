@@ -6,7 +6,7 @@
 //! the tests that touch them serialize on one mutex.
 
 use lyric::engine::EngineBudget;
-use lyric::{execute_shared, execute_with_budget, paper_example, ExecOptions, LyricError};
+use lyric::{execute_shared, execute_with_options, paper_example, ExecOptions, LyricError};
 use lyric_bench::workload::{self, Q_PAIRWISE};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,7 +55,8 @@ fn budget_abort_writes_one_attributed_dump() {
     let mut db = paper_example::database();
     let query = "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
          FROM Office_Object CO WHERE CO.extent[E] AND CO.translation[D]";
-    let err = execute_with_budget(&mut db, query, EngineBudget::unlimited().with_max_pivots(1))
+    let opts = ExecOptions::default().with_budget(EngineBudget::unlimited().with_max_pivots(1));
+    let err = execute_with_options(&mut db, query, &opts)
         .expect_err("1 pivot cannot evaluate a paper query");
     assert!(matches!(err, LyricError::BudgetExceeded { .. }), "{err}");
     lyric::flight::set_dump_dir(None);
@@ -101,7 +102,7 @@ fn budget_abort_writes_one_attributed_dump() {
             .iter()
             .any(
                 |q| q.query_hash == lyric::metrics::querylog::query_hash(query)
-                    && q.outcome == "budget_exceeded"
+                    && q.outcome.name() == "budget_exceeded"
             ),
         "recorder ring holds the aborted query's summary"
     );

@@ -198,8 +198,8 @@ fn dnf_operations_are_thread_count_invariant() {
             let o = ExecOptions::default()
                 .with_cache(false)
                 .with_threads(threads);
-            let ((prod, simp), _stats) =
-                lyric::engine::run_with_opts(o, || (a.and(&b), a.simplify()))
+            let ((prod, simp), _stats, _) =
+                lyric::engine::run(&o, None, || (a.and(&b), a.simplify()))
                     .expect("unlimited budget");
             (prod, simp)
         };

@@ -1,6 +1,6 @@
 //! Well-formedness properties of emitted span trees.
 //!
-//! Every trace from [`lyric::execute_traced`] must satisfy: a single
+//! Every trace a run returns under `ExecOptions::trace` must satisfy: a single
 //! `query` root covering the whole source; children nested within their
 //! parent's time interval, in disjoint start order *per logical thread*
 //! (siblings with different `tid`s ran concurrently and may overlap); and
@@ -13,8 +13,7 @@
 use lyric::trace::{SpanKind, Trace, TraceSpan, MAIN_TID};
 use lyric::ExecOptions;
 use lyric::{
-    execute_traced, execute_traced_with_options, execute_with_options, paper_example, EngineBudget,
-    EngineStats,
+    execute_with_options, paper_example, EngineBudget, EngineStats, LyricError, QueryResult,
 };
 use lyric_bench::workload::{self, Q_LINEAR, Q_PAIRWISE};
 use proptest::prelude::*;
@@ -39,6 +38,26 @@ const PAPER_QUERIES: [&str; 5] = [
     "SELECT MAX(w + z SUBJECT TO ((w,z) | E)), MIN(w SUBJECT TO ((w,z) | E))
      FROM Desk D WHERE D.extent[E]",
 ];
+
+/// Run `src` traced under `opts`: the answer and its span tree.
+fn traced_with_options(
+    db: &mut lyric::oodb::Database,
+    src: &str,
+    opts: &ExecOptions,
+) -> Result<(QueryResult, Trace), LyricError> {
+    let mut res = execute_with_options(db, src, &opts.clone().with_trace(true))?;
+    let trace = res.trace.take().expect("a traced run returns its trace");
+    Ok((res, trace))
+}
+
+/// [`traced_with_options`] under `budget`, default options otherwise.
+fn traced(
+    db: &mut lyric::oodb::Database,
+    src: &str,
+    budget: EngineBudget,
+) -> Result<(QueryResult, Trace), LyricError> {
+    traced_with_options(db, src, &ExecOptions::default().with_budget(budget))
+}
 
 /// Children must sit inside their parent's interval and, *per logical
 /// thread id*, be pairwise disjoint and in start order. Siblings with
@@ -80,8 +99,7 @@ fn assert_well_formed(trace: &Trace, aggregate: &EngineStats) {
 fn q1_trace_partitions_query_stats() {
     let mut db = paper_example::database();
     let src = PAPER_QUERIES[0];
-    let (res, trace) =
-        execute_traced(&mut db, src, EngineBudget::unlimited()).expect("q1 evaluates");
+    let (res, trace) = traced(&mut db, src, EngineBudget::unlimited()).expect("q1 evaluates");
     assert_eq!(res.rows.len(), 1);
     assert_well_formed(&trace, &res.stats);
     // The root covers the whole source and the front-end phases are there.
@@ -105,13 +123,13 @@ fn paper_query_traces_are_well_formed() {
     for src in PAPER_QUERIES {
         let mut db = paper_example::database();
         let (res, trace) =
-            execute_traced(&mut db, src, EngineBudget::unlimited()).expect("paper query evaluates");
+            traced(&mut db, src, EngineBudget::unlimited()).expect("paper query evaluates");
         assert_well_formed(&trace, &res.stats);
     }
     // The entailment query (Q4) actually records an entailment-check span.
     let mut db = paper_example::database();
     let (_, trace) =
-        execute_traced(&mut db, PAPER_QUERIES[2], EngineBudget::unlimited()).expect("q4 evaluates");
+        traced(&mut db, PAPER_QUERIES[2], EngineBudget::unlimited()).expect("q4 evaluates");
     let mut saw_entail = false;
     trace
         .root
@@ -129,7 +147,7 @@ fn traced_budget_abort_matches_untraced() {
         .with_budget(EngineBudget::unlimited().with_max_pivots(1))
         .with_boxes(false);
     let mut db = workload::office_db(8, 42);
-    let traced = execute_traced_with_options(&mut db.clone(), Q_PAIRWISE, &opts).map(|_| ());
+    let traced = traced_with_options(&mut db.clone(), Q_PAIRWISE, &opts).map(|_| ());
     let untraced = execute_with_options(&mut db, Q_PAIRWISE, &opts).map(|_| ());
     match (traced, untraced) {
         (
@@ -152,8 +170,8 @@ fn multithreaded_traces_are_well_formed() {
     let serial = lyric::execute(&mut db.clone(), Q_LINEAR).expect("linear query evaluates");
     for threads in [2usize, 4, 8] {
         let opts = ExecOptions::default().with_threads(threads);
-        let (res, trace) = execute_traced_with_options(&mut db.clone(), Q_LINEAR, &opts)
-            .expect("linear query evaluates");
+        let (res, trace) =
+            traced_with_options(&mut db.clone(), Q_LINEAR, &opts).expect("linear query evaluates");
         assert_well_formed(&trace, &res.stats);
         assert_eq!(
             res, serial,
@@ -182,7 +200,7 @@ proptest! {
     #[test]
     fn workload_traces_are_well_formed(n in 2usize..12, seed in 0u64..1_000) {
         let db = workload::office_db(n, seed);
-        let (traced_res, trace) = execute_traced(
+        let (traced_res, trace) = traced(
             &mut db.clone(),
             Q_LINEAR,
             EngineBudget::unlimited(),

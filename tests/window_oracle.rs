@@ -47,8 +47,10 @@ fn pinned_value(atom: &lyric::constraint::Atom) -> (String, i64) {
         panic!("placement atom {atom} has more than one variable");
     };
     let value = -atom.expr().constant_term().clone() / (*coeff).clone();
-    let (num, den) = value.small_parts().expect("small placement");
-    assert_eq!(den, 1, "integer placement");
+    assert!(value.is_integer(), "integer placement");
+    // Either arithmetic tier: under `LYRIC_ARITH_FAST=0` every value
+    // lives in the BigInt representation.
+    let num = value.numer().to_i64().expect("placement fits in i64");
     (var.name().to_string(), num)
 }
 
