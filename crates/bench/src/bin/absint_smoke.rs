@@ -16,10 +16,10 @@
 //! Run with `cargo run -p lyric-bench --bin absint_smoke --release`.
 
 use lyric::{execute_with_options, paper_example, ExecOptions};
-use lyric_absint::Interval;
 use lyric_arith::Rational;
 use lyric_bench::workload;
 use lyric_constraint::CstObject;
+use lyric_constraint::Interval;
 
 const SEEDS: u64 = 400;
 

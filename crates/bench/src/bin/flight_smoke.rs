@@ -88,7 +88,7 @@ fn main() {
 
     // --- /debug/caches ----------------------------------------------------
     let caches = get_json(addr, "/debug/caches", 200);
-    for key in ["generation", "sat", "entail", "index"] {
+    for key in ["generation", "index"] {
         if caches.get(key).is_none() {
             eprintln!("FAIL: /debug/caches lacks {key}: {caches}");
             failures += 1;

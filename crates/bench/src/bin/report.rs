@@ -545,24 +545,16 @@ fn e9() {
     use lyric_constraint::Var;
     println!("## E9 — engine telemetry and evaluation budgets\n");
     println!("(a) work profile of the E2 linear query, per database size:\n");
-    println!(
-        "| n objects | lp runs | pivots | fm atoms | disjuncts | sat checks | cache hit rate |"
-    );
-    println!("|---|---|---|---|---|---|---|");
+    println!("| n objects | lp runs | pivots | fm atoms | disjuncts | sat checks |");
+    println!("|---|---|---|---|---|---|");
     for &n in &[8usize, 32, 128] {
         let db = workload::office_db(n, 42);
         let mut d = db.clone();
         let res = execute(&mut d, Q_LINEAR).expect("linear query");
         let s = res.stats;
         println!(
-            "| {n} | {} | {} | {} | {} | {} | {} |",
-            s.lp_runs,
-            s.pivots,
-            s.fm_atoms,
-            s.disjuncts_produced,
-            s.sat_checks,
-            s.cache_hit_rate()
-                .map_or("—".into(), |r| format!("{:.0}%", r * 100.0)),
+            "| {n} | {} | {} | {} | {} | {} |",
+            s.lp_runs, s.pivots, s.fm_atoms, s.disjuncts_produced, s.sat_checks,
         );
     }
     println!("\n(b) budget governance — eliminating all-but-one variable of a dense 40-atom conjunction (outside the §3.1 restriction) under a 10k FM-atom budget:\n");
@@ -572,8 +564,7 @@ fn e9() {
     let (ms, outcome) = time_ms(1, || {
         lyric::engine::run(
             &ExecOptions::default()
-                .with_budget(lyric::EngineBudget::unlimited().with_max_fm_atoms(10_000))
-                .with_cache(false),
+                .with_budget(lyric::EngineBudget::unlimited().with_max_fm_atoms(10_000)),
             None,
             || conj.eliminate_all(vars.iter()).map(|c| c.atoms().len()),
         )
@@ -704,9 +695,10 @@ fn e12() -> Json {
     let run = || {
         lyric::execute_shared(&db, Q_LINEAR, &opts).expect("linear query evaluates");
     };
-    run(); // warm the memo caches so both modes measure steady state
-           // Alternate modes batch by batch so clock drift and cache pressure
-           // hit both sides equally; keep the best-of-batch per mode.
+    // Warm the arena pools and lazy statics so both modes measure steady
+    // state, then alternate modes batch by batch so clock drift and cache
+    // pressure hit both sides equally; keep the best-of-batch per mode.
+    run();
     let (batches, reps) = (6, 5);
     let mut enabled_ms = f64::INFINITY;
     let mut disabled_ms = f64::INFINITY;
@@ -744,10 +736,10 @@ fn e12() -> Json {
 /// E13 — small-coefficient arithmetic fast path: the identical E2/E3/E8
 /// workloads with the two-tier `Rational` representation on (inline
 /// `i64/i64` with transparent BigInt promotion) vs off (every value in
-/// the all-BigInt tier, the pre-fast-path engine). With the memo cache
-/// disabled both sides do exactly the same logical work — the semantic
-/// counters are equal by the `arith_differential` test suite — so the
-/// ratio isolates the representation cost alone. Tier counters come from
+/// the all-BigInt tier, the pre-fast-path engine). Both sides do exactly
+/// the same logical work — the semantic counters are equal by the
+/// `arith_differential` test suite — so the ratio isolates the
+/// representation cost alone. Tier counters come from
 /// the per-query [`EngineStats`](lyric::EngineStats).
 fn e13() -> Json {
     println!("## E13 — small-coefficient arithmetic fast path (two-tier Rational)\n");
@@ -784,11 +776,7 @@ fn e13() -> Json {
         ]));
     };
 
-    let opts = |fast: bool| {
-        ExecOptions::default()
-            .with_arith_fast(fast)
-            .with_cache(false)
-    };
+    let opts = |fast: bool| ExecOptions::default().with_arith_fast(fast);
     // E2 — the office workloads (linear scan, pairwise LP-heavy join).
     for (name, n, reps, q) in [
         ("E2 linear, n=64", 64usize, 3usize, Q_LINEAR),
@@ -850,7 +838,7 @@ fn e13() -> Json {
     }
     let arena = lyric_arith::arena_stats();
     println!(
-        "\nspeedup is bigint-tier time over fast-path time on the identical cache-off workload; \
+        "\nspeedup is bigint-tier time over fast-path time on the identical workload; \
          the hit rate is the small-tier share of all Rational ops in the fast run. \
          Arena pools (process lifetime): {} buffer reuses, {} fresh allocations, {} bytes of capacity recycled.\n",
         arena.pool_hits, arena.pool_misses, arena.recycled_bytes
@@ -868,9 +856,9 @@ fn e14() -> Json {
     println!("| workload | boxes on (ms) | boxes off (ms) | speedup | sat checks | box prunes | prune rate | LP runs on | LP runs off |");
     println!("|---|---|---|---|---|---|---|---|---|");
     let mut detail: Vec<Json> = Vec::new();
-    // Cache off so every sat check reaches the box/LP layer and the two
-    // runs do identical logical work.
-    let opts = |boxes: bool| ExecOptions::default().with_boxes(boxes).with_cache(false);
+    // Every sat check reaches the box/LP layer, so the two runs do
+    // identical logical work.
+    let opts = |boxes: bool| ExecOptions::default().with_boxes(boxes);
     // The E2 scan and join, plus a window probe disjoint from every
     // stored object (the selective-predicate case pruning exists for).
     let q_window = "SELECT O FROM Object_In_Room O
@@ -949,7 +937,7 @@ fn e15() -> Json {
     let run_explained = || {
         lyric::execute_shared(&db, Q_LINEAR, &explained).expect("explained linear query evaluates");
     };
-    run_plain(); // warm the memo caches so every mode measures steady state
+    run_plain(); // warm the arena pools and lazy statics so every mode measures steady state
     let (batches, reps) = (6, 5);
     let mut plain_a_ms = f64::INFINITY;
     let mut plain_b_ms = f64::INFINITY;
@@ -1092,7 +1080,7 @@ fn e17() -> Json {
     let run = || {
         lyric::execute_shared(&db, Q_LINEAR, &opts).expect("linear query evaluates");
     };
-    run(); // warm the memo caches so both modes measure steady state
+    run(); // warm the arena pools and lazy statics so both modes measure steady state
     lyric::flight::recorder::set_events_enabled(false);
     let (batches, reps) = (6, 5);
     let mut on_ms = f64::INFINITY;

@@ -199,17 +199,25 @@ impl CstObject {
     /// still not unique across *semantically* equal objects — use
     /// [`CstObject::denotes_same`] for that.
     pub fn canonical_form(&self) -> CstObject {
-        let canon = self.canonicalize();
-        let free_map: BTreeMap<Var, Var> = canon
+        self.canonicalize().rename_positionally()
+    }
+
+    /// The renaming step of [`canonical_form`](Self::canonical_form) on
+    /// its own. For an object `c` that is already the result of
+    /// [`canonicalize`](Self::canonicalize), `c.rename_positionally() ==
+    /// c.canonical_form()`, because canonicalization is idempotent; the
+    /// rename is purely syntactic and runs no satisfiability check.
+    pub fn rename_positionally(&self) -> CstObject {
+        let free_map: BTreeMap<Var, Var> = self
             .free()
             .iter()
             .enumerate()
             .map(|(i, v)| (v.clone(), Var::new(format!("${i}"))))
             .collect();
-        let new_free: Vec<Var> = (0..canon.free().len())
+        let new_free: Vec<Var> = (0..self.free().len())
             .map(|i| Var::new(format!("${i}")))
             .collect();
-        let ds: Vec<Conjunction> = canon
+        let ds: Vec<Conjunction> = self
             .disjuncts()
             .iter()
             .map(|d| {

@@ -157,20 +157,19 @@ impl Conjunction {
         self.atoms.iter().partition(|a| a.op() != NormOp::Neq)
     }
 
-    /// Exact satisfiability over the reals. Answers are memoized under an
-    /// engine context with caching enabled (see `crate::cache`).
+    /// Exact satisfiability over the reals, decided by simplex.
     ///
     /// Under a context with interval-box pruning enabled
-    /// (`ExecOptions::boxes` / `LYRIC_BOXES`), the conjunction's
+    /// (`ExecOptions::boxes`), the conjunction's
     /// [`IntervalBox`](crate::IntervalBox) is consulted first: an empty
-    /// box is a *sound* proof of unsatisfiability, so the LP (and the
-    /// answer memo) are skipped entirely. Entailment inherits the prune
-    /// for free — [`implies_atom`](Self::implies_atom) reduces to a
-    /// satisfiability call on `self ∧ ¬a`. Pruning never changes an
-    /// answer, only how it is obtained; the `boxes_differential` suite
-    /// pins bit-identical results with the switch on and off. The box is
-    /// computed afresh on every check: it costs less than a memo probe
-    /// and insert keyed by the whole conjunction would.
+    /// box is a *sound* proof of unsatisfiability, so the LP is skipped
+    /// entirely. Entailment inherits the prune for free —
+    /// [`implies_atom`](Self::implies_atom) reduces to a satisfiability
+    /// call on `self ∧ ¬a`. Pruning never changes an answer, only how it
+    /// is obtained; the `boxes_differential` suite pins bit-identical
+    /// results with the switch on and off. The box is computed afresh on
+    /// every check: it costs less than a probe and insert keyed by the
+    /// whole conjunction would.
     pub fn satisfiable(&self) -> bool {
         lyric_engine::note_live(lyric_engine::Live::SatChecks, 1);
         if lyric_engine::boxes_enabled() {
@@ -181,15 +180,13 @@ impl Conjunction {
                 return false;
             }
         }
-        crate::cache::satisfiable(self, || {
-            let (convex, neqs) = self.split_neq();
-            let lp = Lp::build(convex.iter().copied());
-            if !lp.problem.is_feasible() {
-                return false;
-            }
-            // Convexity lemma: check each disequation independently.
-            neqs.iter().all(|a| !lp.entails_eq_zero(a.expr()))
-        })
+        let (convex, neqs) = self.split_neq();
+        let lp = Lp::build(convex.iter().copied());
+        if !lp.problem.is_feasible() {
+            return false;
+        }
+        // Convexity lemma: check each disequation independently.
+        neqs.iter().all(|a| !lp.entails_eq_zero(a.expr()))
     }
 
     /// A satisfying point, if any. When disequations are present the convex
@@ -227,10 +224,9 @@ impl Conjunction {
 
     /// Entailment of a single atom: `self |= a` iff `self ∧ ¬a` is
     /// unsatisfiable. (An unsatisfiable conjunction entails everything.)
-    /// Answers are memoized under an engine context with caching enabled.
     pub fn implies_atom(&self, a: &Atom) -> bool {
         lyric_engine::tally(|s| s.entailment_checks += 1);
-        crate::cache::entails(self, a, || !self.and_atom(a.negate()).satisfiable())
+        !self.and_atom(a.negate()).satisfiable()
     }
 
     /// Entailment between conjunctions: `self |= other` iff `self` entails

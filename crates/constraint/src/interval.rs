@@ -245,6 +245,25 @@ impl IntervalBox {
     }
 
     /// The truncated-fixpoint box of a conjunction (see the module docs).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use lyric_constraint::{Atom, Conjunction, IntervalBox, LinExpr, Var};
+    ///
+    /// let x = || LinExpr::var(Var::new("x"));
+    /// let y = || LinExpr::var(Var::new("y"));
+    /// // x ≥ 2 ∧ y ≥ 3 ∧ x + y ≤ 4: no single atom is false, but interval
+    /// // propagation proves the conjunction empty without any LP.
+    /// let c = Conjunction::of([
+    ///     Atom::ge(x(), LinExpr::from(2)),
+    ///     Atom::ge(y(), LinExpr::from(3)),
+    ///     Atom::le(x() + y(), LinExpr::from(4)),
+    /// ]);
+    /// let bx = IntervalBox::of_conjunction(&c);
+    /// assert!(bx.is_empty());
+    /// assert!(!c.satisfiable()); // the exact oracle agrees
+    /// ```
     pub fn of_conjunction(c: &Conjunction) -> IntervalBox {
         IntervalBox::of_atoms(c.atoms())
     }

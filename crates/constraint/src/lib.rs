@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 mod atom;
-mod cache;
 mod canonical;
 mod conjunction;
 mod cst_object;
@@ -68,7 +67,6 @@ mod linexpr;
 mod var;
 
 pub use atom::{Atom, NormOp, RelOp};
-pub use cache::{entail_occupancy, sat_occupancy, CacheOccupancy};
 pub use conjunction::{Conjunction, Extremum};
 pub use cst_object::{CstFamily, CstObject, FamilyOp};
 pub use dnf::Dnf;

@@ -1,4 +1,4 @@
-//! Static semantic analysis of LyriC queries (the `lyric-analyze` passes).
+//! Static semantic analysis of LyriC queries.
 //!
 //! The analyzer runs on the parsed AST plus the schema — it never touches
 //! instance data — and mirrors the evaluator's resolution rules exactly so
@@ -30,8 +30,8 @@
 //!    [`codes::DUPLICATE_FROM_VARIABLE`]).
 //! 5. **Semantic lints** — interval analysis over single-variable atoms
 //!    finds trivially unsatisfiable conjuncts ([`codes::TRIVIALLY_UNSAT`]);
-//!    the multi-variable box domain (`lyric_absint`) then propagates
-//!    bounds *across* atoms, proving whole conjunctions empty
+//!    the multi-variable box domain (`lyric_constraint::IntervalBox`) then
+//!    propagates bounds *across* atoms, proving whole conjunctions empty
 //!    ([`codes::STATIC_UNSAT`]), OR branches dead
 //!    ([`codes::DEAD_DISJUNCT`]) and comparisons redundant
 //!    ([`codes::STATIC_ENTAILED`]); unused FROM bindings warn
@@ -121,6 +121,20 @@ pub fn analyze(schema: &Schema, query: &Query, opts: &AnalyzerOptions) -> Vec<Di
 
 /// Analyze source text: lexical and syntax errors surface as a single
 /// [`codes::SYNTAX`] diagnostic, otherwise the parsed query is analyzed.
+///
+/// # Example
+///
+/// ```
+/// use lyric::analyze::{analyze_src, AnalyzerOptions};
+///
+/// let db = lyric::paper_example::database();
+/// let diags = analyze_src(
+///     db.schema(),
+///     "SELECT X FROM Desk X WHERE X.bogus[Y]",
+///     &AnalyzerOptions::default(),
+/// );
+/// assert_eq!(diags[0].code, lyric::diag::codes::UNKNOWN_ATTRIBUTE);
+/// ```
 pub fn analyze_src(schema: &Schema, src: &str, opts: &AnalyzerOptions) -> Vec<Diagnostic> {
     use crate::error::LyricError;
     match crate::parser::parse_query(src) {
@@ -1111,8 +1125,8 @@ impl Analyzer<'_> {
     }
 
     /// Multi-variable interval-box lint over the conjunctive skeleton
-    /// (the always-on analyzer face of the `lyric_absint` domain, run
-    /// after [`unsat_scan`](Self::unsat_scan)). Converts every
+    /// (the always-on analyzer face of the `lyric_constraint` box domain,
+    /// run after [`unsat_scan`](Self::unsat_scan)). Converts every
     /// pseudo-linear atom to a normalized constraint atom and runs the
     /// box transfer functions to a truncated fixpoint:
     ///
@@ -1252,9 +1266,7 @@ impl Analyzer<'_> {
                 .with_max_fm_atoms(5_000)
                 .with_max_disjuncts(1_000)
                 .with_deadline(std::time::Duration::from_millis(250));
-            let opts = lyric_engine::ExecOptions::default()
-                .with_budget(budget)
-                .with_cache(false);
+            let opts = lyric_engine::ExecOptions::default().with_budget(budget);
             let verdict = lyric_engine::run(&opts, None, || {
                 crate::storage::formula_to_cst(&f)
                     .ok()

@@ -38,7 +38,7 @@ pub struct QueryResult {
     pub columns: Vec<String>,
     pub rows: Vec<Vec<Oid>>,
     /// Pipeline statistics for this evaluation: simplex pivots, FM atoms,
-    /// DNF disjuncts, sat/entailment checks, memo-cache hits.
+    /// DNF disjuncts, sat/entailment checks, box prunes, index probes.
     pub stats: lyric_engine::EngineStats,
     /// The evaluation's span tree, led by the front-end phases (lex,
     /// parse, analyze); `Some` exactly when [`ExecOptions::trace`] was
@@ -67,7 +67,7 @@ impl QueryResult {
 
 /// Equality is over the *answer* (columns and rows) only: two evaluations
 /// of the same query are equal even when their work counters differ (e.g.
-/// warm vs cold memo cache).
+/// with box pruning or the store index switched off).
 impl PartialEq for QueryResult {
     fn eq(&self, other: &Self) -> bool {
         self.columns == other.columns && self.rows == other.rows
@@ -95,16 +95,16 @@ pub fn execute(db: &mut Database, src: &str) -> Result<QueryResult, LyricError> 
 /// Parse and execute a statement under explicit [`ExecOptions`]: the
 /// evaluation budget (a crossed limit aborts promptly with
 /// [`LyricError::BudgetExceeded`], so adversarial constraint blowups
-/// degrade gracefully instead of hanging), the memo cache, the thread
-/// budget, the acceleration switches, and the two report flags —
-/// `trace` fills [`QueryResult::trace`], `explain` fills
-/// [`QueryResult::plan`]. With `threads` above 1, FROM-clause binding,
-/// WHERE filtering, SELECT items, and large DNF operations fan out across
-/// a scoped worker pool; answers are identical to the serial
-/// (`threads == 1`) evaluation — work is handed out by index and merged
-/// back in index order. This is the entry point for `CREATE VIEW` with
-/// options; EXPLAIN ANALYZE of a `CREATE VIEW` is rejected (use
-/// [`explain`](crate::explain) for its static plan).
+/// degrade gracefully instead of hanging), the thread budget, the
+/// acceleration switches, and the two report flags — `trace` fills
+/// [`QueryResult::trace`], `explain` fills [`QueryResult::plan`]. With
+/// `threads` above 1, FROM-clause binding, WHERE filtering, SELECT items,
+/// and large DNF operations fan out across a scoped worker pool; answers
+/// are identical to the serial (`threads == 1`) evaluation — work is
+/// handed out by index and merged back in index order. This is the entry
+/// point for `CREATE VIEW` with options; EXPLAIN ANALYZE of a `CREATE
+/// VIEW` is rejected (use [`explain`](crate::explain) for its static
+/// plan).
 pub fn execute_with_options(
     db: &mut Database,
     src: &str,
@@ -117,7 +117,7 @@ pub fn execute_with_options(
 /// This is the concurrency entry point: many threads may call it on the
 /// same `&Database` simultaneously, each evaluation getting its own
 /// engine context (so budgets and stats stay per-query) while sharing the
-/// process-global memo caches. `CREATE VIEW` statements are rejected —
+/// database's store index. `CREATE VIEW` statements are rejected —
 /// they mutate the database and need [`execute_with_options`]'s exclusive
 /// access.
 pub fn execute_shared(

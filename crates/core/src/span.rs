@@ -1,11 +1,11 @@
 //! Byte spans into LyriC source text.
 //!
 //! Spans exist purely for diagnostics: they are carried alongside tokens by
-//! the lexer, threaded into the AST by the parser, and rendered by
-//! `lyric-analyze`'s caret printer. To keep them out of the language
-//! *semantics*, [`Span`] compares equal to every other span and hashes to
-//! nothing — AST equality (tests, proptest round-trips, memo keys) is
-//! unaffected by where a node happened to sit in the source.
+//! the lexer, threaded into the AST by the parser, and rendered by the
+//! analyzer's caret printer ([`crate::diag::render`]). To keep them out of
+//! the language *semantics*, [`Span`] compares equal to every other span
+//! and hashes to nothing — AST equality (tests, proptest round-trips, memo
+//! keys) is unaffected by where a node happened to sit in the source.
 
 use std::hash::{Hash, Hasher};
 

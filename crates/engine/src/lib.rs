@@ -213,7 +213,6 @@ struct ActiveContext {
     stats: EngineStats,
     started: Instant,
     notes_since_clock: u64,
-    cache_enabled: bool,
     /// Interval-box pruning of LP calls enabled for this context?
     boxes: bool,
     /// Store-index probing of FROM extents enabled for this context?
@@ -222,9 +221,9 @@ struct ActiveContext {
     tracer: Option<trace::Collector>,
     /// How many deadline thresholds (50%, 90%) have been announced.
     time_thresholds_emitted: usize,
-    /// This context's cache generation (copied from [`GENERATION`] at
-    /// install time; worker contexts copy their parent's so all workers of
-    /// one query share memo entries).
+    /// This context's generation (copied from [`GENERATION`] at install
+    /// time; worker contexts copy their parent's, so every event of one
+    /// query carries the same tag).
     generation: u64,
     /// Thread budget for parallel regions opened under this context; 1
     /// means strictly serial evaluation (and marks worker contexts, whose
@@ -263,9 +262,9 @@ thread_local! {
     static CONTEXT: RefCell<Option<ActiveContext>> = const { RefCell::new(None) };
 }
 
-/// Bumped every time a context is installed; memo caches in dependent
-/// crates key their validity on this so entries never leak across
-/// queries with different budgets or databases. Process-global (not
+/// Bumped every time a context is installed. A context's generation is
+/// its query's `trace_id` (in the query log and the flight ring) and the
+/// tag on the flight recorder's sampled events. Process-global (not
 /// thread-local) so concurrent contexts on different threads get distinct
 /// generations while the workers of one parallel region share one.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
@@ -303,13 +302,6 @@ pub fn is_active() -> bool {
     CONTEXT.with(|c| c.borrow().is_some())
 }
 
-/// True when the sat/entailment memo cache should be consulted. False
-/// outside any context: standalone library use stays cache-free (and
-/// allocation-free).
-pub fn cache_enabled() -> bool {
-    CONTEXT.with(|c| c.borrow().as_ref().is_some_and(|a| a.cache_enabled))
-}
-
 /// True when the interval-box disjointness test should run in front of
 /// sat/entailment LP calls. False outside any context: standalone library
 /// use stays exact-LP only, so plain unit tests of the constraint layer
@@ -325,9 +317,8 @@ pub fn index_enabled() -> bool {
     CONTEXT.with(|c| c.borrow().as_ref().is_some_and(|a| a.index))
 }
 
-/// The current cache generation: the active context's generation, or the
-/// process-global counter outside any context. Memo caches must treat
-/// entries stored under a different generation as stale.
+/// The current generation: the active context's (its query's
+/// `trace_id`), or the process-global counter outside any context.
 pub fn generation() -> u64 {
     CONTEXT
         .with(|c| c.borrow().as_ref().map(|a| a.generation))
@@ -476,27 +467,6 @@ pub fn note_live(counter: Live, n: u64) {
     });
 }
 
-/// Record a memo-cache probe outcome (and, when tracing, attach a
-/// cache-hit/miss event to the enclosing span).
-pub fn note_cache(hit: bool) {
-    CONTEXT.with(|c| {
-        if let Some(active) = c.borrow_mut().as_mut() {
-            if hit {
-                active.stats.cache_hits += 1;
-            } else {
-                active.stats.cache_misses += 1;
-            }
-            if let Some(t) = active.tracer.as_mut() {
-                t.event(if hit {
-                    EventKind::CacheHit
-                } else {
-                    EventKind::CacheMiss
-                });
-            }
-        }
-    });
-}
-
 /// Read the current context's counters, or `None` outside a context.
 pub fn snapshot() -> Option<EngineStats> {
     CONTEXT.with(|c| {
@@ -604,16 +574,13 @@ pub fn trace_event(event: impl FnOnce() -> EventKind) {
     });
 }
 
-/// Per-execution options: the resource budget, whether the sat/entailment
-/// memo cache is consulted, how many threads parallel regions may use,
-/// the acceleration switches, and what the run reports besides its answer
-/// (a span tree, an analyzed plan).
+/// Per-execution options: the resource budget, how many threads parallel
+/// regions may use, the acceleration switches, and what the run reports
+/// besides its answer (a span tree, an analyzed plan).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Resource limits for the evaluation.
     pub budget: EngineBudget,
-    /// Consult the sat/entailment memo cache?
-    pub cache: bool,
     /// Thread budget for parallel regions ([`parallel_map`]); 1 means
     /// strictly serial. Defaults to [`default_threads`].
     pub threads: usize,
@@ -623,9 +590,10 @@ pub struct ExecOptions {
     /// `BigInt` path — the measurement baseline and differential oracle.
     pub arith_fast: bool,
     /// Run the interval-box disjointness test in front of sat/entailment
-    /// LP calls? Defaults to [`default_boxes`] (`LYRIC_BOXES`, off only
-    /// when set to `0`). `false` sends every check straight to simplex —
-    /// the differential baseline for the box-pruning soundness layer.
+    /// LP calls? On by default: the test is sound — it only ever skips
+    /// LPs whose answer is a foregone conclusion. `false` sends every
+    /// check straight to simplex — the differential baseline for the
+    /// box-pruning soundness layer.
     pub boxes: bool,
     /// Pre-filter FROM extents through the store index (scalar postings
     /// and bounding-box pages) before binding? Defaults to
@@ -647,10 +615,9 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             budget: EngineBudget::unlimited(),
-            cache: true,
             threads: default_threads(),
             arith_fast: lyric_arith::default_fast_path(),
-            boxes: default_boxes(),
+            boxes: true,
             index: default_index(),
             trace: false,
             explain: false,
@@ -662,12 +629,6 @@ impl ExecOptions {
     /// Replace the budget.
     pub fn with_budget(mut self, budget: EngineBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Enable or disable the memo cache.
-    pub fn with_cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -708,21 +669,11 @@ impl ExecOptions {
     }
 }
 
-/// The default for interval-box pruning: on unless the `LYRIC_BOXES`
-/// environment variable is set to `0` (mirroring `LYRIC_ARITH_FAST`).
-/// The box test is sound — it only ever skips LPs whose answer is a
-/// foregone conclusion — so it defaults on.
-pub fn default_boxes() -> bool {
-    std::env::var("LYRIC_BOXES")
-        .map(|v| v.trim() != "0")
-        .unwrap_or(true)
-}
-
 /// The default for store-index probing of FROM extents: on unless the
 /// `LYRIC_INDEX` environment variable is set to `0` (mirroring
-/// `LYRIC_BOXES`). Probes are sound — every probe returns a superset of
-/// the oids a full scan could keep or error on — so the index defaults
-/// on.
+/// `LYRIC_ARITH_FAST`). Probes are sound — every probe returns a superset
+/// of the oids a full scan could keep or error on — so the index
+/// defaults on.
 pub fn default_index() -> bool {
     std::env::var("LYRIC_INDEX")
         .map(|v| v.trim() != "0")
@@ -745,8 +696,8 @@ pub fn default_threads() -> usize {
 }
 
 /// Run `f` under an engine context built from `opts` — the one way to
-/// install one. The budget, memo cache, thread budget and acceleration
-/// switches apply to everything `f` does, and a span collector records it
+/// install one. The budget, thread budget and acceleration switches
+/// apply to everything `f` does, and a span collector records it
 /// when [`ExecOptions::trace`] or [`ExecOptions::explain`] asks for one.
 /// `progress` is the query's live counter cell: a registered in-flight
 /// slot's, so `/debug/inflight` reads the run as it moves, or `None` for
@@ -783,7 +734,6 @@ pub fn run<T>(
             stats: EngineStats::default(),
             started: Instant::now(),
             notes_since_clock: 0,
-            cache_enabled: opts.cache,
             boxes: opts.boxes,
             index: opts.index,
             tracer: (opts.trace || opts.explain).then(|| trace::Collector::new(String::new(), 0)),
@@ -828,8 +778,8 @@ pub fn run<T>(
 mod tests {
     use super::*;
 
-    fn opts(budget: EngineBudget, cache: bool) -> ExecOptions {
-        ExecOptions::default().with_budget(budget).with_cache(cache)
+    fn opts(budget: EngineBudget) -> ExecOptions {
+        ExecOptions::default().with_budget(budget)
     }
 
     #[test]
@@ -837,34 +787,28 @@ mod tests {
         note_many(Resource::Pivots, 1_000_000);
         assert!(snapshot().is_none());
         assert!(!is_active());
-        assert!(!cache_enabled());
     }
 
     #[test]
     fn stats_accumulate() {
-        let ((), stats, _) = run(&opts(EngineBudget::unlimited(), true), None, || {
+        let ((), stats, _) = run(&opts(EngineBudget::unlimited()), None, || {
             note_many(Resource::Pivots, 7);
             note_many(Resource::FmAtoms, 3);
             note(Resource::Disjuncts);
-            note_cache(true);
-            note_cache(false);
             tally(|s| s.sat_checks += 2);
         })
         .expect("unlimited budget");
         assert_eq!(stats.pivots, 7);
         assert_eq!(stats.fm_atoms, 3);
         assert_eq!(stats.disjuncts_produced, 1);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.sat_checks, 2);
-        assert_eq!(stats.cache_hit_rate(), Some(0.5));
     }
 
     #[test]
     fn progress_cell_counts_budgeted_and_live_work() {
         let progress = Arc::new(lyric_flight::Progress::default());
         let ((), stats, _) = run(
-            &opts(EngineBudget::unlimited(), false),
+            &opts(EngineBudget::unlimited()),
             Some(Arc::clone(&progress)),
             || {
                 note_many(Resource::Pivots, 7);
@@ -905,7 +849,7 @@ mod tests {
     #[test]
     fn budget_aborts_with_payload() {
         let err = run(
-            &opts(EngineBudget::unlimited().with_max_pivots(10), false),
+            &opts(EngineBudget::unlimited().with_max_pivots(10)),
             None,
             || {
                 for _ in 0..100 {
@@ -924,10 +868,7 @@ mod tests {
     #[test]
     fn deadline_aborts() {
         let err = run(
-            &opts(
-                EngineBudget::unlimited().with_deadline(Duration::from_millis(1)),
-                false,
-            ),
+            &opts(EngineBudget::unlimited().with_deadline(Duration::from_millis(1))),
             None,
             || loop {
                 note(Resource::Pivots);
@@ -941,7 +882,7 @@ mod tests {
     #[test]
     fn ordinary_panics_pass_through() {
         let caught = std::panic::catch_unwind(|| {
-            let _ = run(&opts(EngineBudget::unlimited(), false), None, || {
+            let _ = run(&opts(EngineBudget::unlimited()), None, || {
                 panic!("user panic");
             });
         });
@@ -952,8 +893,8 @@ mod tests {
     #[test]
     fn generation_bumps_per_context() {
         let before = generation();
-        let _ = run(&opts(EngineBudget::unlimited(), true), None, || {});
-        let _ = run(&opts(EngineBudget::unlimited(), true), None, || {});
+        let _ = run(&opts(EngineBudget::unlimited()), None, || {});
+        let _ = run(&opts(EngineBudget::unlimited()), None, || {});
         assert_eq!(generation(), before + 2);
     }
 
@@ -965,10 +906,7 @@ mod tests {
         use std::cell::Cell;
         let noted = Cell::new(0u64);
         let err = run(
-            &opts(
-                EngineBudget::unlimited().with_deadline(Duration::ZERO),
-                false,
-            ),
+            &opts(EngineBudget::unlimited().with_deadline(Duration::ZERO)),
             None,
             || loop {
                 noted.set(noted.get() + 1);
@@ -987,13 +925,13 @@ mod tests {
     #[test]
     fn traced_run_records_spans_events_and_thresholds() {
         let ((), stats, trace) = run(
-            &opts(EngineBudget::unlimited().with_max_pivots(1_000), true).with_trace(true),
+            &opts(EngineBudget::unlimited().with_max_pivots(1_000)).with_trace(true),
             None,
             || {
                 let _w = span(SpanKind::Where, || "w".into(), Some((2, 8)));
                 note_many(Resource::Pivots, 600); // crosses the 50% line
                 note_many(Resource::Pivots, 350); // crosses the 90% line
-                note_cache(true);
+                trace_event(|| EventKind::BoxPrune);
             },
         )
         .expect("within budget");
@@ -1016,7 +954,7 @@ mod tests {
         assert!(w
             .events
             .iter()
-            .any(|e| matches!(e.kind, EventKind::CacheHit)));
+            .any(|e| matches!(e.kind, EventKind::BoxPrune)));
     }
 
     #[test]
@@ -1025,7 +963,7 @@ mod tests {
         // them so the collector sees balanced enter/exit (`run` discards
         // the partial trace on Err).
         let err = run(
-            &opts(EngineBudget::unlimited().with_max_pivots(5), false).with_trace(true),
+            &opts(EngineBudget::unlimited().with_max_pivots(5)).with_trace(true),
             None,
             || {
                 let _g = span(SpanKind::LpSolve, || "solve".into(), None);
@@ -1039,7 +977,7 @@ mod tests {
 
     #[test]
     fn span_and_event_are_inert_without_tracing() {
-        let ((), stats, trace) = run(&opts(EngineBudget::unlimited(), false), None, || {
+        let ((), stats, trace) = run(&opts(EngineBudget::unlimited()), None, || {
             let _g = span(
                 SpanKind::Where,
                 || unreachable!("label closure must not run when tracing is off"),

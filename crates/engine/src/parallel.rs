@@ -13,13 +13,13 @@
 //! iteration order, same note order, same trace shape.
 //!
 //! When a region does fork, each worker thread gets its own
-//! [`ActiveContext`] carrying the parent's budget, deadline clock, cache
-//! flag, and generation, but a *zeroed* local [`EngineStats`] — local
-//! counters are per-worker deltas, so span deltas never double-count
-//! across threads. Every worker shares the query's progress cell, where
-//! the budgeted counters (pivots, FM atoms, disjuncts) accumulate for the
-//! whole query; limits are checked against those totals, so
-//! `BudgetExceeded` fires as promptly as in a serial run and carries the
+//! [`ActiveContext`] carrying the parent's budget, deadline clock,
+//! acceleration switches and generation, but a *zeroed* local
+//! [`EngineStats`] — local counters are per-worker deltas, so span deltas
+//! never double-count across threads. Every worker shares the query's
+//! progress cell, where the budgeted counters (pivots, FM atoms, disjuncts)
+//! accumulate for the whole query; limits are checked against those totals,
+//! so `BudgetExceeded` fires as promptly as in a serial run and carries the
 //! same resource classification.
 //!
 //! # Determinism
@@ -28,12 +28,13 @@
 //! order, so the output vector — and therefore the query answer — is
 //! bit-identical to the serial run's no matter how the steal schedule
 //! interleaves. Worker stats and trace subtrees are merged in worker-id
-//! order after the join, so Σ worker deltas equals the serial counters on
-//! deterministic (cache-off) workloads. A panic in any worker (including
-//! the engine's internal budget unwind) aborts the handout, and the first
-//! payload in worker order is re-raised on the calling thread after the
-//! join, where `run`'s boundary translates a budget unwind into
-//! `Err(BudgetExceeded)` exactly as for serial evaluation.
+//! order after the join, so Σ worker deltas equals the serial counters:
+//! no item's work depends on what another worker did first. A panic in
+//! any worker (including the engine's internal budget unwind) aborts the
+//! handout, and the first payload in worker order is re-raised on the
+//! calling thread after the join, where `run`'s boundary translates a
+//! budget unwind into `Err(BudgetExceeded)` exactly as for serial
+//! evaluation.
 
 use crate::pool::StealQueue;
 use crate::{trace, ActiveContext, EngineStats, BUDGET_THRESHOLDS, CONTEXT};
@@ -44,7 +45,7 @@ use std::time::Instant;
 /// Minimum item count for forking a region: parallel regions with fewer
 /// items stay serial, since forking threads for a couple of bindings
 /// costs more than it saves, and tiny workloads (the paper's worked
-/// examples) keep their exact serial cache-hit patterns.
+/// examples) keep their exact serial span trees.
 pub const MIN_PARALLEL_ITEMS: usize = 4;
 
 /// Worker thread ids start here; [`trace::MAIN_TID`] is the coordinator.
@@ -58,7 +59,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// before the fork.
 struct RegionPlan {
     budget: crate::EngineBudget,
-    cache_enabled: bool,
     /// Interval-box pruning flag, copied onto worker contexts so every
     /// worker makes the same prune-or-solve decisions as a serial run.
     boxes: bool,
@@ -95,7 +95,6 @@ fn plan_region(items: usize) -> Option<RegionPlan> {
         }
         Some(RegionPlan {
             budget: active.budget.clone(),
-            cache_enabled: active.cache_enabled,
             boxes: active.boxes,
             index: active.index,
             generation: active.generation,
@@ -146,7 +145,6 @@ impl<'a> WorkerContext<'a> {
                 stats: EngineStats::default(),
                 started: plan.started,
                 notes_since_clock: 0,
-                cache_enabled: plan.cache_enabled,
                 boxes: plan.boxes,
                 index: plan.index,
                 tracer: plan

@@ -31,9 +31,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn disabled_tracing_allocates_nothing() {
     // Install the context outside the measured window: `run` itself
     // allocates (the context, the panic-hook once-init).
-    let opts = ExecOptions::default()
-        .with_budget(EngineBudget::unlimited())
-        .with_cache(false);
+    let opts = ExecOptions::default().with_budget(EngineBudget::unlimited());
     let ((), stats, _) = lyric_engine::run(&opts, None, || {
         // Warm up thread-locals before counting.
         let _warm = span(SpanKind::Where, || unreachable!(), None);

@@ -30,9 +30,8 @@
 //! mutex.
 //!
 //! Environment: `LYRIC_FLIGHT=0` disables query recording,
-//! `LYRIC_FLIGHT_EVENTS=1` enables the event tee,
-//! `LYRIC_FLIGHT_SAMPLE=N` sets the event sampling stride, and
-//! `LYRIC_FLIGHT_DIR=...` configures (and thereby enables) anomaly
+//! `LYRIC_FLIGHT_EVENTS=1` enables the event tee (sampling 1 event in
+//! 16), and `LYRIC_FLIGHT_DIR=...` configures (and thereby enables) anomaly
 //! dumps. Overhead is pinned by experiment E17 and the allocator-guard
 //! test in `crates/engine/tests/trace_overhead.rs`.
 

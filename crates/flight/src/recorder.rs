@@ -12,7 +12,7 @@
 //!   existing `trace_event` instrumentation sites, capacity
 //!   [`EVENT_RING`]. Events fire orders of magnitude more often than
 //!   queries complete, so this ring is **off by default** and sampled
-//!   (1 in [`sample_every`]) when on — the disabled check is one
+//!   (1 in [`SAMPLE_EVERY`]) when on — the disabled check is one
 //!   relaxed atomic load and allocates nothing, preserving the
 //!   zero-alloc tracing-off guarantee pinned by
 //!   `crates/engine/tests/trace_overhead.rs`.
@@ -90,22 +90,12 @@ pub fn enable_events_default() {
     }
 }
 
-/// 1-in-N event sampling stride; from `LYRIC_FLIGHT_SAMPLE` (default 16,
-/// minimum 1).
-pub fn sample_every() -> u64 {
-    static SAMPLE: OnceLock<u64> = OnceLock::new();
-    *SAMPLE.get_or_init(|| {
-        std::env::var("LYRIC_FLIGHT_SAMPLE")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(16)
-    })
-}
+/// 1-in-N event sampling stride of the event tee.
+pub const SAMPLE_EVERY: u64 = 16;
 
 /// The engine's per-event-site gate: false (one relaxed load, no
 /// allocation) when the tee is off; when on, true for 1 in
-/// [`sample_every`] calls. The caller only builds the `EventKind` (and
+/// [`SAMPLE_EVERY`] calls. The caller only builds the `EventKind` (and
 /// its label string) when this returns true or a tracer is attached.
 pub fn event_tick() -> bool {
     if !events_enabled() {
@@ -113,7 +103,7 @@ pub fn event_tick() -> bool {
     }
     static TICK: AtomicU64 = AtomicU64::new(0);
     TICK.fetch_add(1, Ordering::Relaxed)
-        .is_multiple_of(sample_every())
+        .is_multiple_of(SAMPLE_EVERY)
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
@@ -300,12 +290,8 @@ mod tests {
         set_events_enabled(false);
         assert!(!event_tick());
         set_events_enabled(true);
-        let hits = (0..(sample_every() * 4)).filter(|_| event_tick()).count() as u64;
-        assert!(
-            hits >= 3,
-            "roughly 1 in {} sampled, got {hits}",
-            sample_every()
-        );
+        let hits = (0..(SAMPLE_EVERY * 4)).filter(|_| event_tick()).count() as u64;
+        assert!(hits >= 3, "roughly 1 in {SAMPLE_EVERY} sampled, got {hits}");
         set_events_enabled(false);
     }
 }

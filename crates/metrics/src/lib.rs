@@ -26,7 +26,7 @@
 //! into an early return so the overhead of the disabled path is one
 //! relaxed atomic load (experiment E12 pins the enabled-path overhead).
 //!
-//! [`EngineStats`]: https://example.org/lyric
+//! [`EngineStats`]: lyric_trace::stats::EngineStats
 
 #![warn(missing_docs)]
 

@@ -10,10 +10,10 @@
 //! A site's weight on the value observed `k` runs ago is `α·(1−α)^(k−1)`,
 //! so roughly the last `1/α = 8` observations dominate — recent plan
 //! behaviour wins, but one outlier query cannot erase the history. This
-//! is the live feed the future cost-based planner (ROADMAP item 5)
+//! is the live feed the future cost-based planner (ROADMAP item 6)
 //! consumes: per-site cardinalities, exclusive time, and the
 //! constraint-complexity counters (sat/entail checks, LP runs/pivots,
-//! box prunes, cache traffic).
+//! box prunes).
 //!
 //! The store is bounded at [`MAX_SITES`] sites; observations for new
 //! sites past the cap are counted (`lyric_profile_dropped_total`) but not

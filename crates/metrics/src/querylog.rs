@@ -20,8 +20,8 @@
 //!   New in v2.
 //! * `outcome` — `"ok"`, `"budget_exceeded"` (plus a `"resource"`
 //!   field), or `"error"`.
-//! * `trace_id` — the engine context generation, matching the per-query
-//!   memo-cache generation; unique per context within a process run.
+//! * `trace_id` — the engine context generation; unique per context
+//!   within a process run.
 //! * `stats` — the per-query engine counters, keyed like
 //!   `EngineStats::COUNTER_NAMES`.
 //! * `slow` — present and `true` when `LYRIC_SLOW_MS` is configured and
@@ -336,7 +336,7 @@ mod tests {
             end_unix_ms: 0,
             stats: EngineStats {
                 pivots: 7,
-                cache_hits: 2,
+                sat_checks: 2,
                 ..Default::default()
             },
             plan: None,
@@ -370,7 +370,7 @@ mod tests {
         assert!(line.contains("\"duration_us\":1500"));
         assert!(line.contains("\"trace_id\":41"));
         assert!(line.contains(",\"stats\":{\"pivots\":7,"));
-        assert!(line.contains(",\"cache_hits\":2,"));
+        assert!(line.contains(",\"sat_checks\":2,"));
     }
 
     #[test]

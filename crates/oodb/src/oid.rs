@@ -25,10 +25,12 @@ pub struct CstOid {
 }
 
 impl CstOid {
-    /// Canonicalize and wrap a constraint object.
+    /// Canonicalize and wrap a constraint object. The object is
+    /// canonicalized once; the identity carrier is that result renamed
+    /// positionally, which equals `obj.canonical_form()`.
     pub fn new(obj: CstObject) -> CstOid {
         let display = obj.canonicalize();
-        let canonical = display.canonical_form();
+        let canonical = display.rename_positionally();
         CstOid {
             display: Arc::new(display),
             canonical: Arc::new(canonical),

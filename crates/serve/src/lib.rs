@@ -17,9 +17,8 @@
 //! * `GET /debug/flight` — the flight recorder rings
 //!   (`lyric::flight::recorder`): recent completed-query summaries and
 //!   sampled trace events;
-//! * `GET /debug/caches` — occupancy and generation of the process-global
-//!   memo caches (sat, entailment) plus the server
-//!   database's store-index state;
+//! * `GET /debug/caches` — the engine's current context generation and
+//!   the server database's store-index state;
 //! * `POST /query` — the request body is either a raw LyriC `SELECT`
 //!   statement or a JSON object `{"query": "...", "explain": bool}`,
 //!   evaluated against the server's shared [`Database`] via
@@ -276,20 +275,12 @@ pub fn version_json() -> Json {
     ])
 }
 
-/// The `GET /debug/caches` body: occupancy of the process-global memo
-/// caches and the state of the server database's store index.
+/// The `GET /debug/caches` body: the engine's current context generation
+/// and the state of the server database's store index.
 fn caches_json(db: &Database) -> Json {
-    let occ = |o: lyric::constraint::CacheOccupancy| {
-        Json::obj([
-            ("entries", Json::int(o.entries as u64)),
-            ("capacity", Json::int(o.capacity as u64)),
-        ])
-    };
     let data_generation = db.data_generation();
     Json::obj([
         ("generation", Json::int(lyric::engine::generation())),
-        ("sat", occ(lyric::constraint::sat_occupancy())),
-        ("entail", occ(lyric::constraint::entail_occupancy())),
         (
             "index",
             Json::obj([
@@ -481,11 +472,13 @@ mod tests {
         let (status, body) = http_request(addr, "GET", "/debug/caches", "").unwrap();
         assert_eq!(status, 200);
         let json = lyric::trace::json::parse(&body).expect("caches is valid JSON");
-        for key in ["generation", "sat", "entail", "index"] {
+        for key in ["generation", "index"] {
             assert!(json.get(key).is_some(), "missing {key}");
         }
-        let sat = json.get("sat").unwrap();
-        assert!(sat.get("entries").is_some() && sat.get("capacity").is_some());
+        let index = json.get("index").unwrap();
+        for key in ["data_generation", "built", "objects"] {
+            assert!(index.get(key).is_some(), "missing index.{key}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! Serves `GET /metrics` (Prometheus text format 0.0.4), `GET /healthz`,
 //! `GET /version`, the `/debug/*` introspection surfaces (in-flight
-//! registry, flight recorder, cache occupancy — see `lyric_serve`), and
+//! registry, flight recorder, store-index state — see `lyric_serve`), and
 //! `POST /query` (body: a LyriC `SELECT` statement; response: JSON).
 //! With no `--db`, the paper's office-design database (Figures 1 and 2)
 //! is served. `--db` accepts either format — binary snapshots (sniffed by

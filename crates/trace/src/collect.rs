@@ -277,7 +277,7 @@ mod tests {
         c.exit(stats(0));
         c.enter(SpanKind::Where, "where".into(), None, stats(0));
         c.enter(SpanKind::SatCheck, "sat".into(), Some((3, 7)), stats(1));
-        c.event(EventKind::CacheMiss);
+        c.event(EventKind::BoxPrune);
         c.exit(stats(5));
         c.exit(stats(6));
         let t = c.finish(stats(6));
@@ -306,7 +306,7 @@ mod tests {
     fn prepended_phases_lead_the_tree_and_keep_it_nested() {
         let mut c = Collector::new("q", 8);
         c.enter(SpanKind::Where, "w".into(), None, stats(0));
-        c.event(EventKind::CacheHit);
+        c.event(EventKind::BoxPrune);
         c.exit(stats(2));
         let mut t = c.finish(stats(2));
         let (where_start, total) = (t.root.children[0].start, t.root.duration);

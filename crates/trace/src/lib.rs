@@ -11,8 +11,8 @@
 //! records a span in a hierarchical [`Trace`]; each span carries its
 //! wall-clock duration, the byte range of the source fragment it
 //! evaluates, and the delta of [`EngineStats`] counters consumed inside
-//! it. Structured [`TraceEvent`]s (cache hit/miss, disjuncts pruned,
-//! budget consumption crossing 50/90%) attach to the enclosing span.
+//! it. Structured [`TraceEvent`]s (box prunes, disjuncts pruned, budget
+//! consumption crossing 50/90%) attach to the enclosing span.
 //!
 //! Three sinks consume a trace:
 //!

@@ -73,10 +73,6 @@ impl SpanKind {
 /// A structured event attached to the span that was open when it fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// A sat/entailment memo-cache probe answered from the cache.
-    CacheHit,
-    /// A memo-cache probe that fell through to an actual solve.
-    CacheMiss,
     /// Canonicalization dropped `count` infeasible/duplicate disjuncts.
     DisjunctsPruned {
         /// How many disjuncts were discarded.
@@ -116,8 +112,6 @@ impl EventKind {
     /// Short label for renderers.
     pub fn label(&self) -> String {
         match self {
-            EventKind::CacheHit => "cache hit".into(),
-            EventKind::CacheMiss => "cache miss".into(),
             EventKind::DisjunctsPruned { count } => format!("{count} disjuncts pruned"),
             EventKind::DnfProduct { left, right } => format!("dnf product {left}x{right}"),
             EventKind::BoxPrune => "box prune".into(),

@@ -12,27 +12,17 @@ fn ms(d: Duration) -> f64 {
 
 /// Summarize a span's events: repeated kinds collapse to a count.
 fn summarize_events(events: &[TraceEvent]) -> Vec<String> {
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
     let mut pruned = 0u64;
     let mut products = 0u64;
     let mut rest: Vec<String> = Vec::new();
     for e in events {
         match &e.kind {
-            EventKind::CacheHit => cache_hits += 1,
-            EventKind::CacheMiss => cache_misses += 1,
             EventKind::DisjunctsPruned { count } => pruned += count,
             EventKind::DnfProduct { .. } => products += 1,
             other => rest.push(other.label()),
         }
     }
     let mut out = Vec::new();
-    if cache_hits + cache_misses > 0 {
-        out.push(format!(
-            "cache {cache_hits}/{} hits",
-            cache_hits + cache_misses
-        ));
-    }
     if pruned > 0 {
         out.push(format!("{pruned} disjuncts pruned"));
     }
@@ -109,8 +99,7 @@ mod tests {
         );
         c.exit(EngineStats::default());
         c.enter(SpanKind::Where, String::new(), None, EngineStats::default());
-        c.event(EventKind::CacheHit);
-        c.event(EventKind::CacheMiss);
+        c.event(EventKind::BoxPrune);
         c.event(EventKind::DisjunctsPruned { count: 3 });
         let after = EngineStats {
             sat_checks: 2,
@@ -122,7 +111,7 @@ mod tests {
         assert!(text.contains("  parse parse"), "{text}");
         assert!(text.contains("src 0..8"), "{text}");
         assert!(text.contains("[sat_checks=2]"), "{text}");
-        assert!(text.contains("cache 1/2 hits"), "{text}");
+        assert!(text.contains("box prune"), "{text}");
         assert!(text.contains("3 disjuncts pruned"), "{text}");
         assert!(text.contains('%'), "{text}");
     }

@@ -41,10 +41,6 @@ pub struct EngineStats {
     /// bound lists). Deterministic: counts requested sizes, not retained
     /// capacity.
     pub arena_bytes: u64,
-    /// Memo-cache hits across the sat/entailment caches.
-    pub cache_hits: u64,
-    /// Memo-cache misses (an actual solve was performed and stored).
-    pub cache_misses: u64,
     /// Interval-box disjointness tests performed before LP calls.
     pub box_checks: u64,
     /// Box checks that proved emptiness and skipped the LP entirely.
@@ -59,7 +55,7 @@ pub struct EngineStats {
 /// The counter fields of [`EngineStats`], in declaration order, paired
 /// with their snake_case names. Sinks iterate this instead of hard-coding
 /// the field list, so a new counter propagates to every sink.
-pub const COUNTER_NAMES: [&str; 18] = [
+pub const COUNTER_NAMES: [&str; 16] = [
     "pivots",
     "lp_runs",
     "eliminations",
@@ -72,8 +68,6 @@ pub const COUNTER_NAMES: [&str; 18] = [
     "arith_big_ops",
     "arith_promotions",
     "arena_bytes",
-    "cache_hits",
-    "cache_misses",
     "box_checks",
     "box_prunes",
     "index_probes",
@@ -81,12 +75,6 @@ pub const COUNTER_NAMES: [&str; 18] = [
 ];
 
 impl EngineStats {
-    /// Cache hit rate in `[0, 1]`, or `None` when no cacheable check ran.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-
     /// Fraction of counted rational ops that ran on the inline small-int
     /// path, or `None` when no arithmetic was counted.
     pub fn arith_small_hit_rate(&self) -> Option<f64> {
@@ -112,7 +100,7 @@ impl EngineStats {
     /// check tallies (`sat_checks`, `entailment_checks`) and the DNF/FM
     /// production counters, which are driven by *answers*, not by how the
     /// answers were obtained. Everything implementation-dependent —
-    /// LP effort (`pivots`, `lp_runs`), cache traffic, arena bytes, the
+    /// LP effort (`pivots`, `lp_runs`), arena bytes, the
     /// arithmetic-path split, and the box and index counters themselves —
     /// is zeroed. The box-pruning differential compares these with
     /// `boxes` on vs off.
@@ -124,8 +112,6 @@ impl EngineStats {
             arith_big_ops: 0,
             arith_promotions: 0,
             arena_bytes: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             box_checks: 0,
             box_prunes: 0,
             index_probes: 0,
@@ -154,7 +140,7 @@ impl EngineStats {
     }
 
     /// All counters, in [`COUNTER_NAMES`] order.
-    pub fn counters(&self) -> [u64; 18] {
+    pub fn counters(&self) -> [u64; 16] {
         [
             self.pivots,
             self.lp_runs,
@@ -168,8 +154,6 @@ impl EngineStats {
             self.arith_big_ops,
             self.arith_promotions,
             self.arena_bytes,
-            self.cache_hits,
-            self.cache_misses,
             self.box_checks,
             self.box_prunes,
             self.index_probes,
@@ -177,7 +161,7 @@ impl EngineStats {
         ]
     }
 
-    fn counters_mut(&mut self) -> [&mut u64; 18] {
+    fn counters_mut(&mut self) -> [&mut u64; 16] {
         [
             &mut self.pivots,
             &mut self.lp_runs,
@@ -191,8 +175,6 @@ impl EngineStats {
             &mut self.arith_big_ops,
             &mut self.arith_promotions,
             &mut self.arena_bytes,
-            &mut self.cache_hits,
-            &mut self.cache_misses,
             &mut self.box_checks,
             &mut self.box_prunes,
             &mut self.index_probes,
@@ -237,8 +219,7 @@ impl fmt::Display for EngineStats {
             "pivots={} lp_runs={} eliminations={} fm_atoms={} \
              disjuncts={}(+{} pruned) sat_checks={} entailment_checks={} \
              arith_ops={}small/{}big(+{} promoted) arena_bytes={} \
-             box_checks={}(-{} pruned) index_probes={}(-{} pruned) \
-             cache_hits={} cache_misses={} cache_hit_rate={}",
+             box_checks={}(-{} pruned) index_probes={}(-{} pruned)",
             self.pivots,
             self.lp_runs,
             self.eliminations,
@@ -255,12 +236,6 @@ impl fmt::Display for EngineStats {
             self.box_prunes,
             self.index_probes,
             self.index_pruned,
-            self.cache_hits,
-            self.cache_misses,
-            match self.cache_hit_rate() {
-                Some(r) => format!("{:.1}%", r * 100.0),
-                None => "n/a".to_string(),
-            },
         )
     }
 }
@@ -284,8 +259,6 @@ mod tests {
             arith_big_ops: 10,
             arith_promotions: 2,
             arena_bytes: 4096,
-            cache_hits: 3,
-            cache_misses: 1,
             box_checks: 4,
             box_prunes: 2,
             index_probes: 6,
@@ -296,8 +269,7 @@ mod tests {
             "pivots=31 lp_runs=4 eliminations=2 fm_atoms=12 \
              disjuncts=5(+1 pruned) sat_checks=3 entailment_checks=1 \
              arith_ops=90small/10big(+2 promoted) arena_bytes=4096 \
-             box_checks=4(-2 pruned) index_probes=6(-5 pruned) \
-             cache_hits=3 cache_misses=1 cache_hit_rate=75.0%"
+             box_checks=4(-2 pruned) index_probes=6(-5 pruned)"
         );
         assert_eq!(stats.arith_small_hit_rate(), Some(0.9));
     }
@@ -312,7 +284,6 @@ mod tests {
             fm_atoms: 12,
             box_checks: 3,
             box_prunes: 1,
-            cache_hits: 2,
             arena_bytes: 64,
             index_probes: 2,
             index_pruned: 9,
@@ -326,34 +297,26 @@ mod tests {
         assert_eq!(inv.lp_runs, 0);
         assert_eq!(inv.box_checks, 0);
         assert_eq!(inv.box_prunes, 0);
-        assert_eq!(inv.cache_hits, 0);
         assert_eq!(inv.arena_bytes, 0);
         assert_eq!(inv.index_probes, 0);
         assert_eq!(inv.index_pruned, 0);
     }
 
     #[test]
-    fn display_without_cache_probes_says_na() {
-        let stats = EngineStats::default();
-        assert!(stats.to_string().ends_with("cache_hit_rate=n/a"));
-        assert!(stats.to_string().contains("cache_misses=0"));
-    }
-
-    #[test]
     fn delta_since_subtracts_per_counter() {
         let later = EngineStats {
             pivots: 10,
-            cache_hits: 4,
+            box_prunes: 4,
             ..Default::default()
         };
         let earlier = EngineStats {
             pivots: 7,
-            cache_hits: 1,
+            box_prunes: 1,
             ..Default::default()
         };
         let d = later.delta_since(&earlier);
         assert_eq!(d.pivots, 3);
-        assert_eq!(d.cache_hits, 3);
+        assert_eq!(d.box_prunes, 3);
         assert_eq!(d.lp_runs, 0);
         // Saturates instead of wrapping on mismatched snapshots.
         assert_eq!(earlier.delta_since(&later).pivots, 0);

@@ -21,7 +21,7 @@
 //! Queries run under the engine's *interactive* evaluation budget, so an
 //! adversarial constraint blowup reports `evaluation budget exceeded`
 //! instead of hanging the shell. `:stats` toggles a per-query engine
-//! statistics line (pivots, FM atoms, disjuncts, cache hits).
+//! statistics line (pivots, FM atoms, disjuncts, sat/entailment checks).
 //!
 //! `:explain <query>` prints the static operator plan (extent sizes,
 //! constraint atom/disjunct counts, the algebra rewrite rules that
@@ -213,15 +213,11 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
             if src.is_empty() {
                 println!("usage: :check <query>  (single line, ';' optional)");
             } else {
-                let diags = lyric_analyze::analyze_src(
-                    db.schema(),
-                    src,
-                    &lyric_analyze::AnalyzerOptions::deep(),
-                );
+                let diags = lyric::analyze_src(db.schema(), src, &lyric::AnalyzerOptions::deep());
                 if diags.is_empty() {
                     println!("ok: no diagnostics");
                 } else {
-                    print!("{}", lyric_analyze::render_all(&diags, src));
+                    print!("{}", lyric::diag::render_all(&diags, src));
                 }
             }
         }

@@ -12,9 +12,13 @@
 //! * Canonicalization preserves emptiness, so a WHERE `(φ)` may decide
 //!   satisfiability on the uncanonicalized object: checked on objects with
 //!   bound variables and `≠` atoms.
+//! * On the same objects canonicalization is idempotent, which is what
+//!   lets a CST oid canonicalize once and rename the result: its identity
+//!   carrier equals the object's `canonical_form`.
 
 use lyric::constraint::{Atom, Conjunction, CstObject, NormOp, Var};
 use lyric::engine::{run, EngineStats, ExecOptions};
+use lyric::oodb::CstOid;
 use lyric_bench::workload;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -157,6 +161,44 @@ fn neq_atom(r: &mut StdRng) -> Atom {
     }
 }
 
+/// The objects the canonicalization properties run on: a quantified
+/// object over `v0` (`v1`, `v2` bound) with one or two `≠` atoms per
+/// disjunct, some disjuncts unsatisfiable by construction, where
+/// `degenerate` adds `v1 = v2 ∧ v1 ≠ v2` to every disjunct; and a
+/// `quantified_region` punctured by one `≠` atom per disjunct.
+fn punctured_objects(seed: u64) -> (CstObject, bool, CstObject) {
+    let mut r = workload::rng(seed);
+    let dnf = workload::random_dnf(&mut r, 4, 3, 3);
+    let degenerate = r.gen_range(0..4) == 0;
+    let disjuncts: Vec<Conjunction> = dnf
+        .disjuncts()
+        .iter()
+        .map(|d| {
+            let mut d = d.and_atom(neq_atom(&mut r));
+            if r.gen_bool(0.5) {
+                d = d.and_atom(neq_atom(&mut r));
+            }
+            if degenerate {
+                let (v1, v2) = (Var::new("v1"), Var::new("v2"));
+                d = d
+                    .and_atom(Atom::eq(v1.clone(), v2.clone()))
+                    .and_atom(Atom::neq(v1, v2));
+            }
+            d
+        })
+        .collect();
+    let obj = CstObject::new(vars(&["v0"]), disjuncts);
+    let region = workload::quantified_region(&mut r);
+    let punctured = CstObject::new(
+        region.free().to_vec(),
+        region
+            .disjuncts()
+            .iter()
+            .map(|d| d.and_atom(neq_atom(&mut r))),
+    );
+    (obj, degenerate, punctured)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -219,40 +261,24 @@ proptest! {
 
     #[test]
     fn canonicalization_preserves_emptiness(seed in 0u64..1_000_000) {
-        let mut r = workload::rng(seed);
-        // Quantified objects over v0 (v1, v2 bound) with one or two `≠`
-        // atoms per disjunct; some disjuncts are unsatisfiable by
-        // construction, and `v1 = v2 ∧ v1 ≠ v2` pins the degenerate case.
-        let dnf = workload::random_dnf(&mut r, 4, 3, 3);
-        let degenerate = r.gen_range(0..4) == 0;
-        let disjuncts: Vec<Conjunction> = dnf
-            .disjuncts()
-            .iter()
-            .map(|d| {
-                let mut d = d.and_atom(neq_atom(&mut r));
-                if r.gen_bool(0.5) {
-                    d = d.and_atom(neq_atom(&mut r));
-                }
-                if degenerate {
-                    let (v1, v2) = (Var::new("v1"), Var::new("v2"));
-                    d = d
-                        .and_atom(Atom::eq(v1.clone(), v2.clone()))
-                        .and_atom(Atom::neq(v1, v2));
-                }
-                d
-            })
-            .collect();
-        let obj = CstObject::new(vars(&["v0"]), disjuncts);
+        let (obj, degenerate, punctured) = punctured_objects(seed);
         prop_assert_eq!(obj.satisfiable(), obj.canonicalize().satisfiable(), "{}", obj);
         if degenerate {
             prop_assert!(!obj.satisfiable());
         }
-        let region = workload::quantified_region(&mut r);
-        let punctured = CstObject::new(
-            region.free().to_vec(),
-            region.disjuncts().iter().map(|d| d.and_atom(neq_atom(&mut r))),
-        );
         prop_assert_eq!(punctured.satisfiable(), punctured.canonicalize().satisfiable());
+    }
+
+    #[test]
+    fn canonicalization_is_idempotent(seed in 0u64..1_000_000) {
+        let (obj, _, punctured) = punctured_objects(seed);
+        for o in [obj, punctured] {
+            let once = o.canonicalize();
+            prop_assert_eq!(once.canonicalize(), once.clone(), "{}", o);
+            let oid = CstOid::new(o.clone());
+            prop_assert_eq!(oid.canonical(), &o.canonical_form(), "{}", o);
+            prop_assert_eq!(oid.object(), &once, "{}", o);
+        }
     }
 }
 

@@ -6,9 +6,9 @@
 //! two-tier `i64`-inline representation) and once disabled (every value
 //! lives in the all-`BigInt` tier, exactly the pre-fast-path engine).
 //! The answers must be structurally identical and denotation-equal, and
-//! with the memo cache off the *semantic* engine counters (everything
-//! except the three arithmetic-tier op counters, which by construction
-//! differ between modes) must match exactly: same pivots, same FM
+//! the *semantic* engine counters (everything except the three
+//! arithmetic-tier op counters, which by construction differ between
+//! modes) must match exactly: same pivots, same FM
 //! eliminations, same entailment checks, same arena bytes. On top of
 //! that, the tier counters themselves are pinned: the BigInt-only run
 //! must report zero small-tier ops, and the fast run must actually use
@@ -37,9 +37,7 @@ const PAPER_QUERIES: [&str; 5] = [
 ];
 
 fn opts(fast: bool) -> ExecOptions {
-    ExecOptions::default()
-        .with_arith_fast(fast)
-        .with_cache(false)
+    ExecOptions::default().with_arith_fast(fast)
 }
 
 /// Structural equality plus denotation equality for constraint columns,

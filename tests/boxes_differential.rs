@@ -6,7 +6,7 @@
 //! for seeded random workloads, evaluation with `ExecOptions::boxes` on
 //! and off must produce structurally identical results at every thread
 //! count, with identical answer-driven counters (`prune_invariant`
-//! projects away the how-counters: LP work, arithmetic ops, cache and box
+//! projects away the how-counters: LP work, arithmetic ops, box and index
 //! probes). The suite runs under the CI `LYRIC_ARITH_FAST` matrix, so the
 //! guarantee is pinned across both arithmetic tiers too.
 //!
@@ -120,9 +120,9 @@ fn paper_queries_are_box_pruning_invariant() {
     }
 }
 
-/// A box-disjoint query actually prunes: nonzero `box_prunes`, and with
-/// the memo cache off every prune is a simplex run saved (strictly fewer
-/// `lp_runs` than the exact-LP baseline).
+/// A box-disjoint query actually prunes: nonzero `box_prunes`, and every
+/// prune is a simplex run saved (strictly fewer `lp_runs` than the
+/// exact-LP baseline).
 #[test]
 fn disjoint_windows_prune_and_save_lp_runs() {
     let db = paper_example::database();
@@ -134,7 +134,7 @@ fn disjoint_windows_prune_and_save_lp_runs() {
             &format!("disjoint at {threads} threads"),
         );
     }
-    let base = ExecOptions::default().with_cache(false).with_index(false);
+    let base = ExecOptions::default().with_index(false);
     let on = execute_with_options(&mut db.clone(), Q_DISJOINT, &base.clone().with_boxes(true))
         .expect("boxes-on run");
     let off = execute_with_options(&mut db.clone(), Q_DISJOINT, &base.with_boxes(false))
@@ -147,15 +147,15 @@ fn disjoint_windows_prune_and_save_lp_runs() {
     );
     assert!(
         on.stats.lp_runs < off.stats.lp_runs,
-        "with the cache off every prune must save an LP run ({} vs {})",
+        "every prune must save an LP run ({} vs {})",
         on.stats.lp_runs,
         off.stats.lp_runs
     );
 }
 
-/// The default-options path (boxes governed by `LYRIC_BOXES`, on unless
-/// set to 0) matches an explicit boxes-off run on answers — the guard
-/// that turning the feature on by default changed nothing observable.
+/// The default-options path (boxes on) matches an explicit boxes-off run
+/// on answers — the guard that turning the feature on by default changed
+/// nothing observable.
 #[test]
 fn default_options_match_exact_lp_answers() {
     let mut db = paper_example::database();

@@ -9,14 +9,12 @@ use lyric_bench::workload;
 use lyric_constraint::Var;
 use std::time::{Duration, Instant};
 
-/// Run `f` in an engine context under `budget`, with the memo cache on
-/// or off.
+/// Run `f` in an engine context under `budget`.
 fn run_under<T>(
     budget: EngineBudget,
-    cache: bool,
     f: impl FnOnce() -> T,
 ) -> Result<(T, EngineStats), BudgetExceeded> {
-    let opts = ExecOptions::default().with_budget(budget).with_cache(cache);
+    let opts = ExecOptions::default().with_budget(budget);
     run(&opts, None, f).map(|(value, stats, _)| (value, stats))
 }
 
@@ -43,11 +41,9 @@ fn dense_conjunction() -> (lyric_constraint::Conjunction, Vec<Var>) {
 fn fm_blowup_aborts_under_atom_budget() {
     let (conj, victims) = dense_conjunction();
     let started = Instant::now();
-    let err = run_under(
-        EngineBudget::unlimited().with_max_fm_atoms(10_000),
-        false,
-        || conj.eliminate_all(victims.iter()),
-    )
+    let err = run_under(EngineBudget::unlimited().with_max_fm_atoms(10_000), || {
+        conj.eliminate_all(victims.iter())
+    })
     .expect_err("40-atom elimination must cross the 10k FM-atom budget");
     assert_eq!(err.resource, Resource::FmAtoms);
     assert_eq!(err.limit, 10_000);
@@ -65,7 +61,6 @@ fn fm_blowup_aborts_under_deadline() {
     let started = Instant::now();
     let err = run_under(
         EngineBudget::unlimited().with_deadline(Duration::from_millis(100)),
-        false,
         || conj.eliminate_all(victims.iter()),
     )
     .expect_err("deadline must trip before the elimination completes");
@@ -85,11 +80,9 @@ fn dnf_negation_aborts_under_disjunct_budget() {
     // exponential corner the paper excludes from the disjunctive family.
     let mut r = workload::rng(7);
     let dnf = workload::random_dnf(&mut r, 12, 6, 3);
-    let err = run_under(
-        EngineBudget::unlimited().with_max_disjuncts(20_000),
-        false,
-        || dnf.negate(),
-    )
+    let err = run_under(EngineBudget::unlimited().with_max_disjuncts(20_000), || {
+        dnf.negate()
+    })
     .expect_err("negation of 12 disjuncts must cross the 20k disjunct budget");
     assert_eq!(err.resource, Resource::Disjuncts);
     assert!(err.consumed > err.limit, "{err}");
@@ -124,8 +117,8 @@ fn query_level_budget_returns_structured_error() {
 
 #[test]
 fn default_budget_leaves_results_unchanged() {
-    // The same statements through `execute` (unlimited budget, cache on)
-    // and `execute_budgeted(interactive)` answer identically.
+    // The same statements through `execute` (unlimited budget) and
+    // `execute_budgeted(interactive)` answer identically.
     let queries = [
         "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]",
         "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
@@ -152,7 +145,7 @@ fn library_results_identical_with_and_without_context() {
         let c = workload::random_conjunction(&mut r, 4, 8);
         let d = workload::random_dnf(&mut r, 6, 4, 3);
         let bare = (c.satisfiable(), d.simplify(), c.find_point());
-        let (ctx, stats) = run_under(EngineBudget::unlimited(), true, || {
+        let (ctx, stats) = run_under(EngineBudget::unlimited(), || {
             (c.satisfiable(), d.simplify(), c.find_point())
         })
         .expect("unlimited budget");

@@ -95,9 +95,7 @@ proptest! {
         let a = random_region(seed, 4, 4);
         let b = random_region(seed.wrapping_add(0x9E37), 4, 4);
         let run = |fast: bool| {
-            let o = lyric::ExecOptions::default()
-                .with_cache(false)
-                .with_arith_fast(fast);
+            let o = lyric::ExecOptions::default().with_arith_fast(fast);
             let (out, _stats, _) = lyric::engine::run(&o, None, || {
                 (a.and(&b), a.or(&b), a.simplify(), a.negate())
             })

@@ -156,7 +156,8 @@ fn paper_queries_are_explain_invariant() {
 }
 
 /// Repeated explained runs of one query keep the same shape hash while
-/// the memo cache warms (counters may differ; the shape may not).
+/// the process warms up — the first run builds the database's store
+/// index, the second reuses it (counters may differ; the shape may not).
 #[test]
 fn shape_hash_survives_cache_warming() {
     let db = paper_example::database();

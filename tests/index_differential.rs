@@ -10,9 +10,6 @@
 //! pruning can only ever *save* downstream work (`sat_checks` and
 //! `lp_runs` never increase), and the semantic counters are
 //! thread-count-invariant within each configuration.
-//!
-//! The memo cache stays off throughout so the two runs of each pair do
-//! identical logical work and the monotonicity claims are exact.
 
 use lyric::{execute_shared, paper_example, ExecOptions};
 use lyric_bench::workload::{self, Q_LINEAR};
@@ -41,7 +38,6 @@ fn opts(threads: usize, boxes: bool, index: bool) -> ExecOptions {
         .with_threads(threads)
         .with_boxes(boxes)
         .with_index(index)
-        .with_cache(false)
 }
 
 /// Structural equality plus denotation equality for constraint columns

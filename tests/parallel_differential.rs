@@ -5,11 +5,11 @@
 //! at 1, 2, 4, and 8 threads must be structurally identical to the serial
 //! answer (same columns, same rows, same order) — and, for constraint
 //! columns, denotation-equal by mutual entailment, so the check does not
-//! depend on any syntactic normalization accident. With the memo cache
-//! off, the evaluation is fully deterministic, so the merged per-worker
-//! [`lyric::EngineStats`] must equal the serial counters *exactly*; and a
-//! budget crossed under parallel execution must abort with the same
-//! resource classification as the serial run.
+//! depend on any syntactic normalization accident. The evaluation is fully
+//! deterministic, so the merged per-worker [`lyric::EngineStats`] must
+//! equal the serial counters *exactly*; and a budget crossed under
+//! parallel execution must abort with the same resource classification
+//! as the serial run.
 
 use lyric::{execute_with_options, paper_example, EngineBudget, ExecOptions};
 use lyric_bench::workload::{self, Q_LINEAR, Q_PAIRWISE};
@@ -77,23 +77,30 @@ fn paper_queries_parallel_equals_serial() {
     }
 }
 
-/// With the memo cache disabled the evaluation is deterministic, so the
-/// merged per-worker stat deltas must sum to *exactly* the serial
-/// counters — nothing double-counted in the shared-atomic mirror, nothing
-/// lost in the merge.
+/// The evaluation is deterministic, so under default options the merged
+/// per-worker stat deltas must sum to *exactly* the serial counters —
+/// nothing double-counted in the shared-atomic mirror, nothing lost in
+/// the merge. The count itself is pinned too: each answer row builds one
+/// CST oid from a one-disjunct object, and canonicalizing it (once) is
+/// the query's only satisfiability check.
 #[test]
 fn merged_worker_stats_equal_serial_counters() {
     let db = workload::office_db(10, 42);
-    let base = opts(1).with_cache(false);
-    let serial = execute_with_options(&mut db.clone(), Q_LINEAR, &base)
+    let serial = execute_with_options(&mut db.clone(), Q_LINEAR, &opts(1))
         .expect("linear query evaluates serially");
     for threads in THREAD_COUNTS {
-        let par = execute_with_options(&mut db.clone(), Q_LINEAR, &opts(threads).with_cache(false))
+        let par = execute_with_options(&mut db.clone(), Q_LINEAR, &opts(threads))
             .expect("linear query evaluates in parallel");
         assert_same_answer(&serial, &par, &format!("Q_LINEAR at {threads} threads"));
         assert_eq!(
             serial.stats, par.stats,
-            "cache-off stats must be exactly serial at {threads} threads"
+            "stats must be exactly serial at {threads} threads"
+        );
+        assert_eq!(
+            par.stats.sat_checks,
+            par.rows.len() as u64,
+            "one sat check per CST oid at {threads} threads: {}",
+            par.stats
         );
     }
 }
@@ -110,7 +117,7 @@ fn arith_tier_sweep_is_thread_count_invariant() {
             execute_with_options(
                 &mut db.clone(),
                 Q_PAIRWISE,
-                &opts(threads).with_cache(false).with_arith_fast(fast),
+                &opts(threads).with_arith_fast(fast),
             )
             .expect("pairwise query evaluates")
         };
@@ -195,9 +202,7 @@ fn dnf_operations_are_thread_count_invariant() {
             )
         };
         let run = |threads: usize| -> (Dnf, Dnf) {
-            let o = ExecOptions::default()
-                .with_cache(false)
-                .with_threads(threads);
+            let o = ExecOptions::default().with_threads(threads);
             let ((prod, simp), _stats, _) =
                 lyric::engine::run(&o, None, || (a.and(&b), a.simplify()))
                     .expect("unlimited budget");

@@ -4,7 +4,7 @@
 //! [`lyric::Database`] with jittered per-query thread counts and budgets;
 //! every answer must equal the precomputed serial answer, and budget trips
 //! must classify identically no matter which thread hit them. These runs
-//! exercise the sharded memo cache, the shared budget atomics, and the
+//! exercise the shared store index, the shared budget atomics, and the
 //! worker pool under genuine OS-level contention rather than the
 //! single-query fan-out the differential suite covers.
 
@@ -102,8 +102,8 @@ fn concurrent_budget_aborts_classify_identically() {
 }
 
 /// Soak: a longer seeded sweep alternating databases and thread counts on
-/// one OS thread pool, confirming no cross-query state leaks through the
-/// global memo cache generations.
+/// one OS thread pool, confirming no cross-query state leaks through
+/// per-database index slots or per-thread arenas and arithmetic modes.
 #[test]
 fn soak_alternating_databases_and_thread_counts() {
     let dbs: Vec<_> = (0..4u64)

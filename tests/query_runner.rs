@@ -110,11 +110,8 @@ fn every_entry_point_and_flag_runs_the_one_runner() {
     ];
     for threads in [1usize, 4] {
         for (name, query, budget) in &cases {
-            // The memo cache stays off so the semantic counters of two runs
-            // are comparable whatever the worker schedule.
             let base = ExecOptions::default()
                 .with_threads(threads)
-                .with_cache(false)
                 .with_budget(budget.clone());
             let plain = execute_with_options(&mut db.clone(), query, &base);
             for trace in [false, true] {
