@@ -67,26 +67,13 @@ fn main() {
                 "release"
             }),
         ),
-        ("git_rev", git_rev().map_or(Json::Null, Json::str)),
+        ("git_rev", Json::str(lyric::metrics::build::git_rev())),
         ("experiments", Json::Arr(report)),
     ]);
     match std::fs::write(REPORT_JSON, doc.to_string()) {
         Ok(()) => eprintln!("machine-readable report written to {REPORT_JSON}"),
         Err(e) => eprintln!("could not write {REPORT_JSON}: {e}"),
     }
-}
-
-/// The short git revision the report was generated from, if the working
-/// tree is a git checkout with `git` on PATH.
-fn git_rev() -> Option<String> {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
 }
 
 /// Run one experiment, timing it and collecting its JSON detail (if any)
@@ -914,10 +901,10 @@ fn e14() -> Json {
 }
 
 /// E15 — explain overhead. Two claims: (a) the explain additions —
-/// node-stamped spans, per-node row atomics, the trace→plan fold, the
-/// profile-store feed — cost < 5% over the *traced* evaluation EXPLAIN
-/// ANALYZE is built on (the trace collector itself predates this
-/// subsystem and is priced by E10); (b) the explain-off plain path is
+/// node-stamped spans, per-node row atomics, the trace→plan fold — cost
+/// < 5% over the *traced* evaluation EXPLAIN ANALYZE is built on (the
+/// trace collector itself predates this subsystem and is priced by
+/// E10); (b) the explain-off plain path is
 /// unchanged — its only addition is one armed-gate check per query, so
 /// two plain batches measured the same way bound its overhead by the
 /// noise floor. Batches alternate modes (the E12 protocol) so clock

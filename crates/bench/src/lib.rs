@@ -1,5 +1,5 @@
-//! Workloads, baselines and measurement harness for the LyriC
-//! reproduction benchmarks (experiments E1–E7 of DESIGN.md).
+//! Workloads, the raster oracle and the experiment report of the LyriC
+//! reproduction (experiments E1–E17 of EXPERIMENTS.md).
 //!
 //! The paper (SIGMOD 1995) reports no measured tables; its quantitative
 //! content is (a) worked examples with printed answers, (b) the PTIME
@@ -10,15 +10,20 @@
 //! provides everything needed to measure those claims:
 //!
 //! * [`workload`] — synthetic office databases (scaling §4.1 queries),
-//!   chemical-factory LP databases (§1.2), and random constraint
-//!   generators for the canonical-form and projection experiments;
-//! * [`gridrep`] — the "ad hoc direct representation" strawman: rasterized
-//!   point sets with bitmap intersection/containment.
+//!   chemical-factory LP databases (§1.2), the store-index scaling
+//!   database (E16), and random constraint generators for the
+//!   canonical-form and projection experiments;
+//! * [`gridrep`] — the "ad hoc direct representation" strawman and the
+//!   raster oracle: rasterized point sets with bitmap
+//!   intersection/containment.
 //!
 //! The `report` binary (`cargo run -p lyric-bench --bin report --release`)
 //! prints every experiment as a markdown table; the Criterion benches
 //! (`cargo bench`) time the same operations, printing one median
 //! `ns/iter` line each (the in-tree shim does no statistical analysis).
+//! The workspace's differential test suites draw their databases from
+//! [`workload`], and `tests/dnf_differential.rs` checks the DNF algebra
+//! against [`gridrep`]'s rasters.
 
 pub mod gridrep;
 pub mod workload;

@@ -120,8 +120,9 @@ pub const Q_PAIRWISE: &str = "SELECT X, Y
 /// corner sits at a seeded random position in `[0, n) × [0, 1000)`.
 /// Selective probes over `weight` hit the sorted scalar column and
 /// selective windows over `region` hit the paged bounding-box column,
-/// while a full scan pays one binding per object; E16 and the
-/// `index_smoke` CI binary race the two against each other.
+/// while a full scan pays one binding per object; E16 races the two
+/// against each other, and `tests/index_differential.rs` checks that
+/// they agree.
 pub fn scaling_db(n: usize, seed: u64) -> Database {
     let mut r = rng(seed);
     let mut schema = Schema::new();

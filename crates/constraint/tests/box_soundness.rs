@@ -4,7 +4,7 @@
 //!
 //! * an empty [`IntervalBox`] implies `Conjunction::satisfiable() == false`;
 //! * every satisfying point the exact solver can produce lies inside the
-//!   inferred box.
+//!   inferred box, and so does every per-variable LP extremum.
 //!
 //! The converse direction is explicitly *not* promised — a nonempty box
 //! proves nothing (boxes ignore all inter-variable geometry beyond what
@@ -14,7 +14,7 @@
 //! (bit-identical answers with pruning on and off).
 
 use lyric_arith::Rational;
-use lyric_constraint::{Atom, Conjunction, IntervalBox, LinExpr, Var};
+use lyric_constraint::{Atom, Conjunction, CstObject, IntervalBox, LinExpr, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,6 +68,25 @@ proptest! {
         let bx = IntervalBox::of_conjunction(&c);
         if let Some(p) = c.find_point() {
             prop_assert!(bx.contains(&p), "witness {p:?} escapes box {bx} of {c}");
+        }
+    }
+
+    /// Soundness against the LP's extrema: every per-variable
+    /// `bounding_box` bound lies inside the box side (closed), and a
+    /// direction the LP finds unbounded is an infinite box side.
+    #[test]
+    fn lp_extrema_lie_inside_the_box(seed in 0u64..1_000_000, m in 1usize..7) {
+        let c = random_conjunction(seed, 3, m);
+        let obj = CstObject::from_conjunction(c.vars().into_iter().collect(), c);
+        if let Some(lp) = obj.bounding_box() {
+            let bx = obj.interval_box();
+            prop_assert!(!bx.is_empty(), "box empty but LP-satisfiable: {obj}");
+            for (v, (lo, hi)) in obj.free().iter().zip(&lp) {
+                let iv = bx.interval(v);
+                let below = iv.lo().is_none_or(|(b, _)| lo.as_ref().is_some_and(|m| b <= m));
+                let above = iv.hi().is_none_or(|(b, _)| hi.as_ref().is_some_and(|m| b >= m));
+                prop_assert!(below && above, "box {iv} for {v} excludes LP {lo:?}..{hi:?} in {obj}");
+            }
         }
     }
 

@@ -23,11 +23,9 @@
 //!   exactly, which equals the traced total up to the collector's
 //!   saturating-subtraction tolerance on serial runs.
 //!
-//! Every analyzed run also feeds the process-lifetime cost-profile store
-//! (`lyric_metrics::profile`), keyed by `(shape hash, node id)`; and when
-//! `LYRIC_SLOW_EXPLAIN=1` arms slow-query forensics, the runner explains
-//! every SELECT so the slow-query log line can carry the top-3-nodes
-//! summary ([`ExplainReport::summary_json`]).
+//! When `LYRIC_SLOW_EXPLAIN=1` arms slow-query forensics, the runner
+//! explains every SELECT so the slow-query log line can carry the
+//! top-3-nodes summary ([`ExplainReport::summary_json`]).
 //!
 //! Node ids are assigned in preorder (`0` = the SELECT root) and are
 //! stable for a given query text. The node map uses AST pointer identity:
@@ -46,8 +44,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The product of [`explain`] and of an explained run: the plan tree,
-/// the runtime attribution (absent for plain EXPLAIN), and the shape hash
-/// keying the cost-profile store.
+/// the runtime attribution (absent for plain EXPLAIN), and the plan's
+/// shape hash.
 #[derive(Debug, Clone)]
 pub struct ExplainReport {
     /// The operator tree with static annotations.
@@ -121,33 +119,16 @@ pub(crate) fn slow_explain_active() -> bool {
 }
 
 /// EXPLAIN ANALYZE's attribution: fold an explained run's trace onto its
-/// plan, fill in the evaluator's per-node row counters, and feed the
-/// cost-profile store one observation per node.
+/// plan and fill in the evaluator's per-node row counters.
 pub(crate) fn analyzed(plan: PlanNode, info: &ExplainInfo, trace: &Trace) -> ExplainReport {
-    let shape_hash = plan.shape_hash();
     let mut analysis = plan::analyze(&plan, trace);
     for (id, obs) in analysis.nodes.iter_mut().enumerate() {
         (obs.rows_in, obs.rows_out) = info.rows_of(id as u32);
     }
-    for node in plan.by_id() {
-        let obs = &analysis.nodes[node.id as usize];
-        let counters = obs.stats.nonzero_counters();
-        lyric_metrics::profile::record(
-            shape_hash,
-            node.id,
-            node.op,
-            &lyric_metrics::profile::Obs {
-                self_us: obs.self_time.as_secs_f64() * 1e6,
-                rows_in: obs.rows_in,
-                rows_out: obs.rows_out,
-                counters: &counters,
-            },
-        );
-    }
     ExplainReport {
+        shape_hash: plan.shape_hash(),
         plan,
         analysis: Some(analysis),
-        shape_hash,
     }
 }
 

@@ -7,8 +7,9 @@
 //! counters are flushed into their cumulative registry counters exactly
 //! once, at the [`run`](crate::run) boundary teardown — after all
 //! worker deltas have been merged — so the registry totals are *exactly*
-//! the sum of every query's final stats (the `metrics_smoke` CI binary
-//! asserts this equality over a live `/metrics` scrape).
+//! the sum of every query's final stats (`tests/metrics_consistency.rs`
+//! asserts this equality in process, and `lyric-serve`'s
+//! `tests/metrics_scrape.rs` over a live `/metrics` scrape).
 
 use crate::{BudgetExceeded, Resource};
 use lyric_metrics::{Counter, Gauge, Histogram, LocalHistogram};

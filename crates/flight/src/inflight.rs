@@ -306,29 +306,38 @@ mod tests {
         }
     }
 
+    /// Is slot `id` registered? Other tests in this binary register
+    /// concurrently, so each test checks its own slot, not `len()`.
+    fn registered(id: u64) -> bool {
+        snapshot().iter().any(|s| s.id == id)
+    }
+
     #[test]
     fn guard_registers_and_deregisters() {
-        let before = len();
         let g = register(desc("SELECT X FROM Desk X"));
-        assert_eq!(len(), before + 1);
+        let id = g.id();
+        assert!(registered(id));
         g.progress().pivots.fetch_add(250, Ordering::Relaxed);
         let snap = current_snapshot().expect("this thread registered");
         assert_eq!(snap.counters[0], 250);
         assert_eq!(snap.budget_pct, Some(25));
         drop(g);
-        assert_eq!(len(), before);
+        assert!(!registered(id));
         assert!(current_snapshot().is_none());
     }
 
     #[test]
     fn guard_survives_a_panic_exit() {
-        let before = len();
+        let id = AtomicU64::new(0);
         let result = std::panic::catch_unwind(|| {
-            let _g = register(desc("SELECT Y FROM Desk Y"));
+            let g = register(desc("SELECT Y FROM Desk Y"));
+            id.store(g.id(), Ordering::Relaxed);
             panic!("mid-query");
         });
         assert!(result.is_err());
-        assert_eq!(len(), before, "drop ran during unwind");
+        let id = id.into_inner();
+        assert_ne!(id, 0, "the slot registered before the panic");
+        assert!(!registered(id), "drop ran during unwind");
     }
 
     #[test]

@@ -3,40 +3,25 @@
 //!
 //! Production triage starts with "what exactly is running?": a scrape or
 //! a black-box dump is only actionable if it names the revision that
-//! produced it. `BENCH_report.json` has carried the git revision since
-//! E12; this module makes the same identity available at runtime to
-//! every surface — the Prometheus exposition (a gauge-style `…_info`
-//! metric with the values as labels and a constant sample of 1, the
-//! Prometheus idiom for build metadata), the structured query log
-//! (`git_rev` on every line), and `lyric-flight` anomaly dumps.
+//! produced it. This module is the one source of that identity for every
+//! surface — the Prometheus exposition (a gauge-style `…_info` metric
+//! with the values as labels and a constant sample of 1, the Prometheus
+//! idiom for build metadata), the structured query log (`git_rev` on
+//! every line), `lyric-flight` anomaly dumps, `GET /version`, and the
+//! bench report's `BENCH_report.json`.
 //!
-//! The revision is resolved once per process: the `LYRIC_GIT_REV`
-//! environment variable wins (containers without a `.git` checkout set
-//! it at deploy time), then `git rev-parse --short HEAD` (matching the
-//! bench `report` binary), then the literal `"unknown"`.
+//! The revision is fixed when this crate is compiled, by its build
+//! script: `git rev-parse --short HEAD` in the source checkout, else the
+//! `LYRIC_GIT_REV` variable of the build environment (for source trees
+//! without `.git`), else the literal `"unknown"`. A running process never
+//! shells out to `git`, so the revision it reports does not depend on the
+//! directory it was started from.
 
 use std::sync::OnceLock;
 
-/// The short git revision of the running build, or `"unknown"`.
+/// The short git revision this build was compiled from, or `"unknown"`.
 pub fn git_rev() -> &'static str {
-    static REV: OnceLock<String> = OnceLock::new();
-    REV.get_or_init(|| {
-        if let Ok(rev) = std::env::var("LYRIC_GIT_REV") {
-            let rev = rev.trim().to_string();
-            if !rev.is_empty() {
-                return rev;
-            }
-        }
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string())
-    })
+    env!("LYRIC_BUILD_GIT_REV")
 }
 
 /// The workspace crate version (`CARGO_PKG_VERSION` of this build).
@@ -57,9 +42,8 @@ pub fn host_parallelism() -> &'static str {
 }
 
 /// Register the `lyric_build_info` gauge in the global registry (idempotent)
-/// and set its constant sample of 1. Called by every long-lived surface at
-/// startup — the engine's metric bootstrap, `lyric-serve`, the REPL, the
-/// bench `report` binary — so a `/metrics` scrape always identifies the
+/// and set its constant sample of 1. `lyric-serve` and the REPL call it at
+/// startup, so their `/metrics` scrape and `:metrics` table identify the
 /// build even before the first query.
 pub fn register_build_info() {
     crate::global()
@@ -82,7 +66,11 @@ mod tests {
     #[test]
     fn identity_is_stable_and_nonempty() {
         assert!(!git_rev().is_empty());
-        assert_eq!(git_rev(), git_rev());
+        assert_eq!(
+            git_rev(),
+            env!("LYRIC_BUILD_GIT_REV"),
+            "fixed at compile time"
+        );
         assert_eq!(version(), env!("CARGO_PKG_VERSION"));
         assert!(host_parallelism().parse::<u64>().unwrap() >= 1);
     }

@@ -13,8 +13,7 @@
 //!   and p50/p90/p99/max quantile estimation (see [`hist`] for the
 //!   documented error bound);
 //! * Prometheus text-format 0.0.4 exposition via [`render_prometheus`],
-//!   with a validating [`prometheus::parse`] used by the tests and the
-//!   `metrics_smoke` CI binary;
+//!   with a validating [`prometheus::parse`] used by the tests;
 //! * the per-query record every sink reads ([`querylog::QueryRecord`])
 //!   and the structured JSON query log written from it: one line per
 //!   query with the query hash, row count, duration, per-query engine
@@ -32,7 +31,6 @@
 
 pub mod build;
 pub mod hist;
-pub mod profile;
 pub mod prometheus;
 pub mod querylog;
 mod registry;

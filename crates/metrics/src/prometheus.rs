@@ -391,8 +391,8 @@ pub fn parse(text: &str) -> Result<Exposition, ParseError> {
     Ok(Exposition { families })
 }
 
-/// Convenience for tests and smoke binaries: the value of the sample
-/// `name` with `labels` (order-insensitive), if present.
+/// Convenience for tests: the value of the sample `name` with `labels`
+/// (order-insensitive), if present.
 pub fn sample_value(exp: &Exposition, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
     let mut want: Vec<(String, String)> = labels
         .iter()

@@ -227,8 +227,8 @@ impl Write for BufSink {
     }
 }
 
-/// Install an in-memory sink and return the shared buffer — the test and
-/// smoke-binary hook for asserting on log output.
+/// Install an in-memory sink and return the shared buffer — the test hook
+/// for asserting on log output.
 pub fn capture() -> Arc<Mutex<Vec<u8>>> {
     let buf = Arc::new(Mutex::new(Vec::new()));
     set_sink(Some(Box::new(BufSink(Arc::clone(&buf)))));

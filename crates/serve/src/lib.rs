@@ -8,9 +8,6 @@
 //! * `GET /healthz` — liveness (`ok`);
 //! * `GET /version` — build identity: crate version, git revision, and
 //!   the host's available parallelism, as JSON;
-//! * `GET /profiles` — the cost-profile store
-//!   (`lyric::metrics::profile::snapshot_json`): decayed per-plan-node
-//!   observations keyed by query shape, fed by every explained run;
 //! * `GET /debug/inflight` — the in-flight query registry
 //!   (`lyric::flight::inflight`): every currently-executing query with
 //!   its live progress counters and percent-of-budget;
@@ -35,10 +32,10 @@
 //! `std::net::TcpListener`, HTTP/1.0-style request parsing (request
 //! line, headers, `Content-Length` body), one thread per connection,
 //! and `Connection: close` on every response. That is all a Prometheus
-//! scraper or a smoke-test client needs.
+//! scraper or a test client needs.
 //!
 //! [`Server::bind`] on port 0 picks an ephemeral port, which is how the
-//! `metrics_smoke` CI binary drives an in-process instance.
+//! tests and the benchmark in `perfbench/` drive an in-process instance.
 
 #![warn(missing_docs)]
 
@@ -94,7 +91,7 @@ impl Server {
     }
 
     /// Run the accept loop on a detached background thread, returning the
-    /// bound address. Used by in-process clients (`metrics_smoke`, tests);
+    /// bound address. Used by in-process clients (tests, `perfbench/`);
     /// the thread lives until process exit.
     pub fn spawn(self) -> std::io::Result<SocketAddr> {
         let addr = self.local_addr()?;
@@ -247,11 +244,10 @@ fn run_query(db: &Database, opts: &ExecOptions, body: &str) -> Result<Json, Stri
 
 /// Every path the server answers, for the 404 body and the startup
 /// banner.
-pub const ENDPOINTS: [&str; 8] = [
+pub const ENDPOINTS: [&str; 7] = [
     "GET /metrics",
     "GET /healthz",
     "GET /version",
-    "GET /profiles",
     "GET /debug/inflight",
     "GET /debug/flight",
     "GET /debug/caches",
@@ -323,13 +319,6 @@ fn handle_connection(
             "application/json",
             &version_json().to_string(),
         ),
-        ("GET", "/profiles") => write_response(
-            &mut stream,
-            200,
-            "OK",
-            "application/json",
-            &lyric::metrics::profile::snapshot_json(),
-        ),
         ("GET", "/debug/inflight") => write_response(
             &mut stream,
             200,
@@ -382,8 +371,8 @@ fn handle_connection(
     }
 }
 
-/// A tiny HTTP/1.0 client for the smoke binary and tests: send `method
-/// path` with `body` to `addr`, returning `(status, body)`.
+/// A tiny HTTP/1.0 client for tests and benchmarks: send `method path`
+/// with `body` to `addr`, returning `(status, body)`.
 pub fn http_request(
     addr: SocketAddr,
     method: &str,
@@ -414,6 +403,8 @@ pub fn http_request(
 mod tests {
     use super::*;
 
+    const Q: &str = "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]";
+
     fn test_server() -> SocketAddr {
         let db = Arc::new(lyric::paper_example::database());
         let opts = ExecOptions::default().with_threads(2);
@@ -428,19 +419,31 @@ mod tests {
         let addr = test_server();
         let (status, body) = http_request(addr, "GET", "/healthz", "").unwrap();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
-        // 404s are structured JSON enumerating every endpoint.
-        let (status, body) = http_request(addr, "GET", "/nope", "").unwrap();
+        // Every listed endpoint is routed.
+        for endpoint in ENDPOINTS {
+            let (method, path) = endpoint.split_once(' ').unwrap();
+            let body = if method == "POST" { Q } else { "" };
+            let (status, reply) = http_request(addr, method, path, body).unwrap();
+            assert_eq!(status, 200, "{endpoint}: {reply}");
+        }
+        // An unlisted path answers a structured JSON 404 that lists every
+        // endpoint.
+        let unknown = "/profiles";
+        let (status, body) = http_request(addr, "GET", unknown, "").unwrap();
         assert_eq!(status, 404);
         let json = lyric::trace::json::parse(&body).expect("404 body is valid JSON");
         assert!(json
             .get("error")
             .and_then(Json::as_str)
-            .is_some_and(|m| m.contains("/nope")));
-        let endpoints = json.get("endpoints").and_then(Json::as_arr).unwrap();
-        assert_eq!(endpoints.len(), ENDPOINTS.len());
-        assert!(endpoints
+            .is_some_and(|m| m.contains(unknown)));
+        let endpoints: Vec<&str> = json
+            .get("endpoints")
+            .and_then(Json::as_arr)
+            .unwrap()
             .iter()
-            .any(|e| e.as_str() == Some("GET /debug/inflight")));
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(endpoints, ENDPOINTS);
     }
 
     #[test]
@@ -453,15 +456,33 @@ mod tests {
             assert!(json.get(key).is_some(), "missing {key}");
         }
 
+        // The build identity reaches the scrape as labels on a constant 1.
+        lyric::metrics::build::register_build_info();
+        let (status, body) = http_request(addr, "GET", "/metrics", "").unwrap();
+        assert_eq!(status, 200);
+        let scrape = lyric::metrics::prometheus::parse(&body).expect("scrape parses");
+        let labels = [
+            ("git_rev", lyric::metrics::build::git_rev()),
+            ("version", lyric::metrics::build::version()),
+            (
+                "host_parallelism",
+                lyric::metrics::build::host_parallelism(),
+            ),
+        ];
+        assert_eq!(
+            lyric::metrics::prometheus::sample_value(&scrape, "lyric_build_info", &labels),
+            Some(1.0)
+        );
+
         // A query so the recorder ring has something to show.
-        let q = "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]";
-        let (status, _) = http_request(addr, "POST", "/query", q).unwrap();
+        let (status, _) = http_request(addr, "POST", "/query", Q).unwrap();
         assert_eq!(status, 200);
 
         let (status, body) = http_request(addr, "GET", "/debug/flight", "").unwrap();
         assert_eq!(status, 200);
         let json = lyric::trace::json::parse(&body).expect("flight is valid JSON");
-        assert!(json.get("queries").and_then(Json::as_arr).is_some());
+        let completed = json.get("queries").and_then(Json::as_arr).unwrap();
+        assert!(!completed.is_empty(), "the ring holds the completed query");
         assert!(json.get("query_capacity").is_some());
 
         let (status, body) = http_request(addr, "GET", "/debug/inflight", "").unwrap();
@@ -492,8 +513,7 @@ mod tests {
     #[test]
     fn query_endpoint_answers_and_rejects() {
         let addr = test_server();
-        let q = "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]";
-        let (status, body) = http_request(addr, "POST", "/query", q).unwrap();
+        let (status, body) = http_request(addr, "POST", "/query", Q).unwrap();
         assert_eq!(status, 200, "body: {body}");
         let json = lyric::trace::json::parse(&body).expect("response is valid JSON");
         assert!(json.get("row_count").is_some());
@@ -524,11 +544,6 @@ mod tests {
         let plan = json.get("plan").expect("explain=true returns a plan");
         lyric::trace::plan::validate_plan_json(&plan.to_string()).expect("plan validates");
         assert!(plan.get("total_us").is_some(), "plan is analyzed");
-        // The explained run fed the cost-profile store.
-        let (status, profiles) = http_request(addr, "GET", "/profiles", "").unwrap();
-        assert_eq!(status, 200);
-        let doc = lyric::trace::json::parse(&profiles).unwrap();
-        assert!(doc.get("profiles").and_then(Json::as_arr).is_some());
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! The attribution fold is total: spans without a node id (LP solves, FM
 //! eliminations, parse/analyze phases, worker roots) are charged to their
 //! nearest annotated ancestor, the root span to plan node 0. Hence two
-//! pinned invariants, checked by `tests/explain_differential.rs` and the
-//! `explain_smoke` CI binary:
+//! pinned invariants, checked by `tests/explain_differential.rs`:
 //!
 //! * Σ over nodes of exclusive counters **equals the trace's root stats
 //!   exactly** (counters are monotonic; nothing is lost or counted twice);
@@ -120,7 +119,8 @@ impl PlanNode {
     /// FNV-1a hash of the plan *shape*: operators, labels, static
     /// annotations and tree structure — everything except runtime
     /// observations and extent sizes (so the same query text hashes
-    /// identically as the database grows). Keys the cost-profile store.
+    /// identically as the database grows). The plan JSON carries it as
+    /// `shape_hash`.
     pub fn shape_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         fn feed(h: &mut u64, bytes: &[u8]) {
@@ -404,13 +404,13 @@ pub fn plan_to_json(plan: &PlanNode, analysis: Option<&PlanAnalysis>) -> Json {
 }
 
 /// Structural validation of an explain-plan JSON document, shared by the
-/// test suite and the `explain_smoke` CI binary: the document must parse,
-/// carry `version` 1, a 16-hex-digit `shape_hash` and a `plan` tree whose
-/// nodes all have a numeric `id`, a string `op` and a `children` array,
-/// with ids dense in `0..node_count`. For analyzed documents (`total_us`
-/// present) every node must carry an `analyze` object with numeric
-/// `self_us`/`total_us`/rows, and the node `self_us` values must sum to
-/// `total_self_us` (within float tolerance). Returns the node count.
+/// test suites: the document must parse, carry `version` 1, a
+/// 16-hex-digit `shape_hash` and a `plan` tree whose nodes all have a
+/// numeric `id`, a string `op` and a `children` array, with ids dense in
+/// `0..node_count`. For analyzed documents (`total_us` present) every
+/// node must carry an `analyze` object with numeric `self_us`/`total_us`/
+/// rows, and the node `self_us` values must sum to `total_self_us`
+/// (within float tolerance). Returns the node count.
 pub fn validate_plan_json(text: &str) -> Result<usize, String> {
     let doc = crate::json::parse(text).map_err(|e| e.to_string())?;
     if doc.get("version").and_then(Json::as_f64) != Some(1.0) {

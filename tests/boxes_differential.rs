@@ -13,8 +13,10 @@
 //! Accounting invariants ride along: with boxes on, every satisfiability
 //! check consults the box exactly once (`box_checks == sat_checks`); with
 //! boxes off both box counters are zero; and pruning can only ever save
-//! LP runs, never add them.
+//! LP runs, never add them. Every constraint cell the paper queries
+//! return has a box that holds its LP extrema.
 
+use lyric::constraint::CstObject;
 use lyric::{execute_with_options, paper_example, ExecOptions};
 use lyric_bench::workload::{self, Q_LINEAR};
 use proptest::prelude::*;
@@ -69,9 +71,42 @@ fn assert_same_answer(a: &lyric::QueryResult, b: &lyric::QueryResult, label: &st
     }
 }
 
+/// The box of an answer cell is sound against the LP: the object is
+/// LP-unsat or has a nonempty box, every per-variable `bounding_box`
+/// bound lies inside the box side (closed), and an LP-unbounded side is
+/// an infinite box side.
+fn assert_box_holds_lp_extrema(obj: &CstObject, label: &str) {
+    let Some(lp) = obj.bounding_box() else {
+        return;
+    };
+    let bx = obj.interval_box();
+    assert!(
+        !bx.is_empty(),
+        "{label}: box empty but LP-satisfiable: {obj}"
+    );
+    for (v, (lo, hi)) in obj.free().iter().zip(&lp) {
+        let iv = bx.interval(v);
+        let below = iv
+            .lo()
+            .is_none_or(|(b, _)| lo.as_ref().is_some_and(|m| b <= m));
+        let above = iv
+            .hi()
+            .is_none_or(|(b, _)| hi.as_ref().is_some_and(|m| b >= m));
+        assert!(
+            below && above,
+            "{label}: box {iv} for {v} excludes LP {lo:?}..{hi:?} in {obj}"
+        );
+    }
+}
+
 /// Run one query twice (boxes on / boxes off) and assert the full
-/// observational-equivalence bundle.
-fn assert_boxes_free(db: &lyric::oodb::Database, q: &str, threads: usize, label: &str) {
+/// observational-equivalence bundle. Returns the boxes-on answer.
+fn assert_boxes_free(
+    db: &lyric::oodb::Database,
+    q: &str,
+    threads: usize,
+    label: &str,
+) -> lyric::QueryResult {
     let on = execute_with_options(&mut db.clone(), q, &opts(threads, true))
         .unwrap_or_else(|e| panic!("{label}: boxes-on run failed: {e}"));
     let off = execute_with_options(&mut db.clone(), q, &opts(threads, false))
@@ -101,28 +136,30 @@ fn assert_boxes_free(db: &lyric::oodb::Database, q: &str, threads: usize, label:
         on.stats.box_prunes <= on.stats.box_checks,
         "{label}: more prunes than checks"
     );
+    on
 }
 
 /// Every §4.1 paper query, at one and four threads: answers and
-/// answer-driven counters are bit-identical with pruning on and off.
+/// answer-driven counters are bit-identical with pruning on and off, and
+/// every constraint cell's box holds its LP extrema.
 #[test]
 fn paper_queries_are_box_pruning_invariant() {
     let db = paper_example::database();
     for (i, q) in PAPER_QUERIES.iter().enumerate() {
         for threads in [1usize, 4] {
-            assert_boxes_free(
-                &db,
-                q,
-                threads,
-                &format!("paper query {i} at {threads} threads"),
-            );
+            let label = format!("paper query {i} at {threads} threads");
+            let on = assert_boxes_free(&db, q, threads, &label);
+            for cst in on.rows.iter().flatten().filter_map(|cell| cell.as_cst()) {
+                assert_box_holds_lp_extrema(cst, &label);
+            }
         }
     }
 }
 
 /// A box-disjoint query actually prunes: nonzero `box_prunes`, and every
 /// prune is a simplex run saved (strictly fewer `lp_runs` than the
-/// exact-LP baseline).
+/// exact-LP baseline). With the store index on, the probe prunes every
+/// candidate itself and the answer is the same.
 #[test]
 fn disjoint_windows_prune_and_save_lp_runs() {
     let db = paper_example::database();
@@ -150,6 +187,18 @@ fn disjoint_windows_prune_and_save_lp_runs() {
         "every prune must save an LP run ({} vs {})",
         on.stats.lp_runs,
         off.stats.lp_runs
+    );
+    let indexed = execute_with_options(
+        &mut db.clone(),
+        Q_DISJOINT,
+        &ExecOptions::default().with_boxes(true).with_index(true),
+    )
+    .expect("index-on run");
+    assert_eq!(indexed, on, "the index changed the disjoint answer");
+    assert!(
+        indexed.stats.index_pruned > 0,
+        "the index must prune: {}",
+        indexed.stats
     );
 }
 

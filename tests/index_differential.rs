@@ -129,22 +129,28 @@ fn office_workload_is_index_invariant() {
 
 /// The scaling workload's selective probes across the matrix — and here
 /// the index must actually bite: each probe fires and prunes most of the
-/// extent, yet the answers stay bit-identical to the scans above.
+/// extent, yet the answers stay bit-identical to the scans above. The
+/// same holds on the database reloaded from its snapshot bytes.
 #[test]
 fn scaling_probes_are_index_invariant_and_actually_prune() {
     let n = 400usize;
     let db = workload::scaling_db(n, 7);
-    for (name, q) in [
-        ("weight eq", workload::q_weight_eq(123)),
-        ("weight range", workload::q_weight_ge(n as i64 - 20)),
-        ("region window", workload::q_region_window(n as i64 / 2)),
-    ] {
-        let stats = assert_index_free(&db, &q, name);
-        assert!(stats.index_probes > 0, "{name}: probe never fired: {stats}");
-        assert!(
-            stats.index_pruned as usize > n / 2,
-            "{name}: selective probe pruned too little: {stats}"
-        );
+    let bytes = lyric::snapshot::to_bytes(&db).expect("the database encodes");
+    let reloaded = lyric::snapshot::from_bytes(&bytes).expect("its snapshot decodes");
+    for (label, db) in [("original", &db), ("reloaded", &reloaded)] {
+        for (name, q) in [
+            ("weight eq", workload::q_weight_eq(123)),
+            ("weight range", workload::q_weight_ge(n as i64 - 20)),
+            ("region window", workload::q_region_window(n as i64 / 2)),
+        ] {
+            let name = format!("{label} {name}");
+            let stats = assert_index_free(db, &q, &name);
+            assert!(stats.index_probes > 0, "{name}: probe never fired: {stats}");
+            assert!(
+                stats.index_pruned as usize > n / 2,
+                "{name}: selective probe pruned too little: {stats}"
+            );
+        }
     }
 }
 
