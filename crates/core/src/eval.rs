@@ -975,9 +975,10 @@ fn compare_sets(l: &BTreeSet<Oid>, op: CmpOp, r: &BTreeSet<Oid>) -> Result<bool,
 // --------------------------------------------------------- index planning
 //
 // When [`ExecOptions::index`](lyric_engine::ExecOptions) is on, each FROM
-// extent is pre-filtered through the generation-stamped store index
-// (`lyric_store`) before binding. A WHERE conjunct is *index-answerable*
-// for FROM variable `X` when it has one of two shapes:
+// variable with an index-answerable WHERE conjunct is bound from the
+// generation-stamped store index's (`lyric_store`) candidate run instead
+// of its class extent. A WHERE conjunct is *index-answerable* for FROM
+// variable `X` when it has one of two shapes:
 //
 // * scalar — `X.attr <op> lit` (or mirrored) over a declared
 //   single-valued scalar attribute, `<op>` one of `=`, `<`, `<=`, `>`,
@@ -990,8 +991,8 @@ fn compare_sets(l: &BTreeSet<Oid>, op: CmpOp, r: &BTreeSet<Oid>) -> Result<bool,
 //   cannot satisfy the pair.
 //
 // Every probe returns a *superset* of the oids a full scan could keep or
-// error on (see `lyric_store`'s soundness contract), so filtering the
-// extent never changes the answer. The one latitude it takes — like the
+// error on (see `lyric_store`'s soundness contract), so binding from the
+// candidates never changes the answer. The one latitude it takes — like the
 // evaluator's own `AND` short-circuit — is that conjuncts are never
 // evaluated at all for pruned bindings, so a sibling conjunct that would
 // *error* under a scan of an excluded object is skipped.
@@ -1233,15 +1234,15 @@ fn collect_sat_shape<'q>(
     }
 }
 
-/// Pre-filter a FROM extent through the store index: intersect the
-/// candidate sets of every index-answerable WHERE conjunct (each merged
-/// with the novelty overlay of post-build writes) and keep only extent
-/// members inside the intersection. Counts one `index_probes` per probe
-/// answered and the dropped members as `index_pruned`.
-fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) -> Vec<Oid> {
-    if extent.is_empty() {
-        return extent;
-    }
+/// Bind a FROM variable through the store index: intersect the
+/// candidate runs of every index-answerable WHERE conjunct and return
+/// the result, or `None` when no probe applies (the caller then scans
+/// the extent). The index is built over the class's whole IS-A cone at
+/// the current generation, so every candidate is an extent member and
+/// the sorted run binds in extent order without the extent ever being
+/// materialized. Counts one `index_probes` per probe answered and the
+/// unbound extent members as `index_pruned`.
+fn index_candidates(ctx: &Ctx<'_>, w: &Cond, f: &FromItem) -> Option<Vec<Oid>> {
     let conjuncts = top_conjuncts(w);
     let mut reqs: Vec<ProbeReq<'_>> = Vec::new();
     for c in &conjuncts {
@@ -1260,10 +1261,14 @@ fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) 
         }
     }
     if reqs.is_empty() {
-        return extent;
+        return None;
+    }
+    let total = ctx.db.extent_len(&f.class);
+    if total == 0 {
+        return None;
     }
     let idx = lyric_store::index_for(ctx.db);
-    let novelty = ctx.db.oids_touched_since(idx.generation());
+    debug_assert_eq!(idx.generation(), ctx.db.data_generation());
     let mut probes = 0u64;
     let mut candidates: Option<Vec<Oid>> = None;
     for req in reqs {
@@ -1274,22 +1279,17 @@ fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) 
         };
         let Some(hit) = hit else { continue };
         probes += 1;
-        // Writes since the index build are invisible to it; every probe
-        // result must re-admit them.
-        let hit = lyric_store::merge_with_novelty(&hit, &novelty);
         candidates = Some(match candidates {
             None => hit,
             Some(prev) => lyric_store::intersect_sorted(&prev, &hit),
         });
     }
-    let Some(cand) = candidates else {
-        return extent;
-    };
-    let total = extent.len();
-    let kept: Vec<Oid> = extent
-        .into_iter()
-        .filter(|oid| cand.binary_search(oid).is_ok())
-        .collect();
+    let kept = candidates?;
+    debug_assert!(
+        kept.iter().all(|oid| ctx.db.is_instance(oid, &f.class)),
+        "index candidates outside the extent of {}",
+        f.class
+    );
     let pruned = (total - kept.len()) as u64;
     lyric_engine::note_live(lyric_engine::Live::IndexProbes, probes);
     lyric_engine::tally(|s| s.index_pruned += pruned);
@@ -1297,7 +1297,7 @@ fn index_filter_extent(ctx: &Ctx<'_>, w: &Cond, f: &FromItem, extent: Vec<Oid>) 
         candidates: total as u64,
         pruned,
     });
-    kept
+    Some(kept)
 }
 
 // ----------------------------------------------------------------- select
@@ -1320,12 +1320,11 @@ fn eval_select(ctx: &Ctx<'_>, q: &SelectQuery) -> Result<(Vec<String>, SelectRow
             || format!("{} {}", f.class, f.var),
             f.class_span.join(f.var_span).byte_range(),
         );
-        let mut extent = ctx.db.extent(&f.class);
-        if lyric_engine::index_enabled() {
-            if let Some(w) = &q.where_clause {
-                extent = index_filter_extent(ctx, w, f, extent);
-            }
-        }
+        let probed = match &q.where_clause {
+            Some(w) if lyric_engine::index_enabled() => index_candidates(ctx, w, f),
+            _ => None,
+        };
+        let extent = probed.unwrap_or_else(|| ctx.db.extent(&f.class));
         let before = bindings.len() as u64;
         // Each prior binding expands independently; rows come back in
         // binding order, so the cross product is identical to the serial

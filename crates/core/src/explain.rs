@@ -203,7 +203,7 @@ pub(crate) fn build_plan(db: &Database, s: &SelectQuery) -> (PlanNode, ExplainIn
         info.from_ids.push(next);
         next += 1;
         n.source = f.class_span.join(f.var_span).byte_range();
-        n.extent_size = Some(db.extent(&f.class).len() as u64);
+        n.extent_size = Some(db.extent_len(&f.class) as u64);
         root.children.push(n);
     }
     if let Some(w) = &s.where_clause {

@@ -106,16 +106,9 @@ pub struct Database {
     extents: BTreeMap<String, BTreeSet<Oid>>,
     /// Monotonic mutation counter: bumped by every successful write
     /// (insert, declare, attribute update, schema change). Derived
-    /// structures — the store index, memo caches — stamp themselves with
-    /// the generation they were built against and rebuild on mismatch.
+    /// structures — the store index — stamp themselves with the
+    /// generation they were built against and rebuild on mismatch.
     data_generation: u64,
-    /// The novelty log: oids touched by writes, tagged with the
-    /// generation of the write. Index probes merge
-    /// [`Database::oids_touched_since`] the index build generation into
-    /// their candidate sets, so an index built at an older generation
-    /// stays *sound* (never prunes a freshly written object) even before
-    /// it is rebuilt.
-    touched: Vec<(u64, Oid)>,
     /// Cache slot for the store index (see [`IndexSlot`]).
     index_slot: IndexSlot,
 }
@@ -129,7 +122,6 @@ impl Database {
             objects: BTreeMap::new(),
             extents: BTreeMap::new(),
             data_generation: 0,
-            touched: Vec::new(),
             index_slot: IndexSlot::new(),
         })
     }
@@ -144,33 +136,16 @@ impl Database {
         self.data_generation
     }
 
-    /// The sorted, duplicate-free run of oids touched by writes *after*
-    /// `generation` — the novelty overlay an index built at `generation`
-    /// must merge into every probe result to stay sound.
-    pub fn oids_touched_since(&self, generation: u64) -> Vec<Oid> {
-        let mut out: Vec<Oid> = self
-            .touched
-            .iter()
-            .filter(|(gen, _)| *gen > generation)
-            .map(|(_, oid)| oid.clone())
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// The generation-stamped cache slot for the store index.
     pub fn index_slot(&self) -> &IndexSlot {
         &self.index_slot
     }
 
-    /// Record a successful write: bump the generation and log the touched
-    /// oid (schema-only changes pass `None`; they still invalidate).
-    fn touch(&mut self, oid: Option<Oid>) {
+    /// Record a successful write (data or schema): bump the generation,
+    /// which makes every derived structure stamped with an older one
+    /// unreachable.
+    fn touch(&mut self) {
         self.data_generation += 1;
-        if let Some(oid) = oid {
-            self.touched.push((self.data_generation, oid));
-        }
     }
 
     /// Insert an object with attribute values. Typechecks cardinality, CST
@@ -243,7 +218,7 @@ impl Database {
             .entry(class.to_string())
             .or_default()
             .insert(oid.clone());
-        self.touch(Some(oid));
+        self.touch();
         Ok(())
     }
 
@@ -270,7 +245,7 @@ impl Database {
             .entry(class.to_string())
             .or_default()
             .insert(oid.clone());
-        self.touch(Some(oid));
+        self.touch();
         Ok(())
     }
 
@@ -392,7 +367,7 @@ impl Database {
             .expect("checked above")
             .attrs
             .insert(attr.to_string(), value);
-        self.touch(Some(oid.clone()));
+        self.touch();
         Ok(())
     }
 
@@ -427,6 +402,36 @@ impl Database {
         out.into_iter().collect()
     }
 
+    /// The number of instances of `class`, including subclass members:
+    /// always `extent(class).len()`, counted without cloning an oid. An
+    /// oid declared into several classes of the cone (a view class
+    /// re-declaring members of its parent) counts once. O(1) in the
+    /// extent size when at most one direct extent of the cone is
+    /// non-empty; otherwise each member outside the largest direct
+    /// extent costs one lookup per larger one.
+    pub fn extent_len(&self, class: &str) -> usize {
+        let mut direct: Vec<&BTreeSet<Oid>> = self
+            .schema
+            .subclasses_of(class)
+            .into_iter()
+            .filter_map(|c| self.extents.get(c))
+            .filter(|e| !e.is_empty())
+            .collect();
+        direct.sort_by_key(|e| std::cmp::Reverse(e.len()));
+        let Some((largest, rest)) = direct.split_first() else {
+            return 0;
+        };
+        let mut n = largest.len();
+        for (i, e) in rest.iter().enumerate() {
+            let seen = &direct[..=i];
+            n += e
+                .iter()
+                .filter(|o| !seen.iter().any(|d| d.contains(*o)))
+                .count();
+        }
+        n
+    }
+
     /// Direct members of a class: oids inserted or declared into exactly
     /// this class (no hierarchy walk). Used by persistence.
     pub fn direct_members(&self, class: &str) -> Vec<Oid> {
@@ -452,7 +457,7 @@ impl Database {
     pub fn add_class(&mut self, def: ClassDef) -> Result<(), DbError> {
         self.schema.add_class(def)?;
         self.schema.validate()?;
-        self.touch(None);
+        self.touch();
         Ok(())
     }
 
@@ -483,7 +488,7 @@ impl Database {
             }
         }
         self.schema.add_class(def)?;
-        self.touch(None);
+        self.touch();
         for m in members {
             self.declare_instance(name, m)?;
         }
@@ -575,7 +580,10 @@ mod tests {
         db.insert(Oid::named("d1"), "Desk", [] as [(&str, Value); 0])
             .unwrap();
         assert_eq!(db.extent("Furniture").len(), 2);
+        assert_eq!(db.extent_len("Furniture"), 2);
         assert_eq!(db.extent("Desk"), vec![Oid::named("d1")]);
+        assert_eq!(db.extent_len("Desk"), 1);
+        assert_eq!(db.extent_len("Region"), 0);
         assert!(db.is_instance(&Oid::named("d1"), "Furniture"));
         assert!(db.is_instance(&Oid::named("d1"), "object"));
         assert!(!db.is_instance(&Oid::named("f1"), "Desk"));
@@ -776,9 +784,13 @@ mod tests {
             .unwrap();
         assert!(db.is_instance(&Oid::named("d1"), "Red_Desk"));
         assert!(!db.is_instance(&Oid::named("d2"), "Red_Desk"));
-        // The view is part of the Desk extent computation as a subclass.
+        // The view is part of the Desk extent computation as a subclass;
+        // its re-declared member d1 counts once.
         assert_eq!(db.extent("Desk").len(), 2);
+        assert_eq!(db.extent_len("Desk"), 2);
+        assert_eq!(db.extent_len("Furniture"), 2);
         assert_eq!(db.extent("Red_Desk").len(), 1);
+        assert_eq!(db.extent_len("Red_Desk"), 1);
         // Unknown parent rejected.
         assert!(db.create_view_class("V2", Some("Nope"), []).is_err());
     }

@@ -62,13 +62,18 @@ fn build(h: &RawHierarchy) -> Database {
 proptest! {
     /// Extents are the union of direct members over all (transitive)
     /// subclasses; is_instance agrees with extent membership; subclass
-    /// extents are contained in superclass extents.
+    /// extents are contained in superclass extents. Random re-declarations
+    /// of members into subclasses (what a view class does) make direct
+    /// extents overlap, and `extent_len` still counts each member once.
     #[test]
-    fn extent_semantics(h in hierarchy_strategy()) {
-        let db = build(&h);
+    fn extent_semantics(
+        h in hierarchy_strategy(),
+        redeclare in proptest::collection::vec((0..8usize, 0..4u8, 0..8usize), 0..12),
+    ) {
+        let mut db = build(&h);
         let n = h.parents.len();
         // Reference model: direct members.
-        let direct: Vec<Vec<Oid>> = (0..n)
+        let mut direct: Vec<Vec<Oid>> = (0..n)
             .map(|i| (0..h.members[i]).map(|k| Oid::named(format!("obj_{i}_{k}"))).collect())
             .collect();
         // is_subclass reference via parent chains.
@@ -83,6 +88,18 @@ proptest! {
                 }
             }
         };
+        // Re-declare member k of class i into the j-th class of i's cone.
+        for &(i, k, j) in &redeclare {
+            if i >= n || k >= h.members[i] {
+                continue;
+            }
+            let cone: Vec<usize> = (0..n).filter(|&a| is_sub(a, i)).collect();
+            let target = cone[j % cone.len()];
+            let oid = Oid::named(format!("obj_{i}_{k}"));
+            db.declare_instance(&class_name(target), oid.clone())
+                .expect("plain declaration");
+            direct[target].push(oid);
+        }
         for b in 0..n {
             let extent = db.extent(&class_name(b));
             // Model extent: all direct members of classes a with a ⊑ b.
@@ -91,7 +108,9 @@ proptest! {
                 .flat_map(|a| direct[a].iter().cloned())
                 .collect();
             expect.sort();
+            expect.dedup();
             prop_assert_eq!(extent.clone(), expect);
+            prop_assert_eq!(db.extent_len(&class_name(b)), extent.len());
             for o in &extent {
                 prop_assert!(db.is_instance(o, &class_name(b)));
                 prop_assert!(db.is_instance(o, "object"));

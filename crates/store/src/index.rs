@@ -14,9 +14,11 @@
 //! * [`BoxColumn`] — per `(class, CST attribute)`: one positional
 //!   interval vector per stored constraint member (its `IntervalBox`
 //!   read off in declared-variable order), packed into [`BOX_PAGE`]-sized
-//!   pages with a per-page hull. A probe intersects the query window
-//!   against page hulls first and only descends into surviving pages —
-//!   a two-level packed R-tree.
+//!   pages with a per-page hull. Entries are paged in order of their
+//!   centre on the first axis, so each page covers a narrow slice of
+//!   that axis. A probe intersects the query window against page hulls
+//!   first and only descends into surviving pages — a two-level packed
+//!   R-tree.
 
 use lyric_arith::Rational;
 use lyric_constraint::Interval;
@@ -44,14 +46,16 @@ pub struct ScalarColumn {
     nonnum: Vec<Oid>,
 }
 
+/// `(oid, positional box)` — one entry per stored constraint member, so
+/// a set-valued attribute contributes several entries per oid.
+type BoxEntry = (Oid, Vec<Interval>);
+
 /// One page of the bounding-box index: entries plus their positional hull.
 #[derive(Debug, Clone)]
 pub struct BoxPage {
     /// Positional hull of every entry box in the page.
     hull: Vec<Interval>,
-    /// `(oid, positional box)` — one entry per stored constraint member,
-    /// so a set-valued attribute contributes several entries per oid.
-    entries: Vec<(Oid, Vec<Interval>)>,
+    entries: Vec<BoxEntry>,
 }
 
 /// The paged bounding-box index for one `(class, CST attribute)` column.
@@ -248,7 +252,7 @@ fn build_scalar_column(db: &Database, extent: &[Oid], attr: &str) -> ScalarColum
 }
 
 fn build_box_column(db: &Database, extent: &[Oid], attr: &str, arity: usize) -> BoxColumn {
-    let mut entries: Vec<(Oid, Vec<Interval>)> = Vec::new();
+    let mut entries: Vec<BoxEntry> = Vec::new();
     for oid in extent {
         let Some(value) = db.object(oid).and_then(|data| data.attr(attr)) else {
             continue; // missing attribute: prunable, no entry
@@ -266,22 +270,41 @@ fn build_box_column(db: &Database, extent: &[Oid], attr: &str, arity: usize) -> 
             entries.push((oid.clone(), ivs));
         }
     }
-    let pages = entries
-        .chunks(BOX_PAGE)
-        .map(|chunk| {
-            let mut hull = chunk[0].1.clone();
-            for (_, ivs) in &chunk[1..] {
-                for (h, iv) in hull.iter_mut().zip(ivs) {
-                    *h = h.hull(iv);
-                }
-            }
-            BoxPage {
-                hull,
-                entries: chunk.to_vec(),
-            }
-        })
+    // Page in order of the axis-0 key, computed once per entry, so each
+    // page's hull spans a narrow slice of axis 0; pages filled in oid
+    // order would each span all of it. The sort is stable: equal keys
+    // keep oid order.
+    let mut keyed: Vec<(f64, BoxEntry)> = entries
+        .into_iter()
+        .map(|e| (e.1.first().map_or(0.0, centre_key), e))
         .collect();
+    keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut ordered = keyed.into_iter().map(|(_, e)| e).peekable();
+    let mut pages = Vec::new();
+    while ordered.peek().is_some() {
+        let entries: Vec<BoxEntry> = ordered.by_ref().take(BOX_PAGE).collect();
+        let mut hull = entries[0].1.clone();
+        for (_, ivs) in &entries[1..] {
+            for (h, iv) in hull.iter_mut().zip(ivs) {
+                *h = h.hull(iv);
+            }
+        }
+        pages.push(BoxPage { hull, entries });
+    }
     BoxColumn { arity, pages }
+}
+
+/// The packing sort key of an interval: `lo + hi`, twice the centre
+/// with no division; twice the finite endpoint when the interval is
+/// half-open; 0 for ⊤. Floating point suffices: the key only orders
+/// entries for packing, so rounding can loosen a page hull but never
+/// change a probe answer.
+fn centre_key(iv: &Interval) -> f64 {
+    match (iv.lo(), iv.hi()) {
+        (Some((lo, _)), Some((hi, _))) => lo.to_f64() + hi.to_f64(),
+        (Some((b, _)), None) | (None, Some((b, _))) => 2.0 * b.to_f64(),
+        (None, None) => 0.0,
+    }
 }
 
 /// The index for the database's *current* generation: answered from the
@@ -299,40 +322,6 @@ pub fn index_for(db: &Database) -> Arc<StoreIndex> {
         idx.clone() as Arc<dyn std::any::Any + Send + Sync>,
     );
     idx
-}
-
-/// Merge a sorted candidate run with the sorted novelty overlay (oids
-/// written after the index build): the union, sorted and duplicate-free.
-/// Novelty oids are never pruned — the index knows nothing about them.
-pub fn merge_with_novelty(candidates: &[Oid], novelty: &[Oid]) -> Vec<Oid> {
-    let mut out = Vec::with_capacity(candidates.len() + novelty.len());
-    let (mut i, mut j) = (0, 0);
-    while i < candidates.len() && j < novelty.len() {
-        let next = match candidates[i].cmp(&novelty[j]) {
-            std::cmp::Ordering::Less => {
-                i += 1;
-                candidates[i - 1].clone()
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                novelty[j - 1].clone()
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-                candidates[i - 1].clone()
-            }
-        };
-        if out.last() != Some(&next) {
-            out.push(next);
-        }
-    }
-    for oid in candidates[i..].iter().chain(novelty[j..].iter()) {
-        if out.last() != Some(oid) {
-            out.push(oid.clone());
-        }
-    }
-    out
 }
 
 /// Intersection of two sorted, duplicate-free oid runs (used to combine
@@ -368,6 +357,26 @@ mod tests {
                 Atom::le(LinExpr::var(Var::new("w")), LinExpr::from(hi)),
                 Atom::ge(LinExpr::var(Var::new("z")), LinExpr::from(lo)),
                 Atom::le(LinExpr::var(Var::new("z")), LinExpr::from(hi)),
+            ]),
+        )
+    }
+
+    fn closed(lo: i64, hi: i64) -> Interval {
+        Interval::of_bounds(
+            Some((Rational::from_int(lo), false)),
+            Some((Rational::from_int(hi), false)),
+        )
+    }
+
+    /// The 10 × 10 box with lower corner `(x, y)`.
+    fn rect(x: i64, y: i64) -> CstObject {
+        CstObject::from_conjunction(
+            vec![Var::new("w"), Var::new("z")],
+            Conjunction::of([
+                Atom::ge(LinExpr::var(Var::new("w")), LinExpr::from(x)),
+                Atom::le(LinExpr::var(Var::new("w")), LinExpr::from(x + 10)),
+                Atom::ge(LinExpr::var(Var::new("z")), LinExpr::from(y)),
+                Atom::le(LinExpr::var(Var::new("z")), LinExpr::from(y + 10)),
             ]),
         )
     }
@@ -452,21 +461,77 @@ mod tests {
     }
 
     #[test]
-    fn novelty_merge_and_intersection() {
+    fn sorted_run_intersection() {
         let a: Vec<Oid> = [1, 3, 5].into_iter().map(Oid::Int).collect();
         let b: Vec<Oid> = [2, 3, 5, 7].into_iter().map(Oid::Int).collect();
-        let merged = merge_with_novelty(&a, &b);
-        assert_eq!(
-            merged,
-            [1, 2, 3, 5, 7]
-                .into_iter()
-                .map(Oid::Int)
-                .collect::<Vec<_>>()
-        );
         assert_eq!(
             intersect_sorted(&a, &b),
             [3, 5].into_iter().map(Oid::Int).collect::<Vec<_>>()
         );
-        assert_eq!(merge_with_novelty(&[], &[]), Vec::<Oid>::new());
+        assert_eq!(intersect_sorted(&[], &b), Vec::<Oid>::new());
+    }
+
+    /// Axis-0 packing on 5000 uniformly placed 10 × 10 boxes: the only
+    /// page hulls a width-10 strip meets are those of the pages holding
+    /// its answer, plus at most one page that straddles it — at most two
+    /// of the P = 79 here, where oid-order pages each span the whole space and
+    /// the strip met all 79. The probe answer stays exactly the naive
+    /// overlap set.
+    #[test]
+    fn axis0_pages_confine_a_strip_to_its_answer() {
+        let n = 5000i64;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: i64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as i64
+        };
+        let mut schema = Schema::new();
+        schema
+            .add_class(
+                ClassDef::new("Item").attr(AttrDef::scalar("region", AttrTarget::cst(["w", "z"]))),
+            )
+            .unwrap();
+        let mut db = Database::new(schema).unwrap();
+        let mut corners = Vec::new();
+        for i in 0..n {
+            let (x, y) = (next(n), next(1000));
+            corners.push((x, y));
+            db.insert(
+                Oid::named(format!("item_{i}")),
+                "Item",
+                [("region", Value::Scalar(Oid::cst(rect(x, y))))],
+            )
+            .unwrap();
+        }
+        let idx = StoreIndex::build(&db);
+        let col = &idx.boxes[&("Item".to_string(), "region".to_string())];
+        let pages = col.num_pages();
+        assert_eq!(pages, (n as usize).div_ceil(BOX_PAGE));
+        for lo in [0, 1234, 2500, 4990] {
+            let window = vec![
+                closed(lo, lo + 10),
+                Interval::of_bounds(Some((Rational::zero(), false)), None),
+            ];
+            let hits = idx.probe_box("Item", "region", &window).unwrap();
+            let oracle: Vec<Oid> = (0..n as usize)
+                .filter(|&i| corners[i].0 <= lo + 10 && lo <= corners[i].0 + 10)
+                .map(|i| Oid::named(format!("item_{i}")))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let kept = col
+                .pages
+                .iter()
+                .filter(|p| !boxes_disjoint(&p.hull, &window))
+                .count();
+            assert!(
+                kept <= oracle.len().div_ceil(BOX_PAGE) + 1 && kept <= 2,
+                "strip at {lo} kept {kept} of {pages} page hulls for {} hits",
+                oracle.len()
+            );
+            assert_eq!(hits, oracle, "strip at {lo}");
+        }
     }
 }

@@ -6,15 +6,16 @@
 //! * **The store index** ([`StoreIndex`], built by [`index_for`]): a
 //!   sorted columnar index over `(class, attribute, scalar value)` with
 //!   oid postings for equality/range probes, plus a paged bounding-box
-//!   index over CST attributes (each object's `IntervalBox`, packed into
-//!   hulled pages — a two-level packed R-tree) so FROM bindings can be
-//!   pruned by box intersection *before* any formula is instantiated.
-//!   The index is immutable and generation-stamped: it is built once per
-//!   [`Database::data_generation`](lyric_oodb::Database::data_generation) and cached on the database's
-//!   [`IndexSlot`](lyric_oodb::IndexSlot). Writes after a build surface
-//!   through the **novelty overlay** — a sorted run of touched oids that
-//!   [`merge_with_novelty`] folds into every probe result, so a stale
-//!   index stays sound (it may under-prune, never over-prune).
+//!   index over CST attributes (each object's `IntervalBox`, packed in
+//!   first-axis order into hulled pages — a two-level packed R-tree)
+//!   so FROM bindings can be pruned by box intersection *before* any
+//!   formula is instantiated. The index is immutable and
+//!   generation-stamped: it is built once per
+//!   [`Database::data_generation`](lyric_oodb::Database::data_generation)
+//!   over each class's whole IS-A cone and cached on the database's
+//!   [`IndexSlot`](lyric_oodb::IndexSlot). Any write bumps the
+//!   generation, so [`index_for`] never hands out a stale index, and
+//!   every probe candidate is a member of the probed class's extent.
 //!
 //! * **The snapshot container** ([`snapshot`]): a versioned, hand-rolled
 //!   binary on-disk format — magic + version header followed by
@@ -34,6 +35,5 @@ mod index;
 pub mod snapshot;
 
 pub use index::{
-    index_for, intersect_sorted, merge_with_novelty, BoxColumn, BoxPage, ScalarColumn, StoreIndex,
-    BOX_PAGE,
+    index_for, intersect_sorted, BoxColumn, BoxPage, ScalarColumn, StoreIndex, BOX_PAGE,
 };

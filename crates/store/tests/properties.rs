@@ -1,13 +1,14 @@
 //! Property tests for the store: every probe family differential-tested
-//! against a naive scan oracle over random databases, the snapshot
-//! container round-tripped byte-identically, and the sorted-run
-//! combinators checked against set semantics.
+//! against a naive scan oracle over random databases (including 2-D box
+//! columns large enough for several pages), the snapshot container
+//! round-tripped byte-identically, and the sorted-run intersection
+//! checked against set semantics.
 
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, Conjunction, CstObject, Interval, LinExpr, Var};
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Schema, Value};
 use lyric_store::snapshot::{read_container, write_container};
-use lyric_store::{intersect_sorted, merge_with_novelty, StoreIndex};
+use lyric_store::{intersect_sorted, StoreIndex, BOX_PAGE};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -176,8 +177,8 @@ proptest! {
         prop_assert!(read_container(&bytes[..cut]).is_err());
     }
 
-    /// `merge_with_novelty` is set union and `intersect_sorted` is set
-    /// intersection; both outputs are sorted and duplicate-free.
+    /// `intersect_sorted` is set intersection; its output is sorted and
+    /// duplicate-free.
     #[test]
     fn sorted_run_combinators_have_set_semantics(
         araw in proptest::collection::vec(0i64..100, 0..30),
@@ -187,13 +188,84 @@ proptest! {
         let b: BTreeSet<i64> = braw.into_iter().collect();
         let av: Vec<Oid> = a.iter().map(|&v| Oid::Int(v)).collect();
         let bv: Vec<Oid> = b.iter().map(|&v| Oid::Int(v)).collect();
-        let merged = merge_with_novelty(&av, &bv);
-        let union: Vec<Oid> = a.union(&b).map(|&v| Oid::Int(v)).collect();
-        prop_assert_eq!(&merged, &union);
-        prop_assert!(merged.windows(2).all(|w| w[0] < w[1]), "merge sorted, dup-free");
         let inter = intersect_sorted(&av, &bv);
         let expected: Vec<Oid> = a.intersection(&b).map(|&v| Oid::Int(v)).collect();
         prop_assert_eq!(&inter, &expected);
         prop_assert!(inter.windows(2).all(|w| w[0] < w[1]), "intersection sorted, dup-free");
+    }
+}
+
+/// One 2-D region: `[x, x + w] × [y, y + h]`, or none.
+type Region = Option<(i64, i64, i64, i64)>;
+
+fn regions_strategy() -> impl Strategy<Value = Vec<Region>> {
+    proptest::collection::vec(
+        proptest::option::of((0i64..1000, 0i64..40, 0i64..1000, 0i64..40)),
+        65..700,
+    )
+}
+
+fn build_region_db(regions: &[Region]) -> Database {
+    let mut schema = Schema::new();
+    schema
+        .add_class(
+            ClassDef::new("Item").attr(AttrDef::scalar("region", AttrTarget::cst(["u", "v"]))),
+        )
+        .expect("fresh schema");
+    let mut db = Database::new(schema).expect("schema validates");
+    let (u, v) = (Var::new("u"), Var::new("v"));
+    for (i, region) in regions.iter().enumerate() {
+        let mut attrs: Vec<(&str, Value)> = Vec::new();
+        if let Some((x, w, y, h)) = *region {
+            let c = CstObject::from_conjunction(
+                vec![u.clone(), v.clone()],
+                Conjunction::of([
+                    Atom::ge(LinExpr::var(u.clone()), LinExpr::from(x)),
+                    Atom::le(LinExpr::var(u.clone()), LinExpr::from(x + w)),
+                    Atom::ge(LinExpr::var(v.clone()), LinExpr::from(y)),
+                    Atom::le(LinExpr::var(v.clone()), LinExpr::from(y + h)),
+                ]),
+            );
+            attrs.push(("region", Value::Scalar(Oid::cst(c))));
+        }
+        db.insert(Oid::named(format!("item_{i}")), "Item", attrs)
+            .expect("item insert");
+    }
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `probe_box` over a 2-D column of 65–700 regions — two to eleven
+    /// pages — returns exactly the members whose region meets the
+    /// window, computed naively per object. The window's second axis is
+    /// sometimes unbounded above, the half-open shape of the strip
+    /// queries.
+    #[test]
+    fn box_probe_2d_matches_scan_oracle(
+        regions in regions_strategy(),
+        a in -50i64..1050, b in -50i64..1050,
+        c in -50i64..1050, d in -50i64..1050,
+        open_above in any::<bool>(),
+    ) {
+        let db = build_region_db(&regions);
+        let idx = StoreIndex::build(&db);
+        let (xlo, xhi) = (a.min(b), a.max(b));
+        let (ylo, yhi) = (c.min(d), if open_above { i64::MAX } else { c.max(d) });
+        let second = if open_above {
+            Interval::of_bounds(Some((Rational::from_int(ylo), false)), None)
+        } else {
+            window(c, d)
+        };
+        let got = idx
+            .probe_box("Item", "region", &[window(a, b), second])
+            .expect("a non-empty extent builds the column");
+        let oracle = oids_of((0..regions.len()).filter(|&i| match regions[i] {
+            Some((x, w, y, h)) => x <= xhi && xlo <= x + w && y <= yhi && ylo <= y + h,
+            None => false,
+        }));
+        prop_assert!(regions.len() > BOX_PAGE);
+        prop_assert_eq!(got, oracle);
     }
 }

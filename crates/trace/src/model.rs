@@ -88,9 +88,9 @@ pub enum EventKind {
     /// An interval-box disjointness test proved a conjunction empty and
     /// skipped the LP solve entirely.
     BoxPrune,
-    /// A store-index probe filtered one FROM extent before binding.
+    /// Store-index probes answered one FROM variable's binding.
     IndexProbe {
-        /// Extent members examined by the probe.
+        /// Size of the FROM class's extent, which the probes answered for.
         candidates: u64,
         /// Members discarded without instantiation.
         pruned: u64,

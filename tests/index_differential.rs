@@ -11,7 +11,9 @@
 //! `lp_runs` never increase), and the semantic counters are
 //! thread-count-invariant within each configuration.
 
-use lyric::{execute_shared, paper_example, ExecOptions};
+use lyric::oodb::{ClassDef, Database, Oid, Value};
+use lyric::paper_example::box2;
+use lyric::{execute, execute_shared, paper_example, ExecOptions};
 use lyric_bench::workload::{self, Q_LINEAR};
 use proptest::prelude::*;
 
@@ -152,6 +154,130 @@ fn scaling_probes_are_index_invariant_and_actually_prune() {
             );
         }
     }
+}
+
+/// Run an exact probe (numeric weights, box-shaped regions: every
+/// candidate is an answer) over `class` through the whole matrix, and
+/// check the pruned count is the extent size minus the rows. Returns the
+/// answer's oids.
+fn assert_exact_probe(db: &Database, class: &str, q: &str, label: &str) -> Vec<Oid> {
+    let stats = assert_index_free(db, q, label);
+    let res = execute_shared(db, q, &opts(1, true, true)).expect("probed query evaluates");
+    assert!(
+        stats.index_probes > 0,
+        "{label}: probe never fired: {stats}"
+    );
+    assert_eq!(
+        stats.index_pruned,
+        (db.extent(class).len() - res.rows.len()) as u64,
+        "{label}: index_pruned is not extent − rows"
+    );
+    res.rows.into_iter().map(|row| row[0].clone()).collect()
+}
+
+/// An item of the scaling schema with the 10 × 10 region at `(x, y)`.
+fn item_attrs(weight: i64, x: i64, y: i64) -> [(&'static str, Value); 3] {
+    [
+        ("weight", Value::Scalar(Oid::Int(weight))),
+        ("label", Value::Scalar(Oid::str("L0"))),
+        (
+            "region",
+            Value::Scalar(Oid::cst(box2("u", "v", x, x + 10, y, y + 10))),
+        ),
+    ]
+}
+
+/// Binding from the probe's candidate run over a cone whose direct
+/// extents overlap — a subclass with members of its own and a view class
+/// re-declaring members of both — so summing direct extent sizes
+/// over-counts. Then, after each kind of write (an insert inside the
+/// probed window, an update moving an item out of it, a CREATE VIEW),
+/// the next probed query sees the write.
+#[test]
+fn probes_bind_exactly_over_overlapping_cones_and_after_writes() {
+    let n = 200usize;
+    let mut db = workload::scaling_db(n, 5);
+    db.add_class(ClassDef::new("Heavy").is_a("Item"))
+        .expect("subclass");
+    for i in 0..20i64 {
+        db.insert(
+            Oid::named(format!("heavy_{i}")),
+            "Heavy",
+            item_attrs(10 * i, 9 * i, 50 * i),
+        )
+        .expect("heavy insert");
+    }
+    execute(
+        &mut db,
+        "CREATE VIEW Light AS SUBCLASS OF Item SELECT X FROM Item X WHERE X.weight < 50",
+    )
+    .expect("view");
+    let direct: usize = ["Item", "Heavy", "Light"]
+        .iter()
+        .map(|c| db.direct_members(c).len())
+        .sum();
+    let extent = db.extent("Item").len();
+    assert_eq!(extent, n + 20);
+    assert!(direct > extent, "direct extents must overlap");
+    assert_eq!(db.extent_len("Item"), extent);
+    assert_eq!(db.extent_len("Light"), db.extent("Light").len());
+
+    let lo = 90i64;
+    let window = workload::q_region_window(lo);
+    for (class, q, name) in [
+        ("Item", workload::q_weight_eq(30), "cone eq"),
+        ("Item", workload::q_weight_ge(150), "cone range"),
+        ("Item", window.clone(), "cone window"),
+        (
+            "Light",
+            "SELECT X FROM Light X WHERE X.weight >= 20".to_string(),
+            "view range",
+        ),
+    ] {
+        assert_exact_probe(&db, class, &q, name);
+    }
+
+    // An insert inside the window is bound by the next probe.
+    let fresh = Oid::named("fresh");
+    db.insert(fresh.clone(), "Heavy", item_attrs(-1, lo + 2, 500))
+        .expect("insert");
+    let hits = assert_exact_probe(&db, "Item", &window, "after insert");
+    assert!(hits.contains(&fresh), "inserted item missing: {hits:?}");
+
+    // An update moving an item out of the window drops it.
+    let moved = hits
+        .iter()
+        .find(|o| **o != fresh)
+        .expect("window has an old item")
+        .clone();
+    db.set_attr(
+        &moved,
+        "region",
+        Value::Scalar(Oid::cst(box2("u", "v", -500, -490, 0, 10))),
+    )
+    .expect("update");
+    let hits = assert_exact_probe(&db, "Item", &window, "after set_attr");
+    assert!(!hits.contains(&moved), "moved item still bound: {hits:?}");
+    assert!(hits.contains(&fresh));
+
+    // A CREATE VIEW re-declares more members into the cone.
+    execute(
+        &mut db,
+        &format!(
+            "CREATE VIEW Strip AS SUBCLASS OF Item {}",
+            workload::q_region_window(lo)
+        ),
+    )
+    .expect("view");
+    assert_eq!(db.extent_len("Item"), db.extent("Item").len());
+    let hits = assert_exact_probe(&db, "Item", &window, "after CREATE VIEW");
+    assert_eq!(db.extent("Strip"), hits);
+    assert_exact_probe(
+        &db,
+        "Strip",
+        "SELECT X FROM Strip X WHERE X.weight >= 100",
+        "view of the strip",
+    );
 }
 
 /// Regression for a latent gap: `execute_shared` rejects CREATE VIEW
