@@ -306,14 +306,11 @@ impl PartialOrd for Atom {
 
 impl Ord for Atom {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Order by operator, then by rendered structure: compare term lists.
+        // Order by operator, then by rendered structure: compare term
+        // lists lexicographically, straight off the two iterators.
         self.op
             .cmp(&other.op)
-            .then_with(|| {
-                let a: Vec<_> = self.expr.terms().collect();
-                let b: Vec<_> = other.expr.terms().collect();
-                a.cmp(&b)
-            })
+            .then_with(|| self.expr.terms().cmp(other.expr.terms()))
             .then_with(|| self.expr.constant_term().cmp(other.expr.constant_term()))
     }
 }

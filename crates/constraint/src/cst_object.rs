@@ -154,6 +154,40 @@ impl CstFamily {
     }
 }
 
+/// One operand of [`CstObject::product`].
+#[derive(Debug, Clone, Copy)]
+pub enum Operand<'a> {
+    /// An object whose bound variables the product renames apart, as
+    /// [`and_all`](CstObject::and_all) does for each of its operands.
+    Object(&'a CstObject),
+    /// A schema and one atom list per disjunct, whose bound variables are
+    /// already apart from every variable of every other operand.
+    Lists(&'a [Var], &'a [Vec<Atom>]),
+}
+
+/// The disjuncts of one product operand, as atom lists.
+#[derive(Clone, Copy)]
+enum DisjunctAtoms<'a> {
+    Conjunctions(&'a [Conjunction]),
+    Lists(&'a [Vec<Atom>]),
+}
+
+impl<'a> DisjunctAtoms<'a> {
+    fn len(self) -> usize {
+        match self {
+            DisjunctAtoms::Conjunctions(ds) => ds.len(),
+            DisjunctAtoms::Lists(ds) => ds.len(),
+        }
+    }
+
+    fn get(self, i: usize) -> &'a [Atom] {
+        match self {
+            DisjunctAtoms::Conjunctions(ds) => ds[i].atoms(),
+            DisjunctAtoms::Lists(ds) => &ds[i],
+        }
+    }
+}
+
 /// A constraint object: an `arity()`-dimensional point set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CstObject {
@@ -319,34 +353,57 @@ impl CstObject {
     /// `Disjuncts` unit against the engine budget, as the fold would. With
     /// no operands the result is the whole 0-dimensional space.
     pub fn and_all<'a>(parts: impl IntoIterator<Item = &'a CstObject>) -> CstObject {
+        CstObject::product(parts.into_iter().map(Operand::Object))
+    }
+
+    /// The product loop of [`and_all`](Self::and_all), generalized to
+    /// operands given as a schema and atom lists whose bound variables the
+    /// caller has already renamed apart ([`Operand::Lists`]); only
+    /// [`Operand::Object`]s are renamed here. The schema, the `Disjuncts`
+    /// charge (one unit per (partial disjunct, operand disjunct) pair, in
+    /// that order) and the one normalization per product disjunct are
+    /// those of `and_all`.
+    pub fn product<'a>(operands: impl IntoIterator<Item = Operand<'a>>) -> CstObject {
         let mut free: Vec<Var> = Vec::new();
         // One atom list per disjunct of the product so far; `None` until
         // the first operand arrives.
         let mut product: Option<Vec<Vec<Atom>>> = None;
-        for part in parts {
-            for v in &part.free {
+        for operand in operands {
+            let fresh;
+            let (schema, disjuncts) = match operand {
+                Operand::Object(o) if o.has_bound_vars() => {
+                    fresh = o.freshen_bound();
+                    (o.free(), DisjunctAtoms::Conjunctions(fresh.disjuncts()))
+                }
+                Operand::Object(o) => (o.free(), DisjunctAtoms::Conjunctions(o.disjuncts())),
+                Operand::Lists(schema, lists) => (schema, DisjunctAtoms::Lists(lists)),
+            };
+            for v in schema {
                 if !free.contains(v) {
                     free.push(v.clone());
                 }
             }
-            let fresh;
-            let part = if part.has_bound_vars() {
-                fresh = part.freshen_bound();
-                &fresh
-            } else {
-                part
-            };
+            let n = disjuncts.len();
             product = Some(match product {
-                None => part.disjuncts.iter().map(|d| d.atoms().to_vec()).collect(),
+                None => (0..n).map(|i| disjuncts.get(i).to_vec()).collect(),
                 Some(acc) => {
-                    let mut next = Vec::with_capacity(acc.len() * part.disjuncts.len());
-                    for atoms in &acc {
-                        for d in &part.disjuncts {
+                    let mut next = Vec::with_capacity(acc.len() * n);
+                    for mut atoms in acc {
+                        // Every operand disjunct but the last joins a copy
+                        // of the partial disjunct; the last extends it.
+                        for i in 0..n {
                             lyric_engine::note(lyric_engine::Resource::Disjuncts);
-                            let mut joined = Vec::with_capacity(atoms.len() + d.atoms().len());
-                            joined.extend_from_slice(atoms);
-                            joined.extend_from_slice(d.atoms());
-                            next.push(joined);
+                            let d = disjuncts.get(i);
+                            if i + 1 < n {
+                                let mut joined = Vec::with_capacity(atoms.len() + d.len());
+                                joined.extend_from_slice(&atoms);
+                                joined.extend_from_slice(d);
+                                next.push(joined);
+                            } else {
+                                atoms.extend_from_slice(d);
+                                next.push(atoms);
+                                break;
+                            }
                         }
                     }
                     next

@@ -297,14 +297,14 @@ impl IntervalBox {
             None => {}
         }
         match a.op() {
-            NormOp::Le => self.transfer_le(a.expr(), false),
-            NormOp::Lt => self.transfer_le(a.expr(), true),
+            NormOp::Le => self.transfer_le(a.expr(), false, false),
+            NormOp::Lt => self.transfer_le(a.expr(), true, false),
             NormOp::Eq => {
-                let fwd = self.transfer_le(a.expr(), false);
+                let fwd = self.transfer_le(a.expr(), false, false);
                 if matches!(fwd, Transfer::Empty) {
                     return Transfer::Empty;
                 }
-                let bwd = self.transfer_le(&-a.expr(), false);
+                let bwd = self.transfer_le(a.expr(), false, true);
                 match (fwd, bwd) {
                     (_, Transfer::Empty) => Transfer::Empty,
                     (Transfer::Changed, _) | (_, Transfer::Changed) => Transfer::Changed,
@@ -323,41 +323,52 @@ impl IntervalBox {
         }
     }
 
-    /// Transfer for `expr ≤ 0` (`strict` selects `<`): refine every
-    /// variable of the expression against the infimum of the others.
-    fn transfer_le(&mut self, expr: &LinExpr, strict: bool) -> Transfer {
+    /// Transfer for `expr ≤ 0`, or for `−expr ≤ 0` when `negated` (the
+    /// backward half of an equality); `strict` selects `<`. Refines every
+    /// variable of the expression against the infimum of the others,
+    /// reading the box's endpoints in place: the only values it builds
+    /// are the sums and bounds themselves.
+    fn transfer_le(&mut self, expr: &LinExpr, strict: bool, negated: bool) -> Transfer {
         let mut changed = false;
-        let terms: Vec<(&Var, &Rational)> = expr.terms().collect();
-        for (v, c) in &terms {
-            // inf of S = Σ_{w≠v} c_w·w + k under the current box.
-            let mut inf = expr.constant_term().clone();
-            let mut inf_strict = false;
+        for (v, c) in expr.terms() {
+            // acc = Σ_{w≠v} c_w·w + k at the endpoints that minimize it,
+            // or maximize it when `negated`: the infimum of the rest of
+            // `expr`, or minus the infimum of the rest of `−expr`.
+            let mut acc = expr.constant_term().clone();
+            let mut acc_strict = false;
             let mut bounded = true;
-            for (w, cw) in &terms {
+            for (w, cw) in expr.terms() {
                 if w == v {
                     continue;
                 }
-                let iv = self.vars.get(*w).cloned().unwrap_or_default();
-                let end = if cw.is_positive() { iv.lo } else { iv.hi };
+                let end = self.vars.get(w).and_then(|iv| {
+                    if cw.is_positive() != negated {
+                        iv.lo.as_ref()
+                    } else {
+                        iv.hi.as_ref()
+                    }
+                });
                 match end {
                     None => {
                         bounded = false;
                         break;
                     }
                     Some((b, s)) => {
-                        inf += &(*cw * &b);
-                        inf_strict |= s;
+                        acc += &(cw * b);
+                        acc_strict |= *s;
                     }
                 }
             }
             if !bounded {
                 continue;
             }
-            // c·v ⊲ −inf, so v ⊲ −inf/c (flipping on negative c).
-            let bound = &-inf / *c;
-            let s = strict || inf_strict;
-            let iv = self.vars.entry((*v).clone()).or_default();
-            let tightened = if c.is_positive() {
+            // c·v ⊲ −acc, so v ⊲ −acc/c (flipping on negative c). Negating
+            // the expression flips the signs of both c and acc: the bound
+            // −acc/c is the same, and the side it refines flips.
+            let bound = &-acc / c;
+            let s = strict || acc_strict;
+            let iv = self.vars.entry(v.clone()).or_default();
+            let tightened = if c.is_positive() != negated {
                 iv.refine_hi(bound, s)
             } else {
                 iv.refine_lo(bound, s)

@@ -68,7 +68,7 @@ mod var;
 
 pub use atom::{Atom, NormOp, RelOp};
 pub use conjunction::{Conjunction, Extremum};
-pub use cst_object::{CstFamily, CstObject, FamilyOp};
+pub use cst_object::{CstFamily, CstObject, FamilyOp, Operand};
 pub use dnf::Dnf;
 pub use error::ConstraintError;
 pub use interval::{Interval, IntervalBox, MAX_ROUNDS};

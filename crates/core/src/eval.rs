@@ -15,12 +15,12 @@
 use crate::ast::*;
 use crate::error::LyricError;
 use crate::explain::build_plan;
-use crate::formula::{arith_to_linexpr, display_path, entails, instantiate};
+use crate::formula::{arith_to_linexpr, display_path, entails, Template};
 use crate::lexer::lex_spanned;
 use crate::parser::parse_tokens;
 use crate::scope::{ScopeKey, ScopeLink};
 use lyric_arith::Rational;
-use lyric_constraint::{Atom, CstObject, Extremum, Interval, IntervalBox, RelOp, Var};
+use lyric_constraint::{CstObject, Extremum, Interval, Var};
 use lyric_engine::{flight, span, ExecOptions, SpanKind};
 use lyric_metrics::querylog::{self, Outcome, QueryRecord};
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Value};
@@ -199,7 +199,7 @@ fn run_statement(
     };
     let forensics = crate::explain::slow_explain_active();
     let plan = match &stmt {
-        Statement::Select(db, s) if opts.explain || forensics => Some(build_plan(db, s)),
+        Statement::Select(db, s) if opts.explain || forensics => Some(build_plan(db, s, None)),
         _ => None,
     };
 
@@ -528,37 +528,52 @@ impl Binding {
     }
 }
 
-/// Evaluation context: the database plus the set of declared variables
+/// Evaluation context: the database, the set of declared variables
 /// (FROM variables, bracket selector variables, and the view-name variable
-/// when present). Identifiers outside this set denote ground oids.
+/// when present; identifiers outside this set denote ground oids), and the
+/// query's CST formula templates.
 pub(crate) struct Ctx<'a> {
     pub(crate) db: &'a Database,
     declared: BTreeSet<String>,
+    /// Every CST formula site of the query, compiled once and keyed by
+    /// `&Formula` address (the parsed query never moves during
+    /// evaluation).
+    templates: BTreeMap<usize, Template<'a>>,
     /// Explain instrumentation: the plan-node map and row counters an
     /// explained run feeds. `None` on every plain evaluation path.
     explain: Option<&'a crate::explain::ExplainInfo>,
 }
 
-impl<'a> Ctx<'a> {
-    fn new(
-        db: &'a Database,
-        q: &SelectQuery,
-        view_var: Option<&str>,
-        explain: Option<&'a crate::explain::ExplainInfo>,
-    ) -> Ctx<'a> {
-        let mut declared: BTreeSet<String> = q.from.iter().map(|f| f.var.clone()).collect();
+/// The variable names of a query: the declared ones (see [`Ctx`]), and
+/// every name a binding can hold — the declared ones plus the attribute
+/// variables (§2.2: a capitalized path step that names no attribute).
+pub(crate) struct QueryNames {
+    pub(crate) declared: BTreeSet<String>,
+    pub(crate) bindable: BTreeSet<String>,
+}
+
+impl QueryNames {
+    pub(crate) fn of(q: &SelectQuery, view_var: Option<&str>) -> QueryNames {
+        let mut names = QueryNames {
+            declared: q.from.iter().map(|f| f.var.clone()).collect(),
+            bindable: BTreeSet::new(),
+        };
         if let Some(v) = view_var {
-            declared.insert(v.to_string());
+            names.declared.insert(v.to_string());
         }
-        // Bracket selector variables anywhere in the query.
-        fn scan_path(p: &PathExpr, out: &mut BTreeSet<String>) {
+        // Bracket selector variables and attribute variables anywhere in
+        // the query.
+        fn scan_path(p: &PathExpr, out: &mut QueryNames) {
             for s in &p.steps {
                 if let Some(Selector::Var(v)) = &s.selector {
-                    out.insert(v.clone());
+                    out.declared.insert(v.clone());
+                }
+                if is_attr_var_name(&s.attr) {
+                    out.bindable.insert(s.attr.clone());
                 }
             }
         }
-        fn scan_arith(a: &Arith, out: &mut BTreeSet<String>) {
+        fn scan_arith(a: &Arith, out: &mut QueryNames) {
             match a {
                 Arith::PathConst(p) => scan_path(p, out),
                 Arith::Add(x, y) | Arith::Sub(x, y) | Arith::Mul(x, y) => {
@@ -569,7 +584,7 @@ impl<'a> Ctx<'a> {
                 Arith::Num(_) | Arith::Var(_) => {}
             }
         }
-        fn scan_formula(f: &Formula, out: &mut BTreeSet<String>) {
+        fn scan_formula(f: &Formula, out: &mut QueryNames) {
             match f {
                 Formula::And(a, b) | Formula::Or(a, b) => {
                     scan_formula(a, out);
@@ -585,7 +600,7 @@ impl<'a> Ctx<'a> {
                 }
             }
         }
-        fn scan_cond(c: &Cond, out: &mut BTreeSet<String>) {
+        fn scan_cond(c: &Cond, out: &mut QueryNames) {
             match c {
                 Cond::And(a, b) | Cond::Or(a, b) => {
                     scan_cond(a, out);
@@ -608,25 +623,90 @@ impl<'a> Ctx<'a> {
             }
         }
         if let Some(w) = &q.where_clause {
-            scan_cond(w, &mut declared);
+            scan_cond(w, &mut names);
         }
         for item in &q.items {
             match &item.value {
-                SelectValue::Path(p) => scan_path(p, &mut declared),
-                SelectValue::Formula(f) => scan_formula(f, &mut declared),
+                SelectValue::Path(p) => scan_path(p, &mut names),
+                SelectValue::Formula(f) => scan_formula(f, &mut names),
                 SelectValue::Optimize {
                     objective, formula, ..
                 } => {
-                    scan_arith(objective, &mut declared);
-                    scan_formula(formula, &mut declared);
+                    scan_arith(objective, &mut names);
+                    scan_formula(formula, &mut names);
                 }
             }
         }
+        names.bindable.extend(names.declared.iter().cloned());
+        names
+    }
+}
+
+/// The key of a CST formula site: its address in the parsed query.
+fn template_key(f: &Formula) -> usize {
+    f as *const Formula as usize
+}
+
+/// Compile every CST formula site of a query: each WHERE `(φ)`, both
+/// sides of each `φ |= ψ`, and each SELECT formula and `SUBJECT TO` item,
+/// keyed by `&Formula` address.
+fn compile_templates<'q>(
+    q: &'q SelectQuery,
+    bindable: &BTreeSet<String>,
+) -> BTreeMap<usize, Template<'q>> {
+    fn walk<'q>(c: &'q Cond, bindable: &BTreeSet<String>, out: &mut BTreeMap<usize, Template<'q>>) {
+        match c {
+            Cond::And(a, b) | Cond::Or(a, b) => {
+                walk(a, bindable, out);
+                walk(b, bindable, out);
+            }
+            Cond::Not(a) => walk(a, bindable, out),
+            Cond::Sat(f) => {
+                out.insert(template_key(f), Template::compile(f, bindable));
+            }
+            Cond::Entails(a, b) => {
+                out.insert(template_key(a), Template::compile_side(a, bindable));
+                out.insert(template_key(b), Template::compile_side(b, bindable));
+            }
+            Cond::PathPred(_) | Cond::Compare { .. } => {}
+        }
+    }
+    let mut out = BTreeMap::new();
+    if let Some(w) = &q.where_clause {
+        walk(w, bindable, &mut out);
+    }
+    for item in &q.items {
+        match &item.value {
+            SelectValue::Formula(f) | SelectValue::Optimize { formula: f, .. } => {
+                out.insert(template_key(f), Template::compile(f, bindable));
+            }
+            SelectValue::Path(_) => {}
+        }
+    }
+    out
+}
+
+impl<'a> Ctx<'a> {
+    fn new(
+        db: &'a Database,
+        q: &'a SelectQuery,
+        view_var: Option<&str>,
+        explain: Option<&'a crate::explain::ExplainInfo>,
+    ) -> Ctx<'a> {
+        let names = QueryNames::of(q, view_var);
         Ctx {
             db,
-            declared,
+            templates: compile_templates(q, &names.bindable),
+            declared: names.declared,
             explain,
         }
+    }
+
+    /// The template of a CST formula site of the query.
+    pub(crate) fn template(&self, f: &Formula) -> &Template<'a> {
+        self.templates
+            .get(&template_key(f))
+            .expect("every CST formula site of the query is compiled in Ctx::new")
     }
 
     /// The plan-node id of a WHERE condition site (pointer identity: the
@@ -655,6 +735,13 @@ pub(crate) struct PathHit {
     pub scope: ScopeKey,
     /// For CST-attribute tails: (owner scope, declared vars).
     pub cst_info: Option<(ScopeKey, Vec<Var>)>,
+}
+
+/// Can a path step that names no attribute be an attribute variable
+/// (§2.2: a capitalized name)? [`eval_path`] binds such a step, and
+/// [`QueryNames`] counts it among the names a binding can hold.
+fn is_attr_var_name(name: &str) -> bool {
+    name.chars().next().is_some_and(|c| c.is_uppercase())
 }
 
 /// Enumerate the database paths satisfying ground instances of `path`
@@ -705,7 +792,7 @@ pub(crate) fn eval_path(
                 vec![step.attr.clone()]
             } else if let Some(Oid::Str(bound)) = state.binding.get(&step.attr) {
                 vec![bound.clone()]
-            } else if step.attr.chars().next().is_some_and(|c| c.is_uppercase()) {
+            } else if is_attr_var_name(&step.attr) {
                 // Attribute variable: ranges over the object's stored
                 // attributes (§2.2 higher-order variables).
                 data.attrs().map(|(n, _)| n.to_string()).collect()
@@ -884,7 +971,7 @@ fn eval_cond_inner(
             );
             // One emptiness check on the instantiated object:
             // canonicalizing first would decide the same emptiness twice.
-            let obj = instantiate(ctx, f, binding)?;
+            let obj = ctx.template(f).instantiate(ctx, binding)?;
             Ok(if obj.satisfiable() {
                 vec![binding.clone()]
             } else {
@@ -898,7 +985,7 @@ fn eval_cond_inner(
                 String::new,
                 cond.span().byte_range(),
             );
-            let holds = entails(ctx, f1, f2, binding)?;
+            let holds = entails(ctx, ctx.template(f1), ctx.template(f2), binding)?;
             Ok(if holds { vec![binding.clone()] } else { vec![] })
         }
     }
@@ -985,10 +1072,10 @@ fn compare_sets(l: &BTreeSet<Oid>, op: CmpOp, r: &BTreeSet<Oid>) -> Result<bool,
 //   `>=` with a literal comparand;
 // * box — `X.attr[E]` over a declared CST attribute, paired with a
 //   top-level `(E(v1,…,vk) AND chains)` satisfiability conjunct whose
-//   chains are path-free pseudo-linear constraints: the chains'
-//   interval-box reading at `v1,…,vk` is the positional query window,
-//   and objects all of whose stored members are box-disjoint from it
-//   cannot satisfy the pair.
+//   template is that one slot plus constant chains: the interval-box
+//   reading of the constant atoms at `v1,…,vk` is the positional query
+//   window ([`Template::window`]), and objects all of whose stored
+//   members are box-disjoint from it cannot satisfy the pair.
 //
 // Every probe returns a *superset* of the oids a full scan could keep or
 // error on (see `lyric_store`'s soundness contract), so binding from the
@@ -1139,7 +1226,7 @@ fn box_probe<'q>(
     let arity = vars.len();
     for c in conjuncts {
         let Cond::Sat(f) = c else { continue };
-        if let Some(window) = sat_window(ctx, f, member_var, arity) {
+        if let Some(window) = ctx.template(f).window(member_var, arity, &ctx.declared) {
             return Some(ProbeReq::Box {
                 attr: step.attr.as_str(),
                 window,
@@ -1147,91 +1234,6 @@ fn box_probe<'q>(
         }
     }
     None
-}
-
-/// The positional query window of a `Sat` conjunct of the exact shape
-/// `E(v1,…,vk) AND <chains>`: one reference to the member variable with
-/// an explicit renaming list, conjoined only with path-free
-/// pseudo-linear chains. The window is the chains' interval-box reading
-/// at each renaming variable; any other shape yields `None` (no
-/// pruning). Chains may mention further variables — the box treats them
-/// as free, which only *widens* the reading, so the window stays a
-/// sound over-approximation.
-fn sat_window(ctx: &Ctx<'_>, f: &Formula, member_var: &str, arity: usize) -> Option<Vec<Interval>> {
-    let mut pred_vars: Option<&Vec<String>> = None;
-    let mut atoms: Vec<Atom> = Vec::new();
-    if !collect_sat_shape(f, member_var, &mut pred_vars, &mut atoms) {
-        return None;
-    }
-    let vs = pred_vars?;
-    if vs.len() != arity || atoms.is_empty() {
-        return None;
-    }
-    // A renaming variable that is also a query variable would be
-    // substituted per-binding by the evaluator; the positional reading
-    // below would then be meaningless. Refuse to prune.
-    if vs.iter().any(|v| ctx.declared.contains(v)) {
-        return None;
-    }
-    let bx = IntervalBox::of_atoms(&atoms);
-    if bx.is_empty() {
-        // The chains alone are unsatisfiable; an empty box has no
-        // per-variable reading, so let the Sat checks decide.
-        return None;
-    }
-    Some(vs.iter().map(|v| bx.interval(&Var::new(v))).collect())
-}
-
-/// Walk a `Sat` formula's `AND` tree, recording the single `member_var`
-/// reference's renaming list and lowering every chain to atoms. Returns
-/// `false` as soon as any non-conforming node appears.
-fn collect_sat_shape<'q>(
-    f: &'q Formula,
-    member_var: &str,
-    pred_vars: &mut Option<&'q Vec<String>>,
-    atoms: &mut Vec<Atom>,
-) -> bool {
-    match f {
-        Formula::And(a, b) => {
-            collect_sat_shape(a, member_var, pred_vars, atoms)
-                && collect_sat_shape(b, member_var, pred_vars, atoms)
-        }
-        Formula::Pred { path, vars } => {
-            let Some(vs) = vars else { return false };
-            if !path.steps.is_empty() || pred_vars.is_some() {
-                return false;
-            }
-            match &path.root {
-                Selector::Var(v) if v == member_var => {
-                    *pred_vars = Some(vs);
-                    true
-                }
-                _ => false,
-            }
-        }
-        Formula::Chain { first, rest, .. } => {
-            let Ok(mut prev) = crate::storage::arith_to_linexpr_pure(first) else {
-                return false;
-            };
-            for (op, next) in rest {
-                let Ok(rhs) = crate::storage::arith_to_linexpr_pure(next) else {
-                    return false;
-                };
-                let relop = match op {
-                    CRelOp::Eq => RelOp::Eq,
-                    CRelOp::Neq => RelOp::Neq,
-                    CRelOp::Le => RelOp::Le,
-                    CRelOp::Lt => RelOp::Lt,
-                    CRelOp::Ge => RelOp::Ge,
-                    CRelOp::Gt => RelOp::Gt,
-                };
-                atoms.push(Atom::new(prev.clone(), relop, rhs.clone()));
-                prev = rhs;
-            }
-            true
-        }
-        Formula::Or(..) | Formula::Not(..) | Formula::Proj { .. } => false,
-    }
 }
 
 /// Bind a FROM variable through the store index: intersect the
@@ -1439,13 +1441,13 @@ fn eval_item(ctx: &Ctx<'_>, item: &SelectItem, b: &Binding) -> Result<Vec<Oid>, 
             Ok(vals)
         }
         // The oid canonicalizes the object (§3.1).
-        SelectValue::Formula(f) => Ok(vec![Oid::cst(instantiate(ctx, f, b)?)]),
+        SelectValue::Formula(f) => Ok(vec![Oid::cst(ctx.template(f).instantiate(ctx, b)?)]),
         SelectValue::Optimize {
             kind,
             objective,
             formula,
         } => {
-            let obj = instantiate(ctx, formula, b)?.canonicalize();
+            let obj = ctx.template(formula).instantiate(ctx, b)?.canonicalize();
             let goal = arith_to_linexpr(ctx, objective, b)?;
             // The LP operators optimize over the formula's point set; the
             // objective must range over its dimensions.

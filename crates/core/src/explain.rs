@@ -34,13 +34,13 @@
 
 use crate::ast::*;
 use crate::error::LyricError;
-use crate::eval::{check, column_name};
-use crate::formula::display_path;
+use crate::eval::{check, column_name, QueryNames};
+use crate::formula::{display_path, Template};
 use crate::parser::parse_query;
 use lyric_engine::trace::plan::{self, PlanAnalysis, PlanNode};
 use lyric_engine::trace::{Json, Trace};
 use lyric_oodb::Database;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The product of [`explain`] and of an explained run: the plan tree,
@@ -97,11 +97,11 @@ impl ExplainReport {
 pub fn explain(db: &Database, src: &str) -> Result<ExplainReport, LyricError> {
     let q = parse_query(src)?;
     check(db, &q)?;
-    let s = match &q {
-        Query::Select(s) => s,
-        Query::CreateView(v) => &v.select,
+    let (s, view_var) = match &q {
+        Query::Select(s) => (s, None),
+        Query::CreateView(v) => (&v.select, Some(v.name.as_str())),
     };
-    let (plan, _info) = build_plan(db, s);
+    let (plan, _info) = build_plan(db, s, view_var);
     Ok(ExplainReport {
         shape_hash: plan.shape_hash(),
         plan,
@@ -187,8 +187,13 @@ impl ExplainInfo {
 }
 
 /// Build the plan tree (preorder ids, static annotations) and the
-/// evaluator-side node map for one SELECT query.
-pub(crate) fn build_plan(db: &Database, s: &SelectQuery) -> (PlanNode, ExplainInfo) {
+/// evaluator-side node map for one SELECT query (`view_var` names the
+/// view variable of a `CREATE VIEW`'s select).
+pub(crate) fn build_plan(
+    db: &Database,
+    s: &SelectQuery,
+    view_var: Option<&str>,
+) -> (PlanNode, ExplainInfo) {
     let mut info = ExplainInfo {
         cond_ids: BTreeMap::new(),
         from_ids: Vec::new(),
@@ -211,7 +216,9 @@ pub(crate) fn build_plan(db: &Database, s: &SelectQuery) -> (PlanNode, ExplainIn
         info.where_id = Some(next);
         next += 1;
         wn.source = w.span().byte_range();
-        wn.children.push(build_cond(w, &mut next, &mut info));
+        let bindable = QueryNames::of(s, view_var).bindable;
+        wn.children
+            .push(build_cond(w, &bindable, &mut next, &mut info));
         root.children.push(wn);
     }
     for (i, item) in s.items.iter().enumerate() {
@@ -236,7 +243,15 @@ pub(crate) fn build_plan(db: &Database, s: &SelectQuery) -> (PlanNode, ExplainIn
     (root, info)
 }
 
-fn build_cond(c: &Cond, next: &mut u32, info: &mut ExplainInfo) -> PlanNode {
+/// A condition's plan node and its subtree. A `sat` or `entails` node is
+/// labelled with the template the evaluator compiles for its formulas
+/// ([`Template::label`]).
+fn build_cond(
+    c: &Cond,
+    bindable: &BTreeSet<String>,
+    next: &mut u32,
+    info: &mut ExplainInfo,
+) -> PlanNode {
     let id = *next;
     *next += 1;
     info.cond_ids.insert(c as *const Cond as usize, id);
@@ -246,17 +261,24 @@ fn build_cond(c: &Cond, next: &mut u32, info: &mut ExplainInfo) -> PlanNode {
         Cond::Not(..) => ("not", String::new()),
         Cond::PathPred(p) => ("path_pred", display_path(p)),
         Cond::Compare { op, .. } => ("compare", cmp_symbol(*op).to_string()),
-        Cond::Sat(..) => ("sat", String::new()),
-        Cond::Entails(..) => ("entails", String::new()),
+        Cond::Sat(f) => ("sat", Template::compile(f, bindable).label()),
+        Cond::Entails(f1, f2) => (
+            "entails",
+            format!(
+                "{} |= {}",
+                Template::compile_side(f1, bindable).label(),
+                Template::compile_side(f2, bindable).label()
+            ),
+        ),
     };
     let mut n = PlanNode::new(id, op, label);
     n.source = c.span().byte_range();
     match c {
         Cond::And(a, b) | Cond::Or(a, b) => {
-            n.children.push(build_cond(a, next, info));
-            n.children.push(build_cond(b, next, info));
+            n.children.push(build_cond(a, bindable, next, info));
+            n.children.push(build_cond(b, bindable, next, info));
         }
-        Cond::Not(a) => n.children.push(build_cond(a, next, info)),
+        Cond::Not(a) => n.children.push(build_cond(a, bindable, next, info)),
         Cond::Sat(f) => formula_features(f, &mut n),
         Cond::Entails(f1, f2) => {
             formula_features(f1, &mut n);
@@ -311,6 +333,9 @@ mod tests {
     const Q: &str = "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
          FROM Office_Object CO
          WHERE CO.extent[E] AND CO.translation[D]";
+
+    const PAPER_ENTAILMENT: &str = "SELECT DSK FROM Desk DSK
+         WHERE DSK.drawer_center[C] AND (C(p,q) |= p = 0)";
 
     #[test]
     fn explain_builds_a_dense_annotated_plan() {
@@ -371,6 +396,59 @@ mod tests {
             &opts,
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn sat_and_entails_nodes_show_their_templates() {
+        let label = |db: &Database, q: &str, op: &str| {
+            let report = explain(db, q).unwrap();
+            let nodes = report.plan.by_id();
+            let node = nodes.iter().find(|n| n.op == op).unwrap();
+            (node.label.clone(), report.shape_hash)
+        };
+        let items = crate::storage::load(
+            "LYRIC-DB 1
+
+CLASS Item
+  ATTR weight SCALAR CLASS int
+  ATTR region SCALAR CST u,v
+END
+
+OBJECT named:item_0 CLASS Item
+  SET weight = int:3
+  SET region = cst:((u,v) | u >= 0 AND u <= 10 AND v >= 0 AND v <= 10)
+END
+",
+        )
+        .unwrap();
+        let window = |lo: i64| {
+            format!(
+                "SELECT X FROM Item X WHERE X.region[E]
+                 AND (E(a,b) AND a >= {lo} AND a <= {lo} + 2 AND b <= X.weight)"
+            )
+        };
+        let (sat, hash) = label(&items, &window(1), "sat");
+        assert_eq!(sat, "E; 2 constant atoms, 1 per-binding chains");
+        // The label carries no literal, so the constants do not move the
+        // shape hash.
+        assert_eq!(hash, label(&items, &window(5), "sat").1);
+        // Normalization drops or empties constant atoms depending on the
+        // literals (`3 <= 5` is dropped, `7 <= 5` empties its chain); the
+        // label counts the pairs as written.
+        let chains = |k: i64, c: i64| {
+            format!(
+                "SELECT X FROM Item X WHERE X.region[E]
+                 AND (E(a,b) AND a <= {k} <= 5 AND 0 <= {c})"
+            )
+        };
+        let (a, hash_a) = label(&items, &chains(3, 3), "sat");
+        assert_eq!(a, "E; 3 constant atoms, 0 per-binding chains");
+        assert_eq!((a, hash_a), label(&items, &chains(7, -3), "sat"));
+        let (entails, _) = label(&paper_example::database(), PAPER_ENTAILMENT, "entails");
+        assert_eq!(
+            entails,
+            "C; 0 constant atoms, 0 per-binding chains |= no slots; 1 constant atoms, 0 per-binding chains"
+        );
     }
 
     #[test]

@@ -1,64 +1,333 @@
-//! CST-formula instantiation (§4.2).
+//! CST-formula templates (§4.2).
 //!
-//! Given a binding of query variables to oids, a [`Formula`] is turned into
-//! a [`CstObject`]:
+//! Every CST formula site of a query — each WHERE `(φ)`, both sides of
+//! each `φ |= ψ`, each SELECT formula and each `SUBJECT TO` formula — is
+//! compiled once per query into a [`Template`], which is then spliced into
+//! a [`CstObject`] per binding:
 //!
-//! 1. every `O(x₁,…,xₙ)` reference resolves its path to a stored constraint
-//!    object and aligns it positionally to the query variables (schema
-//!    names are copied when the list is omitted);
-//! 2. pseudo-linear atoms evaluate their path sub-terms to rational
-//!    constants;
+//! 1. a chain that reads no path constant and no variable a binding can
+//!    hold is lowered and normalized at compile time (a *constant* part);
+//!    any other chain, and any chain whose lowering fails at compile time,
+//!    is lowered per binding at its textual place, so every runtime error
+//!    surfaces at the same binding, in the same order, with the same
+//!    message;
+//! 2. every `O(x₁,…,xₙ)` reference is a *slot*: per binding its path
+//!    resolves to a stored constraint object, which is renamed
+//!    positionally to the query variables (schema names are copied when
+//!    the list is omitted), its bound variables renamed apart to names
+//!    fixed by the slot; a slot whose list equals the object's schema and
+//!    whose object has no bound variables is spliced as stored;
 //! 3. the schema-derived implicit equalities (see [`crate::scope`]) are
-//!    conjoined **before the outermost projection is applied** — the
-//!    paper's rule "to create an oid of a new CST object, we first add
-//!    implicit constraint derived by the schema".
+//!    derived per binding, because which references alias depends on the
+//!    access chains the binding reaches, and conjoined **before the
+//!    outermost projection is applied** — the paper's rule "to create an
+//!    oid of a new CST object, we first add implicit constraint derived by
+//!    the schema".
 //!
-//! Each `AND` tree, the implicit equalities included at the root, becomes
-//! one n-ary [`CstObject::and_all`]. The result is not canonicalized: a
-//! WHERE `(φ)` only decides emptiness, which canonicalization preserves,
-//! while a SELECT item canonicalizes when it becomes an oid (§3.1) and an
-//! optimization canonicalizes before its LP.
+//! The top-level conjuncts and the equalities go to one
+//! [`CstObject::product`], which normalizes each product disjunct once.
+//! OR, NOT and nested projections compile to sub-templates that are built
+//! into objects per binding; their slots feed the same equality
+//! derivation. The result is not canonicalized: a WHERE `(φ)` only decides
+//! emptiness, which canonicalization preserves, while a SELECT item
+//! canonicalizes when it becomes an oid (§3.1) and an optimization
+//! canonicalizes before its LP.
 
-use crate::ast::{Arith, CRelOp, Formula};
+use crate::ast::{Arith, CRelOp, Formula, PathExpr, Selector};
 use crate::error::LyricError;
 use crate::eval::{eval_path, Binding, Ctx};
-use crate::scope::{implicit_equalities, ResolvedPred, ScopeLink};
+use crate::scope::{implicit_equalities, ResolvedPred, ScopeKey, ScopeLink};
 use lyric_arith::Rational;
-use lyric_constraint::{Atom, Conjunction, CstObject, LinExpr, RelOp, Var};
+use lyric_constraint::{
+    Atom, Conjunction, CstObject, Interval, IntervalBox, LinExpr, Operand, RelOp, Var,
+};
 use lyric_oodb::Oid;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Instantiate a formula as a constraint object under `binding`.
-pub(crate) fn instantiate(
-    ctx: &Ctx<'_>,
-    f: &Formula,
-    binding: &Binding,
-) -> Result<CstObject, LyricError> {
-    let _span = lyric_engine::span(
-        lyric_engine::SpanKind::Instantiate,
-        String::new,
-        f.span().byte_range(),
-    );
-    let mut preds: Vec<ResolvedPred> = Vec::new();
-    let mut links = Arc::clone(&binding.links);
-    let (proj, body) = match f {
-        Formula::Proj { vars, body, .. } => (Some(vars), body.as_ref()),
-        _ => (None, f),
-    };
-    let mut parts = build_conjuncts(ctx, body, binding, &mut preds, &mut links)?;
-    parts.extend(equalities(implicit_equalities(&preds, &links)));
-    let obj = conjoin(parts);
-    Ok(match proj {
-        Some(vars) => obj.project(vars.iter().map(Var::new).collect()),
-        None => obj,
-    })
+/// A CST formula compiled once per query. Read-only after compilation, so
+/// the workers of a parallel evaluation share it.
+pub(crate) struct Template<'q> {
+    /// The outer projection, applied last.
+    proj: Option<Vec<Var>>,
+    /// The top-level conjuncts, in textual order.
+    parts: Vec<Part<'q>>,
+    /// Source range of the formula, for the `instantiate` span.
+    source: Option<(usize, usize)>,
 }
 
-/// Instantiate the two sides of an entailment predicate `φ |= ψ` and decide
-/// it. The implicit equalities are derived from the references of *both*
-/// sides and conjoined to the left one (they are context, so
-/// `Γ ∧ φ |= ψ`).
+/// One conjunct of a template.
+enum Part<'q> {
+    /// A chain lowered and normalized at compile time, and its number of
+    /// adjacent pairs as written (the EXPLAIN label counts these, since
+    /// normalization drops or merges atoms depending on the literals).
+    Const {
+        obj: CstObject,
+        pairs: usize,
+    },
+    /// A chain lowered per binding: it reads a path constant or a variable
+    /// a binding can hold, or its lowering failed at compile time.
+    Chain {
+        first: &'q Arith,
+        rest: &'q [(CRelOp, Arith)],
+    },
+    /// An `O(x₁,…,xₙ)` reference.
+    Slot(Slot<'q>),
+    /// A nested `AND` (under an OR, a NOT or a projection).
+    And(Vec<Part<'q>>),
+    Or(Box<Part<'q>>, Box<Part<'q>>),
+    Not(Box<Part<'q>>),
+    /// A nested projection: lazy re-binding (see the module docs of
+    /// `lyric_constraint::cst_object`); the implicit equalities are
+    /// injected once, at the root.
+    Proj(Vec<Var>, Box<Part<'q>>),
+}
+
+/// A CST-object reference of a template.
+struct Slot<'q> {
+    path: &'q PathExpr,
+    /// The explicit variable list; `None` copies the schema's (§4.2).
+    vars: Option<Vec<Var>>,
+    /// Preorder number within the template: it names the slot's renamed
+    /// bound variables.
+    index: usize,
+}
+
+impl<'q> Template<'q> {
+    /// Compile a WHERE `(φ)`, a SELECT formula or a `SUBJECT TO` formula.
+    /// `bindable` names every variable a binding of the query can hold:
+    /// a chain that reads one is lowered per binding.
+    pub(crate) fn compile(f: &'q Formula, bindable: &BTreeSet<String>) -> Template<'q> {
+        match f {
+            Formula::Proj { vars, body, .. } => Template {
+                proj: Some(vars.iter().map(Var::new).collect()),
+                ..Template::body(body, f, bindable)
+            },
+            _ => Template::body(f, f, bindable),
+        }
+    }
+
+    /// Compile one side of an entailment `φ |= ψ`. Projections on its
+    /// operands only rebind variables; entailment is evaluated over the
+    /// full variable space (§4.2 quantifies over all free variables of
+    /// both sides), so every outer projection is transparent here.
+    pub(crate) fn compile_side(f: &'q Formula, bindable: &BTreeSet<String>) -> Template<'q> {
+        let mut body = f;
+        while let Formula::Proj { body: inner, .. } = body {
+            body = inner;
+        }
+        Template::body(body, f, bindable)
+    }
+
+    fn body(body: &'q Formula, site: &Formula, bindable: &BTreeSet<String>) -> Template<'q> {
+        let mut slots = 0;
+        Template {
+            proj: None,
+            parts: body
+                .conjuncts()
+                .into_iter()
+                .map(|c| Part::compile(c, bindable, &mut slots))
+                .collect(),
+            source: site.span().byte_range(),
+        }
+    }
+
+    /// Splice the template under `binding` (§4.2).
+    pub(crate) fn instantiate(
+        &self,
+        ctx: &Ctx<'_>,
+        binding: &Binding,
+    ) -> Result<CstObject, LyricError> {
+        let _span = lyric_engine::span(
+            lyric_engine::SpanKind::Instantiate,
+            String::new,
+            self.source,
+        );
+        let mut splice = Splice::new(ctx, binding);
+        let pieces = splice.parts(&self.parts)?;
+        let equalities = splice.equalities();
+        let obj = splice.conjoin(pieces, equalities);
+        Ok(match &self.proj {
+            Some(vars) => obj.project(vars.clone()),
+            None => obj,
+        })
+    }
+
+    /// The positional query window of a `Sat` template for the reference
+    /// `member(v₁,…,vₖ)` to a `k`-ary CST attribute: the box of the
+    /// template's constant atoms read at each `vᵢ`. Only a template of
+    /// exactly that one slot (a bare `member` with an explicit list) and
+    /// constant parts has one. Constant chains may mention further
+    /// variables; the box treats them as free, which only *widens* the
+    /// reading, so the window stays a sound over-approximation.
+    pub(crate) fn window(
+        &self,
+        member: &str,
+        arity: usize,
+        declared: &BTreeSet<String>,
+    ) -> Option<Vec<Interval>> {
+        if self.proj.is_some() {
+            return None;
+        }
+        let mut slot = None;
+        let mut atoms: Vec<Atom> = Vec::new();
+        for part in &self.parts {
+            match part {
+                Part::Slot(s) if slot.is_none() => slot = Some(s),
+                Part::Const { obj, .. } => {
+                    // A false constant part has no disjunct and no box
+                    // reading; the Sat checks decide it.
+                    let [d] = obj.disjuncts() else { return None };
+                    atoms.extend_from_slice(d.atoms());
+                }
+                _ => return None,
+            }
+        }
+        let slot = slot?;
+        match &slot.path.root {
+            Selector::Var(v) if v == member && slot.path.steps.is_empty() => {}
+            _ => return None,
+        }
+        let vars = slot.vars.as_ref()?;
+        if vars.len() != arity || atoms.is_empty() {
+            return None;
+        }
+        // A renaming variable that is also a query variable would be
+        // substituted per binding by the evaluator; the positional reading
+        // below would then be meaningless. Refuse to prune.
+        if vars.iter().any(|v| declared.contains(v.name())) {
+            return None;
+        }
+        let bx = IntervalBox::of_atoms(&atoms);
+        if bx.is_empty() {
+            // The chains alone are unsatisfiable; an empty box has no
+            // per-variable reading, so let the Sat checks decide.
+            return None;
+        }
+        Some(vars.iter().map(|v| bx.interval(v)).collect())
+    }
+
+    /// The EXPLAIN label: the slot paths in order, then the counts of
+    /// constant atoms and of per-binding chains. It carries no literal
+    /// value, so queries that differ only in constants label alike.
+    pub(crate) fn label(&self) -> String {
+        fn walk(p: &Part<'_>, slots: &mut Vec<String>, atoms: &mut usize, chains: &mut usize) {
+            match p {
+                Part::Const { pairs, .. } => *atoms += pairs,
+                Part::Chain { .. } => *chains += 1,
+                Part::Slot(s) => slots.push(display_path(s.path)),
+                Part::And(ps) => ps.iter().for_each(|p| walk(p, slots, atoms, chains)),
+                Part::Or(a, b) => {
+                    walk(a, slots, atoms, chains);
+                    walk(b, slots, atoms, chains);
+                }
+                Part::Not(a) | Part::Proj(_, a) => walk(a, slots, atoms, chains),
+            }
+        }
+        let (mut slots, mut atoms, mut chains) = (Vec::new(), 0, 0);
+        for p in &self.parts {
+            walk(p, &mut slots, &mut atoms, &mut chains);
+        }
+        let slots = if slots.is_empty() {
+            "no slots".to_string()
+        } else {
+            slots.join(", ")
+        };
+        format!("{slots}; {atoms} constant atoms, {chains} per-binding chains")
+    }
+}
+
+impl<'q> Part<'q> {
+    fn compile(f: &'q Formula, bindable: &BTreeSet<String>, slots: &mut usize) -> Part<'q> {
+        match f {
+            Formula::And(..) => Part::And(
+                f.conjuncts()
+                    .into_iter()
+                    .map(|c| Part::compile(c, bindable, slots))
+                    .collect(),
+            ),
+            Formula::Or(a, b) => {
+                let l = Part::compile(a, bindable, slots);
+                let r = Part::compile(b, bindable, slots);
+                Part::Or(Box::new(l), Box::new(r))
+            }
+            Formula::Not(a) => Part::Not(Box::new(Part::compile(a, bindable, slots))),
+            Formula::Proj { vars, body, .. } => Part::Proj(
+                vars.iter().map(Var::new).collect(),
+                Box::new(Part::compile(body, bindable, slots)),
+            ),
+            Formula::Pred { path, vars } => {
+                *slots += 1;
+                Part::Slot(Slot {
+                    path,
+                    vars: vars.as_ref().map(|vs| vs.iter().map(Var::new).collect()),
+                    index: *slots - 1,
+                })
+            }
+            Formula::Chain { first, rest, .. } => {
+                let constant = !reads_binding(first, bindable)
+                    && rest.iter().all(|(_, a)| !reads_binding(a, bindable));
+                let lowered = constant
+                    .then(|| lower_chain(first, rest, crate::storage::arith_to_linexpr_pure).ok())
+                    .flatten();
+                match lowered {
+                    Some(obj) => Part::Const {
+                        obj,
+                        pairs: rest.len(),
+                    },
+                    None => Part::Chain { first, rest },
+                }
+            }
+        }
+    }
+}
+
+/// Does the expression read a path constant or a variable a binding can
+/// hold?
+fn reads_binding(a: &Arith, bindable: &BTreeSet<String>) -> bool {
+    match a {
+        Arith::Num(_) => false,
+        Arith::Var(name) => bindable.contains(name),
+        Arith::PathConst(_) => true,
+        Arith::Add(x, y) | Arith::Sub(x, y) | Arith::Mul(x, y) => {
+            reads_binding(x, bindable) || reads_binding(y, bindable)
+        }
+        Arith::Neg(x) => reads_binding(x, bindable),
+    }
+}
+
+/// Lower a chain `a₁ op₁ a₂ op₂ … aₖ` to the conjunction of its adjacent
+/// pairs, over the sorted variables it mentions. `arith` lowers one
+/// pseudo-linear expression.
+pub(crate) fn lower_chain(
+    first: &Arith,
+    rest: &[(CRelOp, Arith)],
+    mut arith: impl FnMut(&Arith) -> Result<LinExpr, LyricError>,
+) -> Result<CstObject, LyricError> {
+    let mut atoms = Vec::with_capacity(rest.len());
+    let mut prev = arith(first)?;
+    for (op, next) in rest {
+        let rhs = arith(next)?;
+        let relop = match op {
+            CRelOp::Eq => RelOp::Eq,
+            CRelOp::Neq => RelOp::Neq,
+            CRelOp::Le => RelOp::Le,
+            CRelOp::Lt => RelOp::Lt,
+            CRelOp::Ge => RelOp::Ge,
+            CRelOp::Gt => RelOp::Gt,
+        };
+        atoms.push(Atom::new(prev, relop, rhs.clone()));
+        prev = rhs;
+    }
+    let conj = Conjunction::of(atoms);
+    let free: Vec<Var> = conj.vars().into_iter().collect();
+    Ok(CstObject::from_conjunction(free, conj))
+}
+
+/// Decide an entailment predicate `φ |= ψ` under `binding`, from the
+/// templates of its two sides. The implicit equalities are derived from
+/// the references of *both* sides and conjoined to the left one (they are
+/// context, so `Γ ∧ φ |= ψ`).
 ///
 /// Variable spaces are unified **by name** (the paper's `(C(p,q) |= p=0)`),
 /// except when the two sides' variable sets are disjoint with equal arity —
@@ -66,16 +335,16 @@ pub(crate) fn instantiate(
 /// an `extent` and a `Region`, whose schema names differ).
 pub(crate) fn entails(
     ctx: &Ctx<'_>,
-    f1: &Formula,
-    f2: &Formula,
+    lhs: &Template<'_>,
+    rhs: &Template<'_>,
     binding: &Binding,
 ) -> Result<bool, LyricError> {
-    let mut preds: Vec<ResolvedPred> = Vec::new();
-    let mut links = Arc::clone(&binding.links);
-    let mut lhs = build_conjuncts(ctx, strip_proj(f1), binding, &mut preds, &mut links)?;
-    let rhs = build(ctx, strip_proj(f2), binding, &mut preds, &mut links)?;
-    lhs.extend(equalities(implicit_equalities(&preds, &links)));
-    let lhs = conjoin(lhs);
+    let mut splice = Splice::new(ctx, binding);
+    let l = splice.parts(&lhs.parts)?;
+    let r = splice.parts(&rhs.parts)?;
+    let equalities = splice.equalities();
+    let lhs = splice.conjoin(l, equalities);
+    let rhs = splice.conjoin(r, None);
 
     let lf: BTreeSet<&Var> = lhs.free().iter().collect();
     let rf: BTreeSet<&Var> = rhs.free().iter().collect();
@@ -96,126 +365,211 @@ pub(crate) fn entails(
     }
 }
 
-/// Projections on entailment operands only rebind variables; entailment is
-/// evaluated over the full variable space (§4.2 quantifies over all free
-/// variables of both sides), so the outer projection is transparent here.
-fn strip_proj(f: &Formula) -> &Formula {
-    match f {
-        Formula::Proj { body, .. } => strip_proj(body),
-        _ => f,
+/// A stored object one slot resolved to under the binding.
+struct Resolved<'t> {
+    oid: Oid,
+    /// The owning scope (access chain) of the declared variables.
+    owner: ScopeKey,
+    /// The attribute's declared variable list.
+    declared: Vec<Var>,
+    /// The slot's explicit variable list.
+    vars: Option<&'t [Var]>,
+}
+
+impl Resolved<'_> {
+    fn object(&self) -> &CstObject {
+        self.oid.as_cst().expect("resolved to a constraint object")
+    }
+
+    fn query_vars(&self) -> &[Var] {
+        self.vars.unwrap_or(&self.declared)
     }
 }
 
-/// The implicit equality atoms as one conjunct, if there are any.
-fn equalities(atoms: Vec<Atom>) -> Option<CstObject> {
-    if atoms.is_empty() {
-        return None;
+/// One conjunct of a splice, ready for the product.
+enum Piece<'t> {
+    /// A constant part of the template.
+    Const(&'t CstObject),
+    /// The `i`th resolved reference, spliced as stored.
+    Stored(usize),
+    /// The `i`th resolved reference, renamed: one atom list per disjunct.
+    Renamed(usize, Vec<Vec<Atom>>),
+    /// An object built for this binding: a per-binding chain, a nested
+    /// part, or the implicit equalities.
+    Built(CstObject),
+}
+
+/// The per-binding state of one splice: the references resolved so far,
+/// in preorder, and every renaming fact in scope.
+struct Splice<'c> {
+    ctx: &'c Ctx<'c>,
+    binding: &'c Binding,
+    links: Arc<Vec<ScopeLink>>,
+    resolved: Vec<Resolved<'c>>,
+}
+
+impl<'c> Splice<'c> {
+    fn new(ctx: &'c Ctx<'c>, binding: &'c Binding) -> Splice<'c> {
+        Splice {
+            ctx,
+            binding,
+            links: Arc::clone(&binding.links),
+            resolved: Vec::new(),
+        }
     }
-    let free: Vec<Var> = atoms
-        .iter()
-        .flat_map(|a| a.vars())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    Some(CstObject::from_conjunction(free, Conjunction::of(atoms)))
-}
 
-/// The conjunction of built conjuncts; a lone conjunct is returned as is.
-fn conjoin(mut parts: Vec<CstObject>) -> CstObject {
-    if parts.len() == 1 {
-        return parts.pop().expect("one conjunct");
+    /// Evaluate conjuncts left to right.
+    fn parts(&mut self, parts: &'c [Part<'_>]) -> Result<Vec<Piece<'c>>, LyricError> {
+        parts.iter().map(|p| self.piece(p)).collect()
     }
-    CstObject::and_all(&parts)
-}
 
-/// Build the conjuncts of `f`'s top-level `AND` tree, left to right.
-fn build_conjuncts(
-    ctx: &Ctx<'_>,
-    f: &Formula,
-    binding: &Binding,
-    preds: &mut Vec<ResolvedPred>,
-    links: &mut Arc<Vec<ScopeLink>>,
-) -> Result<Vec<CstObject>, LyricError> {
-    f.conjuncts()
-        .into_iter()
-        .map(|c| build(ctx, c, binding, preds, links))
-        .collect()
-}
-
-/// Recursive construction. `preds` and `links` accumulate the CST
-/// references and renaming facts used for implicit-equality derivation.
-fn build(
-    ctx: &Ctx<'_>,
-    f: &Formula,
-    binding: &Binding,
-    preds: &mut Vec<ResolvedPred>,
-    links: &mut Arc<Vec<ScopeLink>>,
-) -> Result<CstObject, LyricError> {
-    match f {
-        Formula::And(..) => Ok(conjoin(build_conjuncts(ctx, f, binding, preds, links)?)),
-        Formula::Or(a, b) => {
-            let l = build(ctx, a, binding, preds, links)?;
-            let r = build(ctx, b, binding, preds, links)?;
-            Ok(l.or(&r))
-        }
-        Formula::Not(a) => {
-            let inner = build(ctx, a, binding, preds, links)?;
-            Ok(inner.negate()?)
-        }
-        Formula::Proj { vars, body, .. } => {
-            // Nested projection: lazy re-binding (see the module docs of
-            // `lyric_constraint::cst_object`); equality injection happens
-            // once at the root.
-            let inner = build(ctx, body, binding, preds, links)?;
-            Ok(inner.project(vars.iter().map(Var::new).collect()))
-        }
-        Formula::Pred { path, vars } => {
-            let (oid, owner, declared) = resolve_cst_path(ctx, path, binding, links)?;
-            let object = oid.as_cst().expect("resolved to a constraint object");
-            let query_vars: Vec<Var> = match vars {
-                Some(vs) => {
-                    if vs.len() != object.arity() {
-                        return Err(LyricError::DimensionMismatch {
-                            expected: object.arity(),
-                            got: vs.len(),
-                            what: format!("CST reference {}", display_path(path)),
-                        });
-                    }
-                    vs.iter().map(Var::new).collect()
-                }
-                // "If the variables are not specified, they are simply
-                // copied from the schema" (§4.2).
-                None => declared.clone(),
-            };
-            let aligned = object.align_to(&query_vars);
-            preds.push(ResolvedPred {
-                query_vars,
-                owner,
-                declared,
-            });
-            Ok(aligned)
-        }
-        Formula::Chain { first, rest, .. } => {
-            let mut atoms = Vec::new();
-            let mut prev = arith_to_linexpr(ctx, first, binding)?;
-            for (op, next) in rest {
-                let rhs = arith_to_linexpr(ctx, next, binding)?;
-                let relop = match op {
-                    CRelOp::Eq => RelOp::Eq,
-                    CRelOp::Neq => RelOp::Neq,
-                    CRelOp::Le => RelOp::Le,
-                    CRelOp::Lt => RelOp::Lt,
-                    CRelOp::Ge => RelOp::Ge,
-                    CRelOp::Gt => RelOp::Gt,
-                };
-                atoms.push(Atom::new(prev.clone(), relop, rhs.clone()));
-                prev = rhs;
+    fn piece(&mut self, part: &'c Part<'_>) -> Result<Piece<'c>, LyricError> {
+        Ok(match part {
+            Part::Const { obj, .. } => Piece::Const(obj),
+            Part::Chain { first, rest } => Piece::Built(lower_chain(first, rest, |a| {
+                arith_to_linexpr(self.ctx, a, self.binding)
+            })?),
+            Part::Slot(slot) => self.slot(slot)?,
+            Part::And(ps) => {
+                let pieces = self.parts(ps)?;
+                Piece::Built(self.conjoin(pieces, None))
             }
-            let conj = Conjunction::of(atoms);
-            let free: Vec<Var> = conj.vars().into_iter().collect();
-            Ok(CstObject::from_conjunction(free, conj))
+            Part::Or(a, b) => {
+                let l = self.object(a)?;
+                let r = self.object(b)?;
+                Piece::Built(l.or(&r))
+            }
+            Part::Not(a) => Piece::Built(self.object(a)?.negate()?),
+            Part::Proj(vars, a) => Piece::Built(self.object(a)?.project(vars.clone())),
+        })
+    }
+
+    fn object(&mut self, part: &'c Part<'_>) -> Result<CstObject, LyricError> {
+        let piece = self.piece(part)?;
+        Ok(self.materialize(piece))
+    }
+
+    /// Resolve a slot and rename its object to the query variables.
+    fn slot(&mut self, slot: &'c Slot<'_>) -> Result<Piece<'c>, LyricError> {
+        let (oid, owner, declared) =
+            resolve_cst_path(self.ctx, slot.path, self.binding, &mut self.links)?;
+        let r = Resolved {
+            oid,
+            owner,
+            declared,
+            vars: slot.vars.as_deref(),
+        };
+        let object = r.object();
+        if let Some(vs) = r.vars {
+            if vs.len() != object.arity() {
+                return Err(LyricError::DimensionMismatch {
+                    expected: object.arity(),
+                    got: vs.len(),
+                    what: format!("CST reference {}", display_path(slot.path)),
+                });
+            }
+        }
+        let target = r.query_vars();
+        assert_eq!(target.len(), object.arity());
+        let piece = if target == object.free() && !object.has_bound_vars() {
+            Piece::Stored(self.resolved.len())
+        } else {
+            Piece::Renamed(
+                self.resolved.len(),
+                rename_apart(object, target, slot.index),
+            )
+        };
+        self.resolved.push(r);
+        Ok(piece)
+    }
+
+    /// The implicit equality atoms as one conjunct, if there are any.
+    fn equalities(&self) -> Option<CstObject> {
+        let preds: Vec<ResolvedPred<'_>> = self
+            .resolved
+            .iter()
+            .map(|r| ResolvedPred {
+                query_vars: r.query_vars(),
+                owner: &r.owner,
+                declared: &r.declared,
+            })
+            .collect();
+        let atoms = implicit_equalities(&preds, &self.links);
+        if atoms.is_empty() {
+            return None;
+        }
+        let free: Vec<Var> = atoms
+            .iter()
+            .flat_map(|a| a.vars())
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        Some(CstObject::from_conjunction(free, Conjunction::of(atoms)))
+    }
+
+    /// The conjunction of the pieces and the equalities: one product; a
+    /// lone piece is returned as is.
+    fn conjoin(&self, mut pieces: Vec<Piece<'c>>, equalities: Option<CstObject>) -> CstObject {
+        pieces.extend(equalities.map(Piece::Built));
+        if pieces.len() == 1 {
+            return self.materialize(pieces.pop().expect("one conjunct"));
+        }
+        CstObject::product(pieces.iter().map(|p| match p {
+            Piece::Const(obj) => Operand::Object(obj),
+            Piece::Stored(i) => Operand::Object(self.resolved[*i].object()),
+            Piece::Renamed(i, lists) => Operand::Lists(self.resolved[*i].query_vars(), lists),
+            Piece::Built(obj) => Operand::Object(obj),
+        }))
+    }
+
+    fn materialize(&self, piece: Piece<'c>) -> CstObject {
+        match piece {
+            Piece::Const(obj) => obj.clone(),
+            Piece::Stored(i) => self.resolved[i].object().clone(),
+            Piece::Renamed(i, lists) => CstObject::new(
+                self.resolved[i].query_vars().to_vec(),
+                lists.into_iter().map(Conjunction::of),
+            ),
+            Piece::Built(obj) => obj,
         }
     }
+}
+
+/// Rename `object` positionally to `target`, and its bound variables apart
+/// to `%slot.j` names (`j` numbering them by first occurrence within a
+/// disjunct): the lexer never emits `%`, no two slots share a name, and
+/// the product renames every other operand's bound variables to globally
+/// fresh names of another shape, so nothing can capture.
+fn rename_apart(object: &CstObject, target: &[Var], slot: usize) -> Vec<Vec<Atom>> {
+    let positional: BTreeMap<Var, Var> = object
+        .free()
+        .iter()
+        .zip(target)
+        .filter(|(from, to)| from != to)
+        .map(|(from, to)| (from.clone(), to.clone()))
+        .collect();
+    object
+        .disjuncts()
+        .iter()
+        .map(|d| {
+            // The positional map, extended when the disjunct has bound
+            // variables.
+            let mut extended: Option<BTreeMap<Var, Var>> = None;
+            for a in d.atoms() {
+                for (v, _) in a.expr().terms() {
+                    if object.free().contains(v) {
+                        continue;
+                    }
+                    let map = extended.get_or_insert_with(|| positional.clone());
+                    let bound = map.len() - positional.len();
+                    map.entry(v.clone())
+                        .or_insert_with(|| Var::new(format!("%{slot}.{bound}")));
+                }
+            }
+            let map = extended.as_ref().unwrap_or(&positional);
+            d.atoms().iter().map(|a| a.rename(map)).collect()
+        })
+        .collect()
 }
 
 /// Resolve a CST-object reference path: the stored object's oid (which
@@ -223,12 +577,12 @@ fn build(
 /// attribute's declared variable list.
 fn resolve_cst_path(
     ctx: &Ctx<'_>,
-    path: &crate::ast::PathExpr,
+    path: &PathExpr,
     binding: &Binding,
     links: &mut Arc<Vec<ScopeLink>>,
-) -> Result<(Oid, crate::scope::ScopeKey, Vec<Var>), LyricError> {
+) -> Result<(Oid, ScopeKey, Vec<Var>), LyricError> {
     let hits = eval_path(ctx, path, binding)?;
-    let mut resolved: Option<(Oid, crate::scope::ScopeKey, Vec<Var>)> = None;
+    let mut resolved: Option<(Oid, ScopeKey, Vec<Var>)> = None;
     for hit in hits {
         if !Arc::ptr_eq(&hit.binding.links, links) {
             for link in hit.binding.links.iter() {
@@ -336,8 +690,8 @@ pub(crate) fn arith_to_linexpr(
     }
 }
 
-pub(crate) fn display_path(p: &crate::ast::PathExpr) -> String {
-    use crate::ast::{OidLit, Selector};
+pub(crate) fn display_path(p: &PathExpr) -> String {
+    use crate::ast::OidLit;
     fn sel(s: &Selector) -> String {
         match s {
             Selector::Var(v) => v.clone(),

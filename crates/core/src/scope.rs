@@ -21,10 +21,16 @@
 //! names when the list is omitted). A union–find over the links then emits
 //! one equality atom per pair of distinct query variables that land in the
 //! same node class.
+//!
+//! Which references share a scope depends on the binding, not only on the
+//! declarations: in a self-join `FROM Object_In_Room X, Object_In_Room Y`
+//! the references reached through `X` and through `Y` alias exactly on the
+//! bindings with X = Y. The equalities are therefore derived per binding;
+//! each distinct access chain is interned to an index first, so the
+//! union–find runs over small integers.
 
 use lyric_constraint::{Atom, LinExpr, Var};
 use lyric_oodb::Oid;
-use std::collections::BTreeMap;
 
 /// A scope: the access chain of oids leading to an object.
 pub(crate) type ScopeKey = Vec<Oid>;
@@ -39,79 +45,108 @@ pub(crate) struct ScopeLink {
 }
 
 /// A CST-object reference of a formula, resolved against a binding.
-#[derive(Debug, Clone)]
-pub(crate) struct ResolvedPred {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ResolvedPred<'a> {
     /// Positional query-variable names.
-    pub query_vars: Vec<Var>,
+    pub query_vars: &'a [Var],
     /// The owning scope (access chain) of the declared variables.
-    pub owner: ScopeKey,
+    pub owner: &'a [Oid],
     /// The attribute's declared variable list (schema names).
-    pub declared: Vec<Var>,
+    pub declared: &'a [Var],
 }
 
-/// Node key: a declared variable in an access-path scope.
-type Node = (ScopeKey, Var);
-
-/// Union–find over scope nodes with attached query variables.
+/// Union–find over `(scope, declared variable)` nodes, each access chain
+/// interned to an index on first sight.
 #[derive(Default)]
-struct UnionFind {
-    parent: BTreeMap<Node, Node>,
+struct UnionFind<'a> {
+    scopes: Vec<&'a [Oid]>,
+    nodes: Vec<(usize, &'a Var)>,
+    parent: Vec<usize>,
 }
 
-impl UnionFind {
-    fn find(&mut self, n: &Node) -> Node {
-        let p = match self.parent.get(n) {
-            None => return n.clone(),
-            Some(p) => p.clone(),
-        };
-        if &p == n {
-            return p;
+impl<'a> UnionFind<'a> {
+    fn scope(&mut self, chain: &'a [Oid]) -> usize {
+        match self.scopes.iter().position(|s| *s == chain) {
+            Some(i) => i,
+            None => {
+                self.scopes.push(chain);
+                self.scopes.len() - 1
+            }
         }
-        let root = self.find(&p);
-        self.parent.insert(n.clone(), root.clone());
+    }
+
+    fn node(&mut self, chain: &'a [Oid], var: &'a Var) -> usize {
+        let scope = self.scope(chain);
+        match self.nodes.iter().position(|&(s, v)| s == scope && v == var) {
+            Some(i) => i,
+            None => {
+                self.nodes.push((scope, var));
+                self.parent.push(self.parent.len());
+                self.nodes.len() - 1
+            }
+        }
+    }
+
+    fn find(&mut self, n: usize) -> usize {
+        let p = self.parent[n];
+        if p == n {
+            return n;
+        }
+        let root = self.find(p);
+        self.parent[n] = root;
         root
     }
 
-    fn union(&mut self, a: &Node, b: &Node) {
+    fn union(&mut self, a: usize, b: usize) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
-            self.parent.insert(ra, rb);
+            self.parent[ra] = rb;
         }
     }
 }
 
 /// Derive the implicit equality atoms for one formula: `preds` are its
 /// resolved CST references, `links` every renaming fact in scope (gathered
-/// from all path walks of the query so far).
-pub(crate) fn implicit_equalities(preds: &[ResolvedPred], links: &[ScopeLink]) -> Vec<Atom> {
+/// from all path walks of the query so far). Classes are emitted in the
+/// order of their root node's `(access chain, variable)`, each as equalities
+/// of its first attached query variable with every later one.
+pub(crate) fn implicit_equalities(preds: &[ResolvedPred<'_>], links: &[ScopeLink]) -> Vec<Atom> {
     let mut uf = UnionFind::default();
     for link in links {
         for (pv, cv) in &link.pairs {
-            uf.union(
-                &(link.parent.clone(), pv.clone()),
-                &(link.child.clone(), cv.clone()),
-            );
+            let a = uf.node(&link.parent, pv);
+            let b = uf.node(&link.child, cv);
+            uf.union(a, b);
         }
     }
     // Attach query variables to node classes.
-    let mut attached: BTreeMap<Node, Vec<Var>> = BTreeMap::new();
+    let mut attached: Vec<(usize, Vec<&Var>)> = Vec::new();
     for p in preds {
         debug_assert_eq!(p.query_vars.len(), p.declared.len());
-        for (decl, qv) in p.declared.iter().zip(&p.query_vars) {
-            let root = uf.find(&(p.owner.clone(), decl.clone()));
-            let entry = attached.entry(root).or_default();
-            if !entry.contains(qv) {
-                entry.push(qv.clone());
+        for (decl, qv) in p.declared.iter().zip(p.query_vars) {
+            let n = uf.node(p.owner, decl);
+            let root = uf.find(n);
+            match attached.iter_mut().find(|(r, _)| *r == root) {
+                Some((_, qvars)) => {
+                    if !qvars.contains(&qv) {
+                        qvars.push(qv);
+                    }
+                }
+                None => attached.push((root, vec![qv])),
             }
         }
     }
+    attached.sort_by(|(a, _), (b, _)| {
+        let ((sa, va), (sb, vb)) = (uf.nodes[*a], uf.nodes[*b]);
+        uf.scopes[sa].cmp(uf.scopes[sb]).then_with(|| va.cmp(vb))
+    });
     let mut out = Vec::new();
     for (_, qvars) in attached {
         for other in &qvars[1..] {
             out.push(Atom::eq(
                 LinExpr::var(qvars[0].clone()),
-                LinExpr::var(other.clone()),
+                LinExpr::var((*other).clone()),
             ));
         }
     }
@@ -127,12 +162,27 @@ mod tests {
         Var::new(n)
     }
 
-    fn pred(owner: &[Oid], declared: &[&str], query: &[&str]) -> ResolvedPred {
-        ResolvedPred {
-            query_vars: query.iter().map(|s| v(s)).collect(),
-            owner: owner.to_vec(),
-            declared: declared.iter().map(|s| v(s)).collect(),
-        }
+    /// An owned reference: `(owner, declared, query vars)`.
+    type Owned = (Vec<Oid>, Vec<Var>, Vec<Var>);
+
+    fn pred(owner: &[Oid], declared: &[&str], query: &[&str]) -> Owned {
+        (
+            owner.to_vec(),
+            declared.iter().map(|s| v(s)).collect(),
+            query.iter().map(|s| v(s)).collect(),
+        )
+    }
+
+    fn equalities(preds: &[Owned], links: &[ScopeLink]) -> Vec<Atom> {
+        let refs: Vec<ResolvedPred> = preds
+            .iter()
+            .map(|(owner, declared, query_vars)| ResolvedPred {
+                query_vars,
+                owner,
+                declared,
+            })
+            .collect();
+        implicit_equalities(&refs, links)
     }
 
     #[test]
@@ -156,7 +206,7 @@ mod tests {
             child: drw.clone(),
             pairs: vec![(v("p"), v("x")), (v("q"), v("y"))],
         }];
-        let eqs = implicit_equalities(&preds, &links);
+        let eqs = equalities(&preds, &links);
         let got = Conjunction::of(eqs);
         let want = Conjunction::of([
             Atom::eq(LinExpr::var(v("p")), LinExpr::var(v("x1"))),
@@ -171,7 +221,7 @@ mod tests {
         // forces those variables equal.
         let o = vec![Oid::named("o")];
         let preds = vec![pred(&o, &["w"], &["a"]), pred(&o, &["w"], &["b"])];
-        let eqs = implicit_equalities(&preds, &[]);
+        let eqs = equalities(&preds, &[]);
         assert_eq!(
             eqs,
             vec![Atom::eq(LinExpr::var(v("a")), LinExpr::var(v("b")))]
@@ -185,7 +235,7 @@ mod tests {
         let d1 = vec![Oid::named("d1")];
         let d2 = vec![Oid::named("d2")];
         let preds = vec![pred(&d1, &["p"], &["a"]), pred(&d2, &["p"], &["b"])];
-        assert!(implicit_equalities(&preds, &[]).is_empty());
+        assert!(equalities(&preds, &[]).is_empty());
     }
 
     #[test]
@@ -208,7 +258,7 @@ mod tests {
             },
         ];
         let preds = vec![pred(&room, &["a"], &["qa"]), pred(&drawer, &["c"], &["qc"])];
-        let eqs = implicit_equalities(&preds, &links);
+        let eqs = equalities(&preds, &links);
         assert_eq!(eqs.len(), 1);
         assert_eq!(
             eqs[0],
@@ -220,6 +270,6 @@ mod tests {
     fn same_query_var_attached_twice_emits_nothing() {
         let o = vec![Oid::named("o")];
         let preds = vec![pred(&o, &["w"], &["a"]), pred(&o, &["w"], &["a"])];
-        assert!(implicit_equalities(&preds, &[]).is_empty());
+        assert!(equalities(&preds, &[]).is_empty());
     }
 }

@@ -30,7 +30,7 @@
 use crate::ast::Formula;
 use crate::error::LyricError;
 use crate::parser::parse_formula;
-use lyric_constraint::{Atom, Conjunction, CstObject, Var};
+use lyric_constraint::{Atom, CstObject, Var};
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Schema, Value};
 use std::fmt::Write as _;
 
@@ -393,24 +393,7 @@ pub(crate) fn formula_to_cst(f: &Formula) -> Result<CstObject, LyricError> {
         Formula::Or(a, b) => Ok(formula_to_cst(a)?.or(&formula_to_cst(b)?)),
         Formula::Not(a) => Ok(formula_to_cst(a)?.negate()?),
         Formula::Chain { first, rest, .. } => {
-            let mut atoms = Vec::new();
-            let mut prev = arith_to_linexpr_pure(first)?;
-            for (op, next) in rest {
-                let rhs = arith_to_linexpr_pure(next)?;
-                let relop = match op {
-                    crate::ast::CRelOp::Eq => lyric_constraint::RelOp::Eq,
-                    crate::ast::CRelOp::Neq => lyric_constraint::RelOp::Neq,
-                    crate::ast::CRelOp::Le => lyric_constraint::RelOp::Le,
-                    crate::ast::CRelOp::Lt => lyric_constraint::RelOp::Lt,
-                    crate::ast::CRelOp::Ge => lyric_constraint::RelOp::Ge,
-                    crate::ast::CRelOp::Gt => lyric_constraint::RelOp::Gt,
-                };
-                atoms.push(Atom::new(prev.clone(), relop, rhs.clone()));
-                prev = rhs;
-            }
-            let conj = Conjunction::of(atoms);
-            let free: Vec<Var> = conj.vars().into_iter().collect();
-            Ok(CstObject::from_conjunction(free, conj))
+            crate::formula::lower_chain(first, rest, arith_to_linexpr_pure)
         }
         Formula::Pred { .. } => Err(storage_err(
             "stored constraint formulas cannot reference database paths",
@@ -450,6 +433,7 @@ pub(crate) fn arith_to_linexpr_pure(
 mod tests {
     use super::*;
     use crate::paper_example;
+    use lyric_constraint::Conjunction;
 
     fn databases_equal(a: &Database, b: &Database) -> bool {
         // Schema classes with full definitions.

@@ -293,3 +293,91 @@ fn unknown_attribute_reports_searched_is_a_chain() {
         "{msg}"
     );
 }
+
+/// The Figure 2 room with a third object: a second instance of the
+/// standard desk, so two room objects share one catalog object.
+fn three_object_room() -> Database {
+    let mut db = db();
+    db.insert(
+        Oid::named("my_desk2"),
+        "Object_In_Room",
+        [
+            ("inv_number", Value::Scalar(Oid::str("22-356"))),
+            ("location", Value::Scalar(Oid::cst(point2("x", "y", 30, 8)))),
+            ("catalog_object", Value::Scalar(Oid::named("standard_desk"))),
+        ],
+    )
+    .unwrap();
+    db
+}
+
+/// The `w` range of each room object's catalog extent.
+fn extent_w(room_object: &Oid) -> (i64, i64) {
+    match room_object {
+        Oid::Named(n) if n == "my_cabinet" => (-1, 1),
+        _ => (-4, 4),
+    }
+}
+
+/// Two references alias exactly when they reach the same access chain,
+/// which depends on the binding: in a self-join, the diagonal bindings
+/// (X = Y) reach one chain, so `EX(w,z)` and `EY(w2,z2)` share their
+/// declared variables and `w = w2` is injected, while the off-diagonal
+/// ones, even the two desks sharing `standard_desk`, get no equality.
+#[test]
+fn implicit_equalities_follow_aliased_access_chains() {
+    let mut db = three_object_room();
+    let join = "SELECT X, Y FROM Object_In_Room X, Object_In_Room Y \
+                WHERE X.catalog_object[CX] AND Y.catalog_object[CY] \
+                AND CX.extent[EX] AND CY.extent[EY] AND (EX(w,z) AND EY(w2,z2)";
+    let bounded = execute(&mut db, &format!("{join} AND w >= 1 AND w2 <= -1)")).unwrap();
+    assert_eq!(bounded.rows.len(), 6, "{bounded}");
+    assert!(
+        bounded.rows.iter().all(|r| r[0] != r[1]),
+        "exactly the off-diagonal pairs: {bounded}"
+    );
+    let free = execute(&mut db, &format!("{join})")).unwrap();
+    assert_eq!(free.rows.len(), 9, "every pair without the bounds: {free}");
+}
+
+/// The same aliasing shapes a SELECT formula: on the diagonal the item is
+/// the line `w = w2` over the extent, elsewhere the product of the two
+/// extents' `w` ranges.
+#[test]
+fn select_formula_equalities_follow_aliased_access_chains() {
+    use lyric::constraint::{Atom, Conjunction, CstObject, LinExpr, Var};
+    let mut db = three_object_room();
+    let res = execute(
+        &mut db,
+        "SELECT X, Y, ((w,w2) | EX(w,z) AND EY(w2,z2)) \
+         FROM Object_In_Room X, Object_In_Room Y \
+         WHERE X.catalog_object[CX] AND Y.catalog_object[CY] \
+         AND CX.extent[EX] AND CY.extent[EY]",
+    )
+    .unwrap();
+    assert_eq!(res.rows.len(), 9, "{res}");
+    for row in &res.rows {
+        let got = row[2].as_cst().expect("a constraint object");
+        let (xlo, xhi) = extent_w(&row[0]);
+        let (ylo, yhi) = extent_w(&row[1]);
+        let want = if row[0] == row[1] {
+            let w = || LinExpr::var(Var::new("w"));
+            CstObject::from_conjunction(
+                vec![Var::new("w"), Var::new("w2")],
+                Conjunction::of([
+                    Atom::eq(w(), LinExpr::var(Var::new("w2"))),
+                    Atom::ge(w(), LinExpr::from(xlo)),
+                    Atom::le(w(), LinExpr::from(xhi)),
+                ]),
+            )
+        } else {
+            box2("w", "w2", xlo, xhi, ylo, yhi)
+        };
+        assert!(
+            got.denotes_same(&want),
+            "{} x {}: got {got}, want {want}",
+            row[0],
+            row[1]
+        );
+    }
+}

@@ -1,0 +1,153 @@
+#!/usr/bin/env bash
+# Interleaved parent/change runs of the repository benchmark.
+#
+#   scripts/bench-pairs.sh [-n PAIRS] [-s FIRST_SEED] PARENT_REV
+#
+# Builds PARENT_REV (exported with `git archive`) and the working tree into
+# separate target directories, then runs BENCHMARK.json's command with
+# `--trace 0` for PAIRS pairs (default 10) of every workload in
+# BENCHMARK.json. Pair i runs both sides on seed FIRST_SEED+i (default 1)
+# for BENCHMARK.json's run_seconds; even pairs run the parent first, odd
+# pairs the change.
+#
+# It prints every pair, then for each workload and end-to-end metric each
+# side's median and quartiles, the number of pairs the change wins (ties
+# count for neither side), and whether the claim rule holds: the change
+# wins at least 9 in 10 pairs and its median beats the parent's by more
+# than the parent's interquartile range. Quartiles are the medians of the
+# lower and upper halves of the sorted runs (the median itself excluded
+# when the count is odd).
+#
+# Finally it appends one JSON line to BENCH_trajectory.jsonl: the change's
+# rev (`-dirty` when the working tree has uncommitted changes), the
+# parent's rev, `nproc`, the seeds, and per workload and metric the
+# medians, IQRs and wins, plus the failed and incorrect run counts.
+#
+# Needs only bash, git, cargo and the POSIX tools. Builds and logs go to
+# $BENCH_PAIRS_DIR (default target/bench-pairs).
+set -euo pipefail
+
+pairs=10
+first_seed=1
+while getopts "n:s:" opt; do
+    case $opt in
+        n) pairs=$OPTARG ;;
+        s) first_seed=$OPTARG ;;
+        *) sed -n '2,4p' "$0" >&2; exit 2 ;;
+    esac
+done
+shift $((OPTIND - 1))
+if [ $# -ne 1 ]; then
+    sed -n '2,4p' "$0" >&2
+    exit 2
+fi
+parent_rev=$(git rev-parse --short "$1")
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+spec=BENCHMARK.json
+dir=${BENCH_PAIRS_DIR:-$root/target/bench-pairs}
+mkdir -p "$dir"
+
+# --- BENCHMARK.json: command, run length, workloads, end-to-end metrics.
+read -r -a command <<<"$(tr -d '\n' <"$spec" |
+    sed -n 's/.*"command": *\[\([^]]*\)\].*/\1/p' | sed 's/" *, *"/ /g; s/"//g')"
+seconds=$(tr -d '\n' <"$spec" | sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p')
+section() { # the objects of one top-level array, one per line
+    tr -d '\n' <"$spec" | sed -n "s/.*\"$1\": *\[\([^]]*\)\].*/\1/p" | sed 's/} *, *{/}\n{/g'
+}
+field() { sed -n "s/.*\"$1\": *\"\{0,1\}\([^\",}]*\)\"\{0,1\}.*/\1/p"; }
+mapfile -t workloads < <(section workloads | field name)
+mapfile -t metrics < <(section end_to_end | field name)
+mapfile -t better < <(section end_to_end | field better)
+
+# --- Builds.
+rev=$(git rev-parse --short HEAD)
+git diff --quiet HEAD -- || rev="$rev-dirty"
+rm -rf "$dir/parent-src"
+mkdir -p "$dir/parent-src"
+git archive "$parent_rev" | tar -x -C "$dir/parent-src"
+manifest=""
+for ((i = 0; i < ${#command[@]}; i++)); do
+    [ "${command[$i]}" = "--manifest-path" ] && manifest=${command[$((i + 1))]}
+done
+lock="$root/${manifest%Cargo.toml}Cargo.lock"
+cp "$lock" "$dir/lock.saved"
+trap 'cp "$dir/lock.saved" "$lock"' EXIT
+echo "building parent $parent_rev and change $rev" >&2
+(cd "$dir/parent-src" && CARGO_TARGET_DIR="$dir/parent-target" cargo build --release --offline --quiet --manifest-path "$manifest")
+CARGO_TARGET_DIR="$dir/change-target" cargo build --release --offline --quiet --manifest-path "$manifest"
+
+# run SIDE WORKLOAD SEED: the last stdout line of one benchmark run.
+run() {
+    local src=$root tgt=$dir/change-target
+    if [ "$1" = parent ]; then src=$dir/parent-src tgt=$dir/parent-target; fi
+    (cd "$src" && CARGO_TARGET_DIR=$tgt "${command[@]}" --workload "$2" --seed "$3" \
+        --seconds "$seconds" --trace 0 2>>"$dir/stderr.log" | tail -n 1)
+}
+metric() { sed -n "s/.*\"$1\":{\"value\":\([-0-9.eE+]*\).*/\1/p"; }
+
+# stats FILE: "median q1 q3" of the numbers in FILE.
+stats() {
+    sort -g "$1" | awk '
+        { x[NR] = $1 }
+        function med(lo, hi,   n) { n = hi - lo + 1; return (x[lo + int((n - 1) / 2)] + x[lo + int(n / 2)]) / 2 }
+        END {
+            n = NR; h = int(n / 2)
+            if (n == 1) { print x[1], x[1], x[1]; exit }
+            print med(1, n), med(1, h), med(n - h + 1, n)
+        }'
+}
+
+seeds=$(seq -s, "$first_seed" $((first_seed + pairs - 1)))
+json="{\"rev\":\"$rev\",\"parent\":\"$parent_rev\",\"nproc\":$(nproc),\"run_seconds\":$seconds,\"seeds\":[$seeds],\"workloads\":{"
+for w in "${workloads[@]}"; do
+    data="$dir/$w"
+    rm -rf "$data"
+    mkdir -p "$data"
+    for ((p = 0; p < pairs; p++)); do
+        seed=$((first_seed + p))
+        order="parent change"
+        [ $((p % 2)) -eq 0 ] || order="change parent"
+        for side in $order; do
+            line=$(run "$side" "$w" "$seed")
+            echo "$line" >>"$data/$side.jsonl"
+            case $line in *'"correct":true'*) ;; *) echo x >>"$data/$side.incorrect" ;; esac
+            echo "$line" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p' >>"$data/$side.failed"
+            for m in "${metrics[@]}"; do
+                echo "$line" | metric "$m" >>"$data/$side.$m"
+            done
+        done
+        printf '%s seed %s:' "$w" "$seed"
+        for m in "${metrics[@]}"; do
+            printf '  %s %s -> %s' "$m" "$(tail -n 1 "$data/parent.$m")" "$(tail -n 1 "$data/change.$m")"
+        done
+        echo
+    done
+    json="$json\"$w\":{"
+    for i in "${!metrics[@]}"; do
+        m=${metrics[$i]}
+        read -r pmed pq1 pq3 < <(stats "$data/parent.$m")
+        read -r cmed cq1 cq3 < <(stats "$data/change.$m")
+        wins=$(paste "$data/parent.$m" "$data/change.$m" | awk -v b="${better[$i]}" \
+            '{ if (b == "lower" ? $2 < $1 : $2 > $1) w++ } END { print w + 0 }')
+        piqr=$(awk -v a="$pq1" -v c="$pq3" 'BEGIN { print c - a }')
+        ciqr=$(awk -v a="$cq1" -v c="$cq3" 'BEGIN { print c - a }')
+        verdict=$(awk -v b="${better[$i]}" -v w="$wins" -v n="$pairs" -v pm="$pmed" -v cm="$cmed" \
+            -v iqr="$piqr" 'BEGIN {
+                gain = (b == "lower") ? pm - cm : cm - pm
+                print (w * 10 >= 9 * n && gain > iqr) ? "true" : "false" }')
+        printf '%-8s %-16s parent %s [%s, %s]  change %s [%s, %s]  wins %s/%s  claim %s\n' \
+            "$w" "$m" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3" "$wins" "$pairs" "$verdict"
+        json="$json\"$m\":{\"parent_median\":$pmed,\"parent_iqr\":$piqr,\"change_median\":$cmed,\"change_iqr\":$ciqr,\"wins\":$wins,\"pairs\":$pairs,\"claim\":$verdict},"
+    done
+    pfail=$(awk '{ s += $1 } END { print s + 0 }' "$data/parent.failed")
+    cfail=$(awk '{ s += $1 } END { print s + 0 }' "$data/change.failed")
+    pinc=$(cat "$data/parent.incorrect" 2>/dev/null | wc -l || true)
+    cinc=$(cat "$data/change.incorrect" 2>/dev/null | wc -l || true)
+    echo "$w failed operations: parent $pfail, change $cfail; incorrect runs: parent $pinc, change $cinc"
+    json="$json\"failed\":{\"parent\":$pfail,\"change\":$cfail},\"incorrect_runs\":{\"parent\":$pinc,\"change\":$cinc}},"
+done
+json="${json%,}}}"
+echo "$json" >>"$root/BENCH_trajectory.jsonl"
+echo "appended to BENCH_trajectory.jsonl" >&2

@@ -9,24 +9,96 @@
 //! This lives in its own test binary: the gate is process-global, and
 //! while armed it reroutes every logged SELECT in the process.
 
+use lyric::constraint::{Atom, Conjunction, CstObject, LinExpr, Var};
 use lyric::metrics::querylog;
+use lyric::oodb::{Database, Oid, Value};
 use lyric::{execute_shared, paper_example, ExecOptions};
 
 const Q: &str = "SELECT DSK, ((w,z) | DSK.drawer.extent(w,z) AND z >= w)
      FROM Desk DSK
      WHERE DSK.color = 'red' AND DSK.drawer_center[C] AND (C(p,q) |= p = 0)";
 
-/// The store index stays off here: on this one-desk database the
-/// first-query index build would otherwise dominate the `from_bind`
-/// span's self time and displace the entailment check the summary
-/// assertions below pin as the hottest operator.
+/// Red desks added to the Figure 2 database.
+const DESKS: usize = 48;
+
+/// The Figure 2 database plus [`DESKS`] red desks. Every twelfth desk's
+/// drawer center lies on the segment `p = 0`, so a few rows come back;
+/// every other desk's is a 16-sided polygon around the origin, which
+/// does not entail `p = 0`, and deciding that takes LPs over all 16
+/// facets. The entailment node's self time therefore dominates by
+/// construction: the other operators do a path step or a comparison per
+/// desk, or build one small object per answer row.
+fn database() -> Database {
+    let mut db = paper_example::database();
+    let facets: [(i64, i64); 16] = [
+        (1, 0),
+        (2, 1),
+        (1, 1),
+        (1, 2),
+        (0, 1),
+        (-1, 2),
+        (-1, 1),
+        (-2, 1),
+        (-1, 0),
+        (-2, -1),
+        (-1, -1),
+        (-1, -2),
+        (0, -1),
+        (1, -2),
+        (1, -1),
+        (2, -1),
+    ];
+    let term = |v: &str, k: i64| LinExpr::term(Var::new(v), k);
+    let standard = Oid::named("standard_desk");
+    for i in 0..DESKS {
+        let atoms: Vec<Atom> = if i % 12 == 0 {
+            vec![
+                Atom::eq(term("p", 1), LinExpr::zero()),
+                Atom::le(term("q", 1), LinExpr::from(1)),
+                Atom::ge(term("q", 1), LinExpr::from(-1)),
+            ]
+        } else {
+            facets
+                .iter()
+                .enumerate()
+                .map(|(j, &(a, b))| {
+                    let bound = LinExpr::from(10 + ((i + j) % 5) as i64);
+                    Atom::le(&term("p", a) + &term("q", b), bound)
+                })
+                .collect()
+        };
+        let center =
+            CstObject::from_conjunction(vec![Var::new("p"), Var::new("q")], Conjunction::of(atoms));
+        let copy = |attr: &str| {
+            db.attr(&standard, attr)
+                .cloned()
+                .unwrap_or_else(|| panic!("standard_desk has {attr}"))
+        };
+        let attrs = [
+            ("name", Value::Scalar(Oid::str(format!("desk {i}")))),
+            ("color", Value::Scalar(Oid::str("red"))),
+            ("extent", copy("extent")),
+            ("translation", copy("translation")),
+            ("drawer_center", Value::Scalar(Oid::cst(center))),
+            ("drawer", copy("drawer")),
+        ];
+        db.insert(Oid::named(format!("red_desk_{i}")), "Desk", attrs)
+            .expect("valid insert");
+    }
+    db
+}
+
+/// The store index stays off here: the first query's index build would
+/// otherwise land in the `from_bind` span's self time and compete with
+/// the entailment check the summary assertions below pin as the hottest
+/// operator.
 fn opts() -> ExecOptions {
     ExecOptions::default().with_index(false)
 }
 
 #[test]
 fn slow_log_lines_carry_a_top_nodes_summary() {
-    let db = paper_example::database();
+    let db = database();
     lyric::metrics::set_enabled(true);
     let buf = querylog::capture();
     querylog::set_slow_ms(Some(0)); // every query is "slow"
