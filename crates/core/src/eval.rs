@@ -25,7 +25,7 @@ use lyric_engine::{flight, span, ExecOptions, SpanKind};
 use lyric_metrics::querylog::{self, Outcome, QueryRecord};
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Value};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -342,14 +342,18 @@ fn eval_select_query(
     let ctx = Ctx::new(db, s, None, explain);
     let (columns, rows) = eval_select(&ctx, s)?;
     let candidate_rows = rows.len() as u64;
+    // Repeated rows are dropped, keeping the first occurrence. Rows are
+    // hashed and compared for equality only: ordering rationals counts
+    // arithmetic work, which no answer row should.
+    let mut seen = HashSet::new();
     let mut out_rows = Vec::new();
     for (binding, row) in rows {
         let mut r = Vec::new();
         if let Some(vars) = &s.oid_function {
-            r.push(oid_function_value("f", vars, &binding)?);
+            r.push(oid_function_value(&ctx, "f", vars, &binding)?);
         }
         r.extend(row);
-        if !out_rows.contains(&r) {
+        if seen.insert(r.clone()) {
             out_rows.push(r);
         }
     }
@@ -372,9 +376,32 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
         v.name_span.byte_range(),
     );
     let grouped = v.select.from.iter().any(|f| f.var == v.name);
+    // Each row with the oid its binding keys it by: the view-name
+    // variable's value in a grouped view, the oid-function value in a view
+    // with an oid clause, nothing otherwise. Bindings borrow the database,
+    // so the keys are read before the view mutates it; a key's error
+    // surfaces when its row is reached.
     let (columns, rows) = {
         let ctx = Ctx::new(db, &v.select, Some(&v.name), None);
-        eval_select(&ctx, &v.select)?
+        let (columns, rows) = eval_select(&ctx, &v.select)?;
+        let keyed: Vec<_> = rows
+            .into_iter()
+            .map(|(binding, row)| {
+                let key = if grouped {
+                    Some(
+                        binding
+                            .get(&ctx, &v.name)
+                            .cloned()
+                            .ok_or_else(|| LyricError::UnboundVariable(v.name.clone())),
+                    )
+                } else {
+                    (v.select.oid_function.as_ref())
+                        .map(|vars| oid_function_value(&ctx, &v.name, vars, &binding))
+                };
+                (key, row)
+            })
+            .collect();
+        (columns, keyed)
     };
 
     if grouped {
@@ -382,11 +409,8 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
         // paper's Region classification example). The class is named by
         // the oid it is keyed on.
         let mut groups: BTreeMap<Oid, Vec<Oid>> = BTreeMap::new();
-        for (binding, row) in &rows {
-            let key = binding
-                .get(&v.name)
-                .ok_or_else(|| LyricError::UnboundVariable(v.name.clone()))?
-                .clone();
+        for (key, row) in rows {
+            let key = key.expect("a grouped view keys every row")?;
             let member = row.first().cloned().ok_or_else(|| {
                 LyricError::type_error("view query must select at least one column")
             })?;
@@ -433,10 +457,10 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
     db.add_class(def)?;
 
     let mut out_rows = Vec::new();
-    if let Some(vars) = &v.select.oid_function {
+    if v.select.oid_function.is_some() {
         let mut seen = BTreeSet::new();
-        for (binding, row) in &rows {
-            let oid = oid_function_value(&v.name, vars, binding)?;
+        for (oid, row) in rows {
+            let oid = oid.expect("a view with an oid clause keys every row")?;
             if !seen.insert(oid.clone()) {
                 continue;
             }
@@ -444,14 +468,14 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
                 .select
                 .items
                 .iter()
-                .zip(row)
+                .zip(&row)
                 .filter_map(|(item, val)| {
                     item.label.clone().map(|l| (l, Value::Scalar(val.clone())))
                 })
                 .collect();
             db.insert(oid.clone(), &v.name, attrs)?;
             let mut r = vec![oid];
-            r.extend(row.clone());
+            r.extend(row);
             out_rows.push(r);
         }
     } else {
@@ -476,12 +500,17 @@ fn execute_view(db: &mut Database, v: &ViewQuery) -> Result<QueryResult, LyricEr
     Ok(QueryResult::answer(cols, out_rows))
 }
 
-fn oid_function_value(fname: &str, vars: &[String], binding: &Binding) -> Result<Oid, LyricError> {
+fn oid_function_value(
+    ctx: &Ctx<'_>,
+    fname: &str,
+    vars: &[String],
+    binding: &Binding<'_>,
+) -> Result<Oid, LyricError> {
     let mut args = Vec::with_capacity(vars.len());
     for v in vars {
         args.push(
             binding
-                .get(v)
+                .get(ctx, v)
                 .cloned()
                 .ok_or_else(|| LyricError::UnboundVariable(v.clone()))?,
         );
@@ -491,50 +520,87 @@ fn oid_function_value(fname: &str, vars: &[String], binding: &Binding) -> Result
 
 // --------------------------------------------------------------- bindings
 
-/// A partial assignment of query variables to oids, plus the provenance
-/// needed for CST semantics: for selector variables bound to constraint
-/// objects, the owning object and the attribute's declared variable list;
-/// and every interface-renaming fact discovered while walking paths.
-///
-/// Each field is shared copy-on-write: cloning a binding copies four
-/// pointers, and a field is copied only when an extension changes it.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Binding {
-    vals: Arc<BTreeMap<String, Oid>>,
-    /// Access-path scope of each bound variable (see `scope`).
-    scopes: Arc<BTreeMap<String, ScopeKey>>,
-    cst_prov: Arc<BTreeMap<String, (ScopeKey, Vec<Var>)>>,
-    pub(crate) links: Arc<Vec<ScopeLink>>,
+/// What a binding holds for one name: the oid, its access chain (see
+/// `scope`), and for a selector variable bound to a constraint object off
+/// a CST attribute, that object's provenance.
+pub(crate) struct Bound<'a> {
+    oid: Oid,
+    scope: ScopeKey,
+    prov: Option<Provenance<'a>>,
 }
 
-impl Binding {
-    pub(crate) fn get(&self, name: &str) -> Option<&Oid> {
-        self.vals.get(name)
+/// Where a constraint object was reached: its owner's access chain and the
+/// attribute's declared variable list, borrowed from the schema.
+#[derive(Clone)]
+pub(crate) struct Provenance<'a> {
+    pub(crate) owner: ScopeKey,
+    pub(crate) declared: &'a [Var],
+}
+
+/// A partial assignment of query variables to oids: one slot per name of
+/// the query's slot table (see [`Ctx::slot`]), plus every
+/// interface-renaming fact discovered while walking paths.
+///
+/// Slots and links are shared: cloning a binding copies two pointers, and
+/// extending it by a name copies the slot pointers and allocates one slot.
+#[derive(Clone)]
+pub(crate) struct Binding<'a> {
+    slots: Arc<[Option<Arc<Bound<'a>>>]>,
+    pub(crate) links: Arc<[ScopeLink<'a>]>,
+}
+
+impl<'a> Binding<'a> {
+    /// The binding of no name over a slot table of `slots` names.
+    fn empty(slots: usize) -> Binding<'a> {
+        Binding {
+            slots: vec![None; slots].into(),
+            links: Arc::new([]),
+        }
     }
 
-    pub(crate) fn cst_provenance(&self, name: &str) -> Option<&(ScopeKey, Vec<Var>)> {
-        self.cst_prov.get(name)
+    /// The value of `name`, if the binding holds one.
+    pub(crate) fn get(&self, ctx: &Ctx<'_>, name: &str) -> Option<&Oid> {
+        self.oid(ctx.slot(name)?)
     }
 
-    fn bind(&mut self, name: &str, oid: Oid, scope: ScopeKey) {
-        Arc::make_mut(&mut self.vals).insert(name.to_string(), oid);
-        Arc::make_mut(&mut self.scopes).insert(name.to_string(), scope);
+    fn bound(&self, slot: usize) -> Option<&Bound<'a>> {
+        self.slots[slot].as_deref()
     }
 
-    fn add_link(&mut self, link: ScopeLink) {
+    fn oid(&self, slot: usize) -> Option<&Oid> {
+        self.bound(slot).map(|b| &b.oid)
+    }
+
+    /// Hold `bound` in `slot`: the other slots' pointers are copied.
+    fn bind(&mut self, slot: usize, bound: Arc<Bound<'a>>) {
+        self.slots = (self.slots.iter().enumerate())
+            .map(|(i, b)| {
+                if i == slot {
+                    Some(Arc::clone(&bound))
+                } else {
+                    b.clone()
+                }
+            })
+            .collect();
+    }
+
+    fn add_link(&mut self, link: ScopeLink<'a>) {
         if !self.links.contains(&link) {
-            Arc::make_mut(&mut self.links).push(link);
+            self.links = self.links.iter().cloned().chain([link]).collect();
         }
     }
 }
 
 /// Evaluation context: the database, the set of declared variables
 /// (FROM variables, bracket selector variables, and the view-name variable
-/// when present; identifiers outside this set denote ground oids), and the
-/// query's CST formula templates.
+/// when present; identifiers outside this set denote ground oids), the
+/// slot table, and the query's CST formula templates.
 pub(crate) struct Ctx<'a> {
     pub(crate) db: &'a Database,
     declared: BTreeSet<String>,
+    /// The slot table: every name a binding of the query can hold
+    /// ([`QueryNames::bindable`]), sorted; a name's slot is its index.
+    names: Vec<String>,
     /// Every CST formula site of the query, compiled once and keyed by
     /// `&Formula` address (the parsed query never moves during
     /// evaluation).
@@ -698,8 +764,20 @@ impl<'a> Ctx<'a> {
             db,
             templates: compile_templates(q, &names.bindable),
             declared: names.declared,
+            names: names.bindable.into_iter().collect(),
             explain,
         }
+    }
+
+    /// The slot of a name a binding can hold; `None` for any other name.
+    pub(crate) fn slot(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
+    }
+
+    /// The slot of a name the evaluator binds.
+    fn bind_slot(&self, name: &str) -> usize {
+        self.slot(name)
+            .expect("QueryNames::bindable lists every name the evaluator binds")
     }
 
     /// The template of a CST formula site of the query.
@@ -726,15 +804,26 @@ impl<'a> Ctx<'a> {
 // ------------------------------------------------------------------ paths
 
 /// One satisfying database path: the (possibly extended) binding, the tail
-/// oid, and — when the tail came off a CST attribute — the owning object
-/// and declared variable list.
-pub(crate) struct PathHit {
-    pub binding: Binding,
+/// oid, and — when the tail came off a CST attribute — its provenance.
+pub(crate) struct PathHit<'a> {
+    pub binding: Binding<'a>,
     pub value: Oid,
     /// Access-path scope of the tail value.
     pub scope: ScopeKey,
-    /// For CST-attribute tails: (owner scope, declared vars).
-    pub cst_info: Option<(ScopeKey, Vec<Var>)>,
+    /// For CST-attribute tails: the owner's scope and declared variables.
+    pub cst_info: Option<Provenance<'a>>,
+}
+
+impl<'a> PathHit<'a> {
+    /// The root of a walk from an oid no binding holds.
+    fn unbound_root(binding: &Binding<'a>, value: Oid) -> PathHit<'a> {
+        PathHit {
+            binding: binding.clone(),
+            scope: ScopeKey::root(value.clone()),
+            value,
+            cst_info: None,
+        }
+    }
 }
 
 /// Can a path step that names no attribute be an attribute variable
@@ -746,148 +835,190 @@ fn is_attr_var_name(name: &str) -> bool {
 
 /// Enumerate the database paths satisfying ground instances of `path`
 /// under `binding` (§2.2), extending the binding at variable selectors.
-pub(crate) fn eval_path(
-    ctx: &Ctx<'_>,
+pub(crate) fn eval_path<'a>(
+    ctx: &Ctx<'a>,
     path: &PathExpr,
-    binding: &Binding,
-) -> Result<Vec<PathHit>, LyricError> {
+    binding: &Binding<'a>,
+) -> Result<Vec<PathHit<'a>>, LyricError> {
     let root = match &path.root {
-        Selector::Var(name) => match binding.get(name) {
-            Some(o) => o.clone(),
+        Selector::Var(name) => match ctx.slot(name).and_then(|s| binding.bound(s)) {
+            Some(bound) => PathHit {
+                binding: binding.clone(),
+                value: bound.oid.clone(),
+                scope: bound.scope.clone(),
+                cst_info: bound.prov.clone(),
+            },
             None if ctx.declared.contains(name) => {
                 return Err(LyricError::UnboundVariable(name.clone()))
             }
-            None => Oid::Named(name.clone()),
+            None => PathHit::unbound_root(binding, Oid::Named(name.clone())),
         },
-        Selector::Lit(l) => lit_to_oid(l),
+        Selector::Lit(l) => PathHit::unbound_root(binding, lit_to_oid(l)),
     };
-    let root_info = match (&path.root, &root) {
-        (Selector::Var(name), Oid::Cst(_)) => binding.cst_provenance(name).cloned(),
-        _ => None,
-    };
-    let root_scope = match &path.root {
-        Selector::Var(name) => binding
-            .scopes
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| vec![root.clone()]),
-        Selector::Lit(_) => vec![root.clone()],
-    };
-    let mut states: Vec<PathHit> = vec![PathHit {
-        binding: binding.clone(),
-        value: root,
-        scope: root_scope,
-        cst_info: root_info,
-    }];
+    let schema = ctx.db.schema();
+    let mut states = vec![root];
     for step in &path.steps {
-        let mut next: Vec<PathHit> = Vec::new();
+        let walk = StepWalk {
+            attr_slot: ctx.slot(&step.attr),
+            selector: match &step.selector {
+                None => StepSelector::Any,
+                Some(Selector::Var(v)) => StepSelector::Var(ctx.bind_slot(v)),
+                Some(Selector::Lit(l)) => StepSelector::Lit(lit_to_oid(l)),
+            },
+        };
+        let mut next: Vec<PathHit<'a>> = Vec::new();
         for state in &states {
             let Some(data) = ctx.db.object(&state.value) else {
                 continue;
             };
-            let class = data.class().to_string();
-            // Attribute name, attribute variable (bound or free).
-            let candidates: Vec<String> = if ctx.db.schema().attribute(&class, &step.attr).is_some()
+            let class = data.class();
+            if let Some(decl) = schema.attribute(class, &step.attr) {
+                if let Some(value) = data.attr(&step.attr) {
+                    walk.members(ctx, state, None, decl, value, &mut next);
+                }
+            } else if let Some(Oid::Str(bound)) = walk.attr_slot.and_then(|s| state.binding.oid(s))
             {
-                vec![step.attr.clone()]
-            } else if let Some(Oid::Str(bound)) = state.binding.get(&step.attr) {
-                vec![bound.clone()]
+                // A bound attribute variable names one attribute.
+                if let (Some(decl), Some(value)) =
+                    (schema.attribute(class, bound), data.attr(bound))
+                {
+                    walk.members(ctx, state, Some(bound), decl, value, &mut next);
+                }
             } else if is_attr_var_name(&step.attr) {
                 // Attribute variable: ranges over the object's stored
                 // attributes (§2.2 higher-order variables).
-                data.attrs().map(|(n, _)| n.to_string()).collect()
+                for (name, value) in data.attrs() {
+                    if let Some(decl) = schema.attribute(class, name) {
+                        walk.members(ctx, state, Some(name), decl, value, &mut next);
+                    }
+                }
             } else {
                 // Report the whole IS-A chain that was searched, so the
                 // error names the declaring classes inspected rather than
                 // just the object's dynamic class.
-                let searched: Vec<String> = ctx
-                    .db
-                    .schema()
-                    .ancestors(&class)
-                    .into_iter()
-                    .map(String::from)
-                    .collect();
                 return Err(LyricError::UnknownAttribute {
-                    class: class.clone(),
+                    class: class.to_string(),
                     attr: step.attr.clone(),
-                    searched,
+                    searched: schema
+                        .ancestors(class)
+                        .into_iter()
+                        .map(String::from)
+                        .collect(),
                 });
-            };
-            let is_attr_var = ctx.db.schema().attribute(&class, &step.attr).is_none();
-            for attr_name in candidates {
-                let Some(decl) = ctx.db.schema().attribute(&class, &attr_name) else {
-                    continue;
-                };
-                let decl_target = decl.target.clone();
-                let Some(value) = data.attr(&attr_name) else {
-                    continue;
-                };
-                for member in value.iter() {
-                    let mut b = state.binding.clone();
-                    let child_scope: ScopeKey = {
-                        let mut s = state.scope.clone();
-                        s.push(member.clone());
-                        s
-                    };
-                    if is_attr_var {
-                        b.bind(&step.attr, Oid::str(attr_name.clone()), child_scope.clone());
-                    }
-                    // Selector filtering / binding.
-                    match &step.selector {
-                        None => {}
-                        Some(Selector::Var(v)) => match b.get(v).cloned() {
-                            Some(existing) => {
-                                if &existing != member {
-                                    continue;
-                                }
-                            }
-                            None => {
-                                b.bind(v, member.clone(), child_scope.clone());
-                                if let (Oid::Cst(_), AttrTarget::Cst { vars }) =
-                                    (member, &decl_target)
-                                {
-                                    Arc::make_mut(&mut b.cst_prov)
-                                        .insert(v.clone(), (state.scope.clone(), vars.clone()));
-                                }
-                            }
-                        },
-                        Some(Selector::Lit(l)) if &lit_to_oid(l) != member => continue,
-                        Some(Selector::Lit(_)) => {}
-                    }
-                    // Interface-renaming link for class-valued steps.
-                    if let AttrTarget::Class {
-                        class: target_class,
-                        actuals,
-                    } = &decl_target
-                    {
-                        if let Some(target_def) = ctx.db.schema().class(target_class) {
-                            if !target_def.interface.is_empty() {
-                                let formals = target_def.interface.clone();
-                                let acts = actuals.clone().unwrap_or_else(|| formals.clone());
-                                b.add_link(ScopeLink {
-                                    parent: state.scope.clone(),
-                                    child: child_scope.clone(),
-                                    pairs: acts.into_iter().zip(formals).collect(),
-                                });
-                            }
-                        }
-                    }
-                    let cst_info = match &decl_target {
-                        AttrTarget::Cst { vars } => Some((state.scope.clone(), vars.clone())),
-                        _ => None,
-                    };
-                    next.push(PathHit {
-                        binding: b,
-                        value: member.clone(),
-                        scope: child_scope,
-                        cst_info,
-                    });
-                }
             }
         }
         states = next;
     }
     Ok(states)
+}
+
+/// One path step, resolved against the slot table once for every state.
+struct StepWalk {
+    /// The slot of the step's name, when a binding can hold it.
+    attr_slot: Option<usize>,
+    selector: StepSelector,
+}
+
+/// The bracket of a path step.
+enum StepSelector {
+    Any,
+    /// A variable, by slot.
+    Var(usize),
+    Lit(Oid),
+}
+
+impl StepWalk {
+    /// Extend `state` along one attribute: one hit per member of `value`
+    /// that the selector admits. `attr_var` names the attribute when the
+    /// step is an attribute variable, which binds to it.
+    fn members<'a>(
+        &self,
+        ctx: &Ctx<'a>,
+        state: &PathHit<'a>,
+        attr_var: Option<&str>,
+        decl: &'a AttrDef,
+        value: &'a Value,
+        next: &mut Vec<PathHit<'a>>,
+    ) {
+        let attr_oid = attr_var.map(Oid::str);
+        // The interface renaming of a class-valued attribute, or the
+        // declared variables of a CST one.
+        let (renaming, declared) = match &decl.target {
+            AttrTarget::Class { class, actuals } => {
+                let formals = ctx.db.schema().class(class).map(|def| &def.interface[..]);
+                let renaming = formals
+                    .filter(|formals| !formals.is_empty())
+                    .map(|formals| (actuals.as_deref().unwrap_or(formals), formals));
+                (renaming, None)
+            }
+            AttrTarget::Cst { vars } => (None, Some(&vars[..])),
+        };
+        for member in value.iter() {
+            // The selector variable's value once the attribute variable
+            // is bound.
+            let held = match &self.selector {
+                StepSelector::Any => None,
+                StepSelector::Lit(lit) if lit != member => continue,
+                StepSelector::Lit(_) => None,
+                StepSelector::Var(slot) => match &attr_oid {
+                    Some(attr) if self.attr_slot == Some(*slot) => Some(attr),
+                    _ => state.binding.oid(*slot),
+                },
+            };
+            if held.is_some_and(|held| held != member) {
+                continue;
+            }
+            let scope = state.scope.child(member.clone());
+            let mut b = state.binding.clone();
+            if let Some(attr) = &attr_oid {
+                let slot = self
+                    .attr_slot
+                    .expect("QueryNames::bindable lists every attribute variable");
+                b.bind(
+                    slot,
+                    Arc::new(Bound {
+                        oid: attr.clone(),
+                        scope: scope.clone(),
+                        prov: None,
+                    }),
+                );
+            }
+            if let (StepSelector::Var(slot), None) = (&self.selector, held) {
+                let prov = match (member, declared) {
+                    (Oid::Cst(_), Some(declared)) => Some(Provenance {
+                        owner: state.scope.clone(),
+                        declared,
+                    }),
+                    _ => None,
+                };
+                b.bind(
+                    *slot,
+                    Arc::new(Bound {
+                        oid: member.clone(),
+                        scope: scope.clone(),
+                        prov,
+                    }),
+                );
+            }
+            if let Some((actuals, formals)) = renaming {
+                b.add_link(ScopeLink {
+                    parent: state.scope.clone(),
+                    child: scope.clone(),
+                    actuals,
+                    formals,
+                });
+            }
+            next.push(PathHit {
+                binding: b,
+                value: member.clone(),
+                scope,
+                cst_info: declared.map(|declared| Provenance {
+                    owner: state.scope.clone(),
+                    declared,
+                }),
+            });
+        }
+    }
 }
 
 fn lit_to_oid(l: &OidLit) -> Oid {
@@ -905,19 +1036,23 @@ fn lit_to_oid(l: &OidLit) -> Oid {
 /// under which it holds. Under explain instrumentation every condition
 /// site feeds its plan node one input row (this invocation) and one
 /// output row per satisfying binding.
-fn eval_cond(ctx: &Ctx<'_>, cond: &Cond, binding: &Binding) -> Result<Vec<Binding>, LyricError> {
+fn eval_cond<'a>(
+    ctx: &Ctx<'a>,
+    cond: &Cond,
+    binding: &Binding<'a>,
+) -> Result<Vec<Binding<'a>>, LyricError> {
     let node = ctx.cond_node(cond);
     let out = eval_cond_inner(ctx, cond, node, binding)?;
     ctx.count_rows(node, 1, out.len() as u64);
     Ok(out)
 }
 
-fn eval_cond_inner(
-    ctx: &Ctx<'_>,
+fn eval_cond_inner<'a>(
+    ctx: &Ctx<'a>,
     cond: &Cond,
     node: Option<u32>,
-    binding: &Binding,
-) -> Result<Vec<Binding>, LyricError> {
+    binding: &Binding<'a>,
+) -> Result<Vec<Binding<'a>>, LyricError> {
     match cond {
         Cond::And(a, b) => {
             let mut out = Vec::new();
@@ -991,25 +1126,57 @@ fn eval_cond_inner(
     }
 }
 
-/// Drop bindings whose visible variable assignment repeats an earlier
-/// one (provenance is derived data), keeping the first.
-fn dedup_bindings(bindings: Vec<Binding>) -> Vec<Binding> {
+/// Drop bindings whose visible variable assignment (the oid of each slot)
+/// repeats an earlier one (scopes, provenance and links are derived
+/// data), keeping the first.
+fn dedup_bindings(bindings: Vec<Binding<'_>>) -> Vec<Binding<'_>> {
     if bindings.len() <= 1 {
         return bindings;
     }
-    let mut seen: BTreeSet<Arc<BTreeMap<String, Oid>>> = BTreeSet::new();
+    let mut seen = BTreeSet::new();
     bindings
         .into_iter()
-        .filter(|b| seen.insert(Arc::clone(&b.vals)))
+        .filter(|b| seen.insert(Visible(Arc::clone(&b.slots))))
         .collect()
 }
+
+/// A binding's visible assignment: its bound slots and their oids, ordered
+/// as `(slot, oid)` sequences — the order of the same assignment as a
+/// name-keyed map, since slots number the names in order.
+struct Visible<'a>(Arc<[Option<Arc<Bound<'a>>>]>);
+
+impl Visible<'_> {
+    fn oids(&self) -> impl Iterator<Item = (usize, &Oid)> {
+        (self.0.iter().enumerate()).filter_map(|(slot, b)| Some((slot, &b.as_ref()?.oid)))
+    }
+}
+
+impl Ord for Visible<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.oids().cmp(other.oids())
+    }
+}
+
+impl PartialOrd for Visible<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Visible<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Visible<'_> {}
 
 /// The value set of a comparison operand. Numeric oids are normalized to
 /// rationals so `3` and `3.0` compare equal.
 fn operand_values(
     ctx: &Ctx<'_>,
     op: &CmpOperand,
-    binding: &Binding,
+    binding: &Binding<'_>,
 ) -> Result<BTreeSet<Oid>, LyricError> {
     let normalize = |o: &Oid| match o {
         Oid::Int(i) => Oid::Rat(Rational::from_int(*i)),
@@ -1304,16 +1471,19 @@ fn index_candidates(ctx: &Ctx<'_>, w: &Cond, f: &FromItem) -> Option<Vec<Oid>> {
 
 // ----------------------------------------------------------------- select
 
-type SelectRows = Vec<(Binding, Vec<Oid>)>;
+type SelectRows<'a> = Vec<(Binding<'a>, Vec<Oid>)>;
 
-fn eval_select(ctx: &Ctx<'_>, q: &SelectQuery) -> Result<(Vec<String>, SelectRows), LyricError> {
+fn eval_select<'a>(
+    ctx: &Ctx<'a>,
+    q: &SelectQuery,
+) -> Result<(Vec<String>, SelectRows<'a>), LyricError> {
     // FROM: cross product of class extents.
     for f in &q.from {
         if !ctx.db.schema().has_class(&f.class) {
             return Err(LyricError::UnknownClass(f.class.clone()));
         }
     }
-    let mut bindings: Vec<Binding> = vec![Binding::default()];
+    let mut bindings: Vec<Binding<'a>> = vec![Binding::empty(ctx.names.len())];
     for (fi, f) in q.from.iter().enumerate() {
         let node = ctx.explain.and_then(|e| e.binder_node(fi));
         let _span = lyric_engine::span_node(
@@ -1327,19 +1497,32 @@ fn eval_select(ctx: &Ctx<'_>, q: &SelectQuery) -> Result<(Vec<String>, SelectRow
             _ => None,
         };
         let extent = probed.unwrap_or_else(|| ctx.db.extent(&f.class));
+        // A FROM variable's slot holds the same thing whatever the prior
+        // binding: the oid, rooting its own access chain.
+        let slot = ctx.bind_slot(&f.var);
+        let roots: Vec<Arc<Bound<'a>>> = extent
+            .into_iter()
+            .map(|oid| {
+                Arc::new(Bound {
+                    scope: ScopeKey::root(oid.clone()),
+                    oid,
+                    prov: None,
+                })
+            })
+            .collect();
         let before = bindings.len() as u64;
         // Each prior binding expands independently; rows come back in
         // binding order, so the cross product is identical to the serial
         // nested loop.
         let expanded = lyric_engine::parallel_map(&bindings, |_, b| {
-            extent
+            roots
                 .iter()
-                .map(|oid| {
+                .map(|root| {
                     let mut b2 = b.clone();
-                    b2.bind(&f.var, oid.clone(), vec![oid.clone()]);
+                    b2.bind(slot, Arc::clone(root));
                     b2
                 })
-                .collect::<Vec<Binding>>()
+                .collect::<Vec<Binding<'a>>>()
         });
         bindings = expanded.into_iter().flatten().collect();
         ctx.count_rows(node, before, bindings.len() as u64);
@@ -1428,7 +1611,7 @@ pub(crate) fn column_name(i: usize, item: &SelectItem) -> String {
     }
 }
 
-fn eval_item(ctx: &Ctx<'_>, item: &SelectItem, b: &Binding) -> Result<Vec<Oid>, LyricError> {
+fn eval_item(ctx: &Ctx<'_>, item: &SelectItem, b: &Binding<'_>) -> Result<Vec<Oid>, LyricError> {
     match &item.value {
         SelectValue::Path(p) => {
             let hits = eval_path(ctx, p, b)?;

@@ -35,7 +35,7 @@
 
 use crate::ast::{Arith, CRelOp, Formula, PathExpr, Selector};
 use crate::error::LyricError;
-use crate::eval::{eval_path, Binding, Ctx};
+use crate::eval::{eval_path, Binding, Ctx, Provenance};
 use crate::scope::{implicit_equalities, ResolvedPred, ScopeKey, ScopeLink};
 use lyric_arith::Rational;
 use lyric_constraint::{
@@ -136,7 +136,7 @@ impl<'q> Template<'q> {
     pub(crate) fn instantiate(
         &self,
         ctx: &Ctx<'_>,
-        binding: &Binding,
+        binding: &Binding<'_>,
     ) -> Result<CstObject, LyricError> {
         let _span = lyric_engine::span(
             lyric_engine::SpanKind::Instantiate,
@@ -337,7 +337,7 @@ pub(crate) fn entails(
     ctx: &Ctx<'_>,
     lhs: &Template<'_>,
     rhs: &Template<'_>,
-    binding: &Binding,
+    binding: &Binding<'_>,
 ) -> Result<bool, LyricError> {
     let mut splice = Splice::new(ctx, binding);
     let l = splice.parts(&lhs.parts)?;
@@ -370,8 +370,9 @@ struct Resolved<'t> {
     oid: Oid,
     /// The owning scope (access chain) of the declared variables.
     owner: ScopeKey,
-    /// The attribute's declared variable list.
-    declared: Vec<Var>,
+    /// The attribute's declared variable list; `None` when the object was
+    /// not reached off a CST attribute, and declares its own variables.
+    declared: Option<&'t [Var]>,
     /// The slot's explicit variable list.
     vars: Option<&'t [Var]>,
 }
@@ -381,8 +382,12 @@ impl Resolved<'_> {
         self.oid.as_cst().expect("resolved to a constraint object")
     }
 
+    fn declared(&self) -> &[Var] {
+        self.declared.unwrap_or_else(|| self.object().free())
+    }
+
     fn query_vars(&self) -> &[Var] {
-        self.vars.unwrap_or(&self.declared)
+        self.vars.unwrap_or_else(|| self.declared())
     }
 }
 
@@ -403,13 +408,13 @@ enum Piece<'t> {
 /// in preorder, and every renaming fact in scope.
 struct Splice<'c> {
     ctx: &'c Ctx<'c>,
-    binding: &'c Binding,
-    links: Arc<Vec<ScopeLink>>,
+    binding: &'c Binding<'c>,
+    links: Arc<[ScopeLink<'c>]>,
     resolved: Vec<Resolved<'c>>,
 }
 
 impl<'c> Splice<'c> {
-    fn new(ctx: &'c Ctx<'c>, binding: &'c Binding) -> Splice<'c> {
+    fn new(ctx: &'c Ctx<'c>, binding: &'c Binding<'c>) -> Splice<'c> {
         Splice {
             ctx,
             binding,
@@ -491,7 +496,7 @@ impl<'c> Splice<'c> {
             .map(|r| ResolvedPred {
                 query_vars: r.query_vars(),
                 owner: &r.owner,
-                declared: &r.declared,
+                declared: r.declared(),
             })
             .collect();
         let atoms = implicit_equalities(&preds, &self.links);
@@ -574,21 +579,24 @@ fn rename_apart(object: &CstObject, target: &[Var], slot: usize) -> Vec<Vec<Atom
 
 /// Resolve a CST-object reference path: the stored object's oid (which
 /// shares the object rather than copying it), its owner's scope, and the
-/// attribute's declared variable list.
-fn resolve_cst_path(
-    ctx: &Ctx<'_>,
+/// attribute's declared variable list (`None`: the object's own). The
+/// renaming facts the walk discovers join `links`.
+fn resolve_cst_path<'c>(
+    ctx: &Ctx<'c>,
     path: &PathExpr,
-    binding: &Binding,
-    links: &mut Arc<Vec<ScopeLink>>,
-) -> Result<(Oid, ScopeKey, Vec<Var>), LyricError> {
+    binding: &Binding<'c>,
+    links: &mut Arc<[ScopeLink<'c>]>,
+) -> Result<(Oid, ScopeKey, Option<&'c [Var]>), LyricError> {
     let hits = eval_path(ctx, path, binding)?;
-    let mut resolved: Option<(Oid, ScopeKey, Vec<Var>)> = None;
+    let mut resolved: Option<(Oid, ScopeKey, Option<&'c [Var]>)> = None;
     for hit in hits {
         if !Arc::ptr_eq(&hit.binding.links, links) {
-            for link in hit.binding.links.iter() {
-                if !links.contains(link) {
-                    Arc::make_mut(links).push(link.clone());
-                }
+            let fresh: Vec<ScopeLink<'c>> = (hit.binding.links.iter())
+                .filter(|link| !links.contains(link))
+                .cloned()
+                .collect();
+            if !fresh.is_empty() {
+                *links = links.iter().cloned().chain(fresh).collect();
             }
         }
         let obj = hit.value.as_cst().ok_or_else(|| {
@@ -596,11 +604,10 @@ fn resolve_cst_path(
         })?;
         match &resolved {
             None => {
-                let (owner, declared) = match hit.cst_info {
-                    Some(info) => info,
-                    None => (hit.scope.clone(), obj.free().to_vec()),
-                };
-                resolved = Some((hit.value, owner, declared));
+                resolved = Some(match hit.cst_info {
+                    Some(Provenance { owner, declared }) => (hit.value, owner, Some(declared)),
+                    None => (hit.value, hit.scope, None),
+                });
             }
             Some((prev, ..)) if prev.as_cst() == Some(obj) => {}
             Some(_) => {
@@ -624,7 +631,7 @@ fn resolve_cst_path(
 pub(crate) fn arith_to_linexpr(
     ctx: &Ctx<'_>,
     a: &Arith,
-    binding: &Binding,
+    binding: &Binding<'_>,
 ) -> Result<LinExpr, LyricError> {
     match a {
         Arith::Num(n) => Ok(LinExpr::constant(n.clone())),
@@ -632,7 +639,7 @@ pub(crate) fn arith_to_linexpr(
             // A FROM-bound variable holding a numeric oid is a constant;
             // anything else that is bound is a type error; unbound names
             // are constraint variables.
-            match binding.get(name) {
+            match binding.get(ctx, name) {
                 Some(oid) => match oid.as_rational() {
                     Some(r) => Ok(LinExpr::constant(r)),
                     None => Err(LyricError::type_error(format!(

@@ -381,3 +381,33 @@ fn select_formula_equalities_follow_aliased_access_chains() {
         );
     }
 }
+
+/// Repeated answer rows are dropped and the rest keep the order of their
+/// first occurrence: the room objects bind in oid order, and the first
+/// one's catalog object, `standard_desk`, sorts after the second's.
+#[test]
+fn repeated_rows_keep_first_occurrence_order() {
+    let mut db = three_object_room();
+    db.insert(
+        Oid::named("a_desk"),
+        "Object_In_Room",
+        [
+            ("inv_number", Value::Scalar(Oid::str("22-357"))),
+            ("location", Value::Scalar(Oid::cst(point2("x", "y", 50, 8)))),
+            ("catalog_object", Value::Scalar(Oid::named("standard_desk"))),
+        ],
+    )
+    .unwrap();
+    let res = execute(
+        &mut db,
+        "SELECT C FROM Object_In_Room X WHERE X.catalog_object[C]",
+    )
+    .unwrap();
+    assert_eq!(
+        res.rows,
+        vec![
+            vec![Oid::named("standard_desk")],
+            vec![Oid::named("standard_cabinet")],
+        ]
+    );
+}

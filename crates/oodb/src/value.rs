@@ -24,12 +24,14 @@ impl Value {
 
     /// Iterate the oid(s): one for scalars, all members for sets. This is
     /// the iteration path expressions use — a scalar attribute continues a
-    /// path to its value, a set-valued one to each member.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = &Oid> + '_> {
-        match self {
-            Value::Scalar(o) => Box::new(std::iter::once(o)),
-            Value::Set(s) => Box::new(s.iter()),
-        }
+    /// path to its value, a set-valued one to each member. The iterator
+    /// is a concrete type: iterating allocates nothing.
+    pub fn iter(&self) -> impl Iterator<Item = &Oid> + '_ {
+        let (scalar, set) = match self {
+            Value::Scalar(o) => (Some(o), None),
+            Value::Set(s) => (None, Some(s.iter())),
+        };
+        scalar.into_iter().chain(set.into_iter().flatten())
     }
 
     /// The scalar oid, if this is a scalar value.

@@ -49,6 +49,11 @@ use std::time::Instant;
 
 /// Largest accepted request body (a query text), in bytes.
 const MAX_BODY: usize = 1 << 20;
+/// Longest accepted line of the request head (the request line or one
+/// header line, terminator included), in bytes.
+const MAX_LINE: usize = 8 << 10;
+/// Most header lines accepted in one request.
+const MAX_HEADERS: usize = 100;
 
 /// A bound (but not yet running) server: the listener plus the shared
 /// database and per-query execution options.
@@ -110,12 +115,24 @@ struct Request {
     body: String,
 }
 
+/// Read one line of the request head, terminator included; an empty
+/// string at end of stream. A line that reaches [`MAX_LINE`] bytes without
+/// its terminator is an error, and nothing past those bytes is read.
+fn read_head_line(reader: &mut impl BufRead, what: &str) -> Result<String, String> {
+    let mut line = Vec::new();
+    reader
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| format!("read {what}: {e}"))?;
+    if line.len() == MAX_LINE && !line.ends_with(b"\n") {
+        return Err(format!("{what} longer than {MAX_LINE} bytes"));
+    }
+    String::from_utf8(line).map_err(|_| format!("read {what}: stream did not contain valid UTF-8"))
+}
+
 fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+    let line = read_head_line(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
     let path = parts.next().unwrap_or("").to_string();
@@ -123,18 +140,23 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         return Err("malformed request line".to_string());
     }
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read header: {e}"))?;
+        let header = read_head_line(&mut reader, "header")?;
         let header = header.trim();
-        if n == 0 || header.is_empty() {
+        if header.is_empty() {
             break;
         }
+        if headers == MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} header lines"));
+        }
+        headers += 1;
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                content_length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("malformed Content-Length {:?}", value.trim()))?;
             }
         }
     }
@@ -385,6 +407,11 @@ pub fn http_request(
         body.len()
     );
     stream.write_all(request.as_bytes())?;
+    read_reply(stream)
+}
+
+/// Read a reply to its end: `(status, body)`.
+fn read_reply(mut stream: TcpStream) -> std::io::Result<(u16, String)> {
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
     let status = response
@@ -544,6 +571,65 @@ mod tests {
         let plan = json.get("plan").expect("explain=true returns a plan");
         lyric::trace::plan::validate_plan_json(&plan.to_string()).expect("plan validates");
         assert!(plan.get("total_us").is_some(), "plan is analyzed");
+    }
+
+    /// Send the raw bytes of a request, then close the sending half and
+    /// read the reply.
+    fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        read_reply(stream).unwrap()
+    }
+
+    /// The error message of a JSON 400 reply to the raw `request`. Each
+    /// request ends where the server stops reading, so the server has read
+    /// every byte before it replies and its close cannot reset the
+    /// connection under the reply.
+    fn rejected(addr: SocketAddr, request: &str) -> String {
+        let (status, body) = exchange(addr, request);
+        assert_eq!(status, 400, "{body}");
+        let json = lyric::trace::json::parse(&body).expect("error body is valid JSON");
+        json.get("error")
+            .and_then(Json::as_str)
+            .expect("error member")
+            .to_string()
+    }
+
+    #[test]
+    fn request_head_lines_are_capped() {
+        let addr = test_server();
+        // A header line that reaches the cap without its terminator.
+        let head = "GET /healthz HTTP/1.0\r\n";
+        let name = "X-Long: ";
+        let request = format!("{head}{name}{}", "a".repeat(MAX_LINE - name.len()));
+        let msg = rejected(addr, &request);
+        assert!(msg.contains("header longer than"), "{msg}");
+        // So does the request line.
+        let msg = rejected(addr, &format!("GET /{}", "a".repeat(MAX_LINE - 5)));
+        assert!(msg.contains("request line longer than"), "{msg}");
+        // The server still answers on a new connection.
+        let (status, body) = http_request(addr, "GET", "/healthz", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+    }
+
+    #[test]
+    fn request_header_count_is_capped() {
+        let addr = test_server();
+        let headers: String = (0..MAX_HEADERS).map(|i| format!("X-H{i}: v\r\n")).collect();
+        // The cap itself is accepted.
+        let at_cap = format!("GET /healthz HTTP/1.0\r\n{headers}\r\n");
+        assert_eq!(exchange(addr, &at_cap).0, 200);
+        let over = format!("GET /healthz HTTP/1.0\r\n{headers}X-Over: v\r\n");
+        let msg = rejected(addr, &over);
+        assert!(msg.contains("header lines"), "{msg}");
+    }
+
+    #[test]
+    fn non_numeric_content_length_is_rejected() {
+        let addr = test_server();
+        let msg = rejected(addr, "GET /healthz HTTP/1.0\r\nContent-Length: abc\r\n");
+        assert!(msg.contains("Content-Length"), "{msg}");
     }
 
     #[test]
