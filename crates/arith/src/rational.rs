@@ -79,6 +79,8 @@ fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
 
 /// Canonicalize `n / d` with `i128` intermediates and store it small if
 /// the reduced fraction fits in `i64`, promoting to `BigInt` otherwise.
+/// A denominator of 1 skips the gcd, and the gcd and the divisions run
+/// in `u64` when both magnitudes fit.
 ///
 /// Callers must guarantee `d != 0` and that neither operand is
 /// `i128::MIN` (so negation cannot overflow). Every small-path operation
@@ -90,12 +92,30 @@ fn from_i128_reduced(n: i128, d: i128) -> Rational {
     debug_assert!(n != i128::MIN && d != i128::MIN);
     let (n, d) = if d < 0 { (-n, -d) } else { (n, d) };
     if n == 0 {
-        return Rational {
-            repr: Repr::Small(0, 1),
-        };
+        return Rational::small_int(0);
     }
-    let g = gcd_u128(n.unsigned_abs(), d as u128) as i128;
-    let (n, d) = (n / g, d / g);
+    if d == 1 {
+        return from_i128_canonical(n, 1);
+    }
+    let (mag, den) = (n.unsigned_abs(), d as u128);
+    let (mag, den) = match (u64::try_from(mag), u64::try_from(den)) {
+        (Ok(m), Ok(dd)) => {
+            let g = gcd_u64(m, dd);
+            ((m / g) as u128, (dd / g) as u128)
+        }
+        _ => {
+            let g = gcd_u128(mag, den);
+            (mag / g, den / g)
+        }
+    };
+    // Both quotients are at most the original magnitudes, below 2^127.
+    let n = if n < 0 { -(mag as i128) } else { mag as i128 };
+    from_i128_canonical(n, den as i128)
+}
+
+/// Store an already-canonical `i128` pair inline when it fits in `i64`,
+/// promoting to `BigInt` otherwise.
+fn from_i128_canonical(n: i128, d: i128) -> Rational {
     match (i64::try_from(n), i64::try_from(d)) {
         (Ok(sn), Ok(sd)) => Rational {
             repr: Repr::Small(sn, sd),
@@ -222,6 +242,15 @@ impl Rational {
         }
     }
 
+    /// The integer `v` in the inline form, whatever the fast-path mode:
+    /// for results of the small path only.
+    #[inline]
+    fn small_int(v: i64) -> Self {
+        Rational {
+            repr: Repr::Small(v, 1),
+        }
+    }
+
     /// The inline `(numerator, denominator)` pair, or `None` when the
     /// value is held in the `BigInt` representation.
     pub fn small_parts(&self) -> Option<(i64, i64)> {
@@ -253,6 +282,7 @@ impl Rational {
     }
 
     /// Is the value exactly zero?
+    #[inline]
     pub fn is_zero(&self) -> bool {
         match &self.repr {
             Repr::Small(n, _) => *n == 0,
@@ -261,11 +291,13 @@ impl Rational {
     }
 
     /// Is the value strictly positive?
+    #[inline]
     pub fn is_positive(&self) -> bool {
         self.signum() > 0
     }
 
     /// Is the value strictly negative?
+    #[inline]
     pub fn is_negative(&self) -> bool {
         self.signum() < 0
     }
@@ -279,6 +311,7 @@ impl Rational {
     }
 
     /// Sign as -1, 0, or 1.
+    #[inline]
     pub fn signum(&self) -> i32 {
         match &self.repr {
             Repr::Small(n, _) => n.signum() as i32,
@@ -396,6 +429,7 @@ impl From<BigInt> for Rational {
 }
 
 impl PartialEq for Rational {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         // Both representations are canonical, so equality is
         // componentwise even across the small/big divide.
@@ -438,78 +472,107 @@ impl Hash for Rational {
     }
 }
 
+/// A binary field operation, for the out-of-line `BigInt` path.
+#[derive(Clone, Copy)]
+enum BinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+/// The `BigInt` path of `a op b`: the operands are borrowed as `BigInt`
+/// pairs and the result canonicalized. Kept out of line, so the inlined
+/// small path stays small.
+fn big_binop(a: &Rational, op: BinOp, b: &Rational) -> Rational {
+    fastpath::count_big();
+    let (mut sb, mut ob) = (None, None);
+    let (an, ad) = big_parts(a, &mut sb);
+    let (bn, bd) = big_parts(b, &mut ob);
+    match op {
+        BinOp::Add => big_normalized(an * bd + bn * ad, ad * bd),
+        BinOp::Sub => big_normalized(an * bd - bn * ad, ad * bd),
+        BinOp::Mul => big_normalized(an * bn, ad * bd),
+        BinOp::Div => big_normalized(an * bd, ad * bn),
+    }
+}
+
+/// The small-path operands of a binary operation: both values inline and
+/// the fast path on. Counts the operation as one small op.
+#[inline]
+fn small_pair(a: &Rational, b: &Rational) -> Option<(i64, i64, i64, i64)> {
+    match (&a.repr, &b.repr) {
+        (Repr::Small(an, ad), Repr::Small(bn, bd)) if fastpath::fast_path_enabled() => {
+            fastpath::count_small();
+            Some((*an, *ad, *bn, *bd))
+        }
+        _ => None,
+    }
+}
+
 impl Add for &Rational {
     type Output = Rational;
+    #[inline]
     fn add(self, other: &Rational) -> Rational {
-        if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&self.repr, &other.repr) {
-            if fastpath::fast_path_enabled() {
-                fastpath::count_small();
-                return from_i128_reduced(
-                    *an as i128 * *bd as i128 + *bn as i128 * *ad as i128,
-                    *ad as i128 * *bd as i128,
-                );
+        let Some((an, ad, bn, bd)) = small_pair(self, other) else {
+            return big_binop(self, BinOp::Add, other);
+        };
+        if ad == 1 && bd == 1 {
+            if let Some(n) = an.checked_add(bn) {
+                return Rational::small_int(n);
             }
         }
-        fastpath::count_big();
-        let (mut sb, mut ob) = (None, None);
-        let (an, ad) = big_parts(self, &mut sb);
-        let (bn, bd) = big_parts(other, &mut ob);
-        big_normalized(an * bd + bn * ad, ad * bd)
+        from_i128_reduced(
+            an as i128 * bd as i128 + bn as i128 * ad as i128,
+            ad as i128 * bd as i128,
+        )
     }
 }
 
 impl Sub for &Rational {
     type Output = Rational;
+    #[inline]
     fn sub(self, other: &Rational) -> Rational {
-        if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&self.repr, &other.repr) {
-            if fastpath::fast_path_enabled() {
-                fastpath::count_small();
-                return from_i128_reduced(
-                    *an as i128 * *bd as i128 - *bn as i128 * *ad as i128,
-                    *ad as i128 * *bd as i128,
-                );
+        let Some((an, ad, bn, bd)) = small_pair(self, other) else {
+            return big_binop(self, BinOp::Sub, other);
+        };
+        if ad == 1 && bd == 1 {
+            if let Some(n) = an.checked_sub(bn) {
+                return Rational::small_int(n);
             }
         }
-        fastpath::count_big();
-        let (mut sb, mut ob) = (None, None);
-        let (an, ad) = big_parts(self, &mut sb);
-        let (bn, bd) = big_parts(other, &mut ob);
-        big_normalized(an * bd - bn * ad, ad * bd)
+        from_i128_reduced(
+            an as i128 * bd as i128 - bn as i128 * ad as i128,
+            ad as i128 * bd as i128,
+        )
     }
 }
 
 impl Mul for &Rational {
     type Output = Rational;
+    #[inline]
     fn mul(self, other: &Rational) -> Rational {
-        if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&self.repr, &other.repr) {
-            if fastpath::fast_path_enabled() {
-                fastpath::count_small();
-                return from_i128_reduced(*an as i128 * *bn as i128, *ad as i128 * *bd as i128);
+        let Some((an, ad, bn, bd)) = small_pair(self, other) else {
+            return big_binop(self, BinOp::Mul, other);
+        };
+        if ad == 1 && bd == 1 {
+            if let Some(n) = an.checked_mul(bn) {
+                return Rational::small_int(n);
             }
         }
-        fastpath::count_big();
-        let (mut sb, mut ob) = (None, None);
-        let (an, ad) = big_parts(self, &mut sb);
-        let (bn, bd) = big_parts(other, &mut ob);
-        big_normalized(an * bn, ad * bd)
+        from_i128_reduced(an as i128 * bn as i128, ad as i128 * bd as i128)
     }
 }
 
 impl Div for &Rational {
     type Output = Rational;
+    #[inline]
     fn div(self, other: &Rational) -> Rational {
         assert!(!other.is_zero(), "Rational division by zero");
-        if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&self.repr, &other.repr) {
-            if fastpath::fast_path_enabled() {
-                fastpath::count_small();
-                return from_i128_reduced(*an as i128 * *bd as i128, *ad as i128 * *bn as i128);
-            }
-        }
-        fastpath::count_big();
-        let (mut sb, mut ob) = (None, None);
-        let (an, ad) = big_parts(self, &mut sb);
-        let (bn, bd) = big_parts(other, &mut ob);
-        big_normalized(an * bd, ad * bn)
+        let Some((an, ad, bn, bd)) = small_pair(self, other) else {
+            return big_binop(self, BinOp::Div, other);
+        };
+        from_i128_reduced(an as i128 * bd as i128, ad as i128 * bn as i128)
     }
 }
 
@@ -542,18 +605,21 @@ forward_owned_binop!(Mul, mul);
 forward_owned_binop!(Div, div);
 
 impl AddAssign<&Rational> for Rational {
+    #[inline]
     fn add_assign(&mut self, other: &Rational) {
         *self = &*self + other;
     }
 }
 
 impl SubAssign<&Rational> for Rational {
+    #[inline]
     fn sub_assign(&mut self, other: &Rational) {
         *self = &*self - other;
     }
 }
 
 impl MulAssign<&Rational> for Rational {
+    #[inline]
     fn mul_assign(&mut self, other: &Rational) {
         *self = &*self * other;
     }
@@ -561,6 +627,7 @@ impl MulAssign<&Rational> for Rational {
 
 impl Neg for &Rational {
     type Output = Rational;
+    #[inline]
     fn neg(self) -> Rational {
         match &self.repr {
             // -i64::MIN overflows; that numerator promotes on negation.
@@ -591,25 +658,32 @@ impl Neg for Rational {
     }
 }
 
+/// The `BigInt` path of [`Ord::cmp`], out of line like [`big_binop`].
+fn big_cmp(a: &Rational, b: &Rational) -> Ordering {
+    fastpath::count_big();
+    let (mut sb, mut ob) = (None, None);
+    let (an, ad) = big_parts(a, &mut sb);
+    let (bn, bd) = big_parts(b, &mut ob);
+    (an * bd).cmp(&(bn * ad))
+}
+
 impl Ord for Rational {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        if let (Repr::Small(an, ad), Repr::Small(bn, bd)) = (&self.repr, &other.repr) {
-            if fastpath::fast_path_enabled() {
-                fastpath::count_small();
-                // Denominators are positive, so cross-multiplication
-                // preserves order; products fit in i128.
-                return (*an as i128 * *bd as i128).cmp(&(*bn as i128 * *ad as i128));
-            }
+        let Some((an, ad, bn, bd)) = small_pair(self, other) else {
+            return big_cmp(self, other);
+        };
+        if ad == bd {
+            return an.cmp(&bn);
         }
-        fastpath::count_big();
-        let (mut sb, mut ob) = (None, None);
-        let (an, ad) = big_parts(self, &mut sb);
-        let (bn, bd) = big_parts(other, &mut ob);
-        (an * bd).cmp(&(bn * ad))
+        // Denominators are positive, so cross-multiplication preserves
+        // order; products fit in i128.
+        (an as i128 * bd as i128).cmp(&(bn as i128 * ad as i128))
     }
 }
 
 impl PartialOrd for Rational {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }

@@ -248,3 +248,148 @@ fn small_workload_never_touches_bigint_tier() {
         assert!(after.small_ops >= before.small_ops + 3);
     });
 }
+
+/// Integer values weighted to the integer path's edges: 0, ±1, the `i64`
+/// extremes and their neighbours, and a thin tail of uniform values.
+fn edge_int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        3 => Just(0i64),
+        3 => Just(1i64),
+        3 => Just(-1i64),
+        3 => Just(i64::MIN),
+        3 => Just(i64::MAX),
+        1 => Just(i64::MIN + 1),
+        1 => Just(i64::MAX - 1),
+        1 => Just(3_037_000_500i64), // just above sqrt(i64::MAX)
+        2 => -1_000i64..1_000,
+        2 => any::<i64>(),
+    ]
+}
+
+/// Pairs of integers: independent edge values, and pairs whose sum,
+/// difference or product overflows `i64` (or stops just short of it).
+fn int_pair() -> impl Strategy<Value = (i64, i64)> {
+    prop_oneof![
+        (edge_int(), edge_int()),
+        // Sums past i64::MAX or below i64::MIN.
+        ((i64::MAX - 1_000)..i64::MAX, 0i64..2_000),
+        ((i64::MIN)..(i64::MIN + 1_000), -2_000i64..0),
+        // Differences that overflow.
+        ((i64::MAX - 1_000)..i64::MAX, -2_000i64..0),
+        ((i64::MIN)..(i64::MIN + 1_000), 0i64..2_000),
+        // Products around 2^63.
+        (
+            3_000_000_000i64..3_100_000_000,
+            3_000_000_000i64..3_100_000_000
+        ),
+        (
+            -3_100_000_000i64..-3_000_000_000,
+            3_000_000_000i64..3_100_000_000
+        ),
+        (1i64 << 31..1i64 << 33, -(1i64 << 33)..-(1i64 << 31)),
+    ]
+}
+
+/// Does the exact integer `v`, as an `i128`, leave `i64`?
+fn leaves_i64(v: i128) -> bool {
+    i64::try_from(v).is_err()
+}
+
+/// Run `op` on the fast path and check it counts exactly one small op and
+/// promotes exactly when `promotes`, then match it against the oracle.
+fn assert_integer_op(
+    a: i64,
+    b: i64,
+    promotes: bool,
+    op: impl Fn(&Rational, &Rational) -> Rational,
+) {
+    let fast = with_mode(true, || {
+        let (x, y) = (Rational::from_int(a), Rational::from_int(b));
+        let before = op_counters();
+        let out = op(&x, &y);
+        let after = op_counters();
+        assert_eq!(
+            after.small_ops - before.small_ops,
+            1,
+            "{a} op {b}: small ops"
+        );
+        assert_eq!(after.big_ops, before.big_ops, "{a} op {b}: big ops");
+        assert_eq!(
+            after.promotions - before.promotions,
+            u64::from(promotes),
+            "{a} op {b} = {out}: promotions"
+        );
+        assert_eq!(
+            out.is_small(),
+            !promotes,
+            "{a} op {b} = {out}: representation"
+        );
+        out
+    });
+    let slow = with_mode(false, || op(&Rational::from_int(a), &Rational::from_int(b)));
+    assert_matches_oracle(&fast, &slow);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Integer operands take the `i64` path: add, sub, mul and div match
+    /// the BigInt oracle, stay canonical, count one small op each, and
+    /// promote exactly when the `i128` model's reduced result leaves
+    /// `i64`.
+    #[test]
+    fn integer_ops_match_oracle_and_count_once(pair in int_pair()) {
+        let (a, b) = pair;
+        let (wa, wb) = (a as i128, b as i128);
+        assert_integer_op(a, b, leaves_i64(wa + wb), |x, y| x + y);
+        assert_integer_op(a, b, leaves_i64(wa - wb), |x, y| x - y);
+        assert_integer_op(a, b, leaves_i64(wa * wb), |x, y| x * y);
+        assert_integer_op(b, a, leaves_i64(wb + wa), |x, y| x + y);
+        assert_integer_op(b, a, leaves_i64(wb - wa), |x, y| x - y);
+        if b != 0 {
+            // a / b reduces to (a/g) / (b/g) with the sign on top.
+            let g = BigInt::from(wa).gcd(&BigInt::from(wb)).to_i64().map_or(1i128 << 63, i128::from);
+            let (n, d) = if wb < 0 { (-wa / g, -wb / g) } else { (wa / g, wb / g) };
+            assert_integer_op(a, b, leaves_i64(n) || leaves_i64(d), |x, y| x / y);
+        }
+    }
+
+    /// Comparing integers, and fractions over one denominator other than
+    /// 1, matches the oracle and counts one small op.
+    #[test]
+    fn equal_denominator_cmp_matches_oracle(pair in int_pair(), d in prop_oneof![
+        Just(1i64),
+        Just(3i64),
+        Just(7i64),
+        Just(1_000_003i64),
+        Just(2_147_483_647i64),
+    ]) {
+        // A numerator that `d` does not divide keeps `d` as the reduced
+        // denominator.
+        let coprime = |n: i64| {
+            if d == 1 || n % d != 0 {
+                n
+            } else if n > 0 {
+                n - 1
+            } else {
+                n + 1
+            }
+        };
+        let (a, b) = (coprime(pair.0), coprime(pair.1));
+        let make = |n: i64| Rational::from_pair(n, d);
+        let fast = with_mode(true, || {
+            let (x, y) = (make(a), make(b));
+            assert_eq!(x.small_parts(), Some((a, d)), "{x} keeps its denominator");
+            assert_eq!(y.small_parts(), Some((b, d)), "{y} keeps its denominator");
+            let before = op_counters();
+            let ord = x.cmp(&y);
+            let after = op_counters();
+            assert_eq!(after.small_ops - before.small_ops, 1, "{x} cmp {y}");
+            assert_eq!(after.big_ops, before.big_ops, "{x} cmp {y}");
+            ord
+        });
+        let slow = with_mode(false, || make(a).cmp(&make(b)));
+        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(fast, a.cmp(&b), "one positive denominator keeps the numerators' order");
+    }
+}

@@ -893,9 +893,10 @@ fn e14() -> Json {
         ]));
     }
     println!(
-        "\nprune rate is box_prunes/box_checks in the boxes-on run; every prune is an LP \
-         satisfiability call skipped (lp_runs_on + box-attributable prunes vs lp_runs_off). \
-         Answers are bit-identical either way (tests/boxes_differential.rs).\n"
+        "\nprune rate is box_prunes/box_checks in the boxes-on run. The boxes-on run skips an \
+         LP satisfiability call either by a prune (an empty box) or by a nonempty box over \
+         atoms that each mention at most one variable, where the box is exact. Answers are \
+         bit-identical either way (tests/boxes_differential.rs).\n"
     );
     Json::obj([("rows", Json::Arr(detail))])
 }

@@ -18,10 +18,12 @@
 //!   supremum/infimum with an attainment flag and a rational witness.
 
 use crate::atom::{Atom, NormOp};
+use crate::interval::IntervalBox;
 use crate::linexpr::{Assignment, LinExpr};
 use crate::var::Var;
 use lyric_arith::Rational;
 use lyric_simplex::{LpOutcome, LpProblem, Relop};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -71,27 +73,9 @@ impl Conjunction {
 
     /// Build from atoms, normalizing.
     pub fn of(atoms: impl IntoIterator<Item = Atom>) -> Conjunction {
-        let mut c = Conjunction::top();
-        for a in atoms {
-            if !c.push_atom(a) {
-                return Conjunction::bottom();
-            }
-        }
-        c.atoms.sort();
-        c.atoms.dedup();
-        c
-    }
-
-    /// Returns false when the atom is trivially false.
-    fn push_atom(&mut self, a: Atom) -> bool {
-        match a.trivial() {
-            Some(true) => true,
-            Some(false) => false,
-            None => {
-                self.atoms.push(a);
-                true
-            }
-        }
+        let atoms = atoms.into_iter();
+        let capacity = atoms.size_hint().0;
+        normalize(atoms, capacity).map_or_else(Conjunction::bottom, |atoms| Conjunction { atoms })
     }
 
     /// Conjoin one atom.
@@ -117,9 +101,10 @@ impl Conjunction {
     /// The conjunction's interval abstraction: a per-variable bounding box
     /// that *over-approximates* the point set (see [`crate::IntervalBox`]).
     /// An empty box proves the conjunction unsatisfiable; a nonempty box
-    /// proves nothing.
-    pub fn interval_box(&self) -> crate::IntervalBox {
-        crate::IntervalBox::of_conjunction(self)
+    /// proves it satisfiable only when every atom mentions at most one
+    /// variable.
+    pub fn interval_box(&self) -> IntervalBox {
+        IntervalBox::of_conjunction(self)
     }
 
     /// Syntactic check: is this the canonical bottom (or does it contain a
@@ -163,30 +148,17 @@ impl Conjunction {
     /// (`ExecOptions::boxes`), the conjunction's
     /// [`IntervalBox`](crate::IntervalBox) is consulted first: an empty
     /// box is a *sound* proof of unsatisfiability, so the LP is skipped
-    /// entirely. Entailment inherits the prune for free —
+    /// entirely, and a nonempty box of atoms that each mention at most one
+    /// variable is an exact proof of satisfiability, so the LP is skipped
+    /// there too. Entailment inherits both for free —
     /// [`implies_atom`](Self::implies_atom) reduces to a satisfiability
-    /// call on `self ∧ ¬a`. Pruning never changes an answer, only how it
+    /// call on `self ∧ ¬a`. The box never changes an answer, only how it
     /// is obtained; the `boxes_differential` suite pins bit-identical
     /// results with the switch on and off. The box is computed afresh on
     /// every check: it costs less than a probe and insert keyed by the
     /// whole conjunction would.
     pub fn satisfiable(&self) -> bool {
-        lyric_engine::note_live(lyric_engine::Live::SatChecks, 1);
-        if lyric_engine::boxes_enabled() {
-            lyric_engine::tally(|s| s.box_checks += 1);
-            if self.interval_box().is_empty() {
-                lyric_engine::note_live(lyric_engine::Live::BoxPrunes, 1);
-                lyric_engine::trace_event(|| lyric_engine::EventKind::BoxPrune);
-                return false;
-            }
-        }
-        let (convex, neqs) = self.split_neq();
-        let lp = Lp::build(convex.iter().copied());
-        if !lp.problem.is_feasible() {
-            return false;
-        }
-        // Convexity lemma: check each disequation independently.
-        neqs.iter().all(|a| !lp.entails_eq_zero(a.expr()))
+        decide(&self.atoms)
     }
 
     /// A satisfying point, if any. When disequations are present the convex
@@ -364,6 +336,103 @@ impl Conjunction {
             }
         }
         Conjunction::of(kept)
+    }
+}
+
+/// The normalization rule of a conjunction, over owned or borrowed atoms:
+/// trivially true atoms are dropped and the rest sorted and deduplicated;
+/// `None` when some atom is trivially false. [`Conjunction::of`] applies it
+/// to owned atoms, [`ConjunctionRef::of`] to borrowed ones, so both give
+/// the same atoms in the same order. `capacity` sizes the kept list.
+fn normalize<A: Borrow<Atom> + Ord>(
+    atoms: impl Iterator<Item = A>,
+    capacity: usize,
+) -> Option<Vec<A>> {
+    let mut out = Vec::with_capacity(capacity);
+    for a in atoms {
+        match a.borrow().trivial() {
+            Some(true) => {}
+            Some(false) => return None,
+            None => out.push(a),
+        }
+    }
+    out.sort();
+    out.dedup();
+    Some(out)
+}
+
+/// Decide a normalized atom list, owned or borrowed: the one routine
+/// behind [`Conjunction::satisfiable`] and [`ConjunctionRef::satisfiable`].
+///
+/// It counts the sat check. With boxes on it counts the box check, builds
+/// the box, and answers `false` on an empty box. A nonempty box answers
+/// `true` when every atom mentions at most one variable, which is exact:
+/// each variable's interval is then the intersection of its own bounds
+/// after one sweep, and the second sweep re-checks every `≠` against the
+/// final intervals and changes nothing, so the fixpoint is reached well
+/// inside [`MAX_ROUNDS`](crate::MAX_ROUNDS). A nonempty interval minus
+/// finitely many points is nonempty unless it is one point that some `≠`
+/// excludes, and the `≠` transfer reports that case as an empty box. The
+/// variables are independent, so the box is the point set up to those
+/// excluded points. Every other list runs the LP, with the convexity
+/// lemma for `≠`.
+fn decide<A: Borrow<Atom>>(atoms: &[A]) -> bool {
+    lyric_engine::note_live(lyric_engine::Live::SatChecks, 1);
+    if lyric_engine::boxes_enabled() {
+        lyric_engine::tally(|s| s.box_checks += 1);
+        if IntervalBox::of_atoms(atoms).is_empty() {
+            lyric_engine::note_live(lyric_engine::Live::BoxPrunes, 1);
+            lyric_engine::trace_event(|| lyric_engine::EventKind::BoxPrune);
+            return false;
+        }
+        if atoms.iter().all(|a| a.borrow().expr().num_terms() <= 1) {
+            return true;
+        }
+    }
+    let (convex, neqs): (Vec<&Atom>, Vec<&Atom>) = atoms
+        .iter()
+        .map(Borrow::borrow)
+        .partition(|a| a.op() != NormOp::Neq);
+    let lp = Lp::build(convex.iter().copied());
+    if !lp.problem.is_feasible() {
+        return false;
+    }
+    // Convexity lemma: check each disequation independently.
+    neqs.iter().all(|a| !lp.entails_eq_zero(a.expr()))
+}
+
+/// A conjunction of borrowed atoms, normalized by the rule of
+/// [`Conjunction::of`], so that it can be decided without cloning an atom.
+/// [`CstObject::product_disjunct`](crate::CstObject::product_disjunct)
+/// builds one for a product that has a single disjunct.
+#[derive(Debug, Clone)]
+pub struct ConjunctionRef<'a> {
+    /// The sorted, deduplicated atoms; `None` when one is trivially false.
+    atoms: Option<Vec<&'a Atom>>,
+}
+
+impl<'a> ConjunctionRef<'a> {
+    /// The conjunction of the atoms of `lists`, taken in order and
+    /// normalized by the rule of [`Conjunction::of`].
+    pub fn of(lists: &[&'a [Atom]]) -> ConjunctionRef<'a> {
+        let len = lists.iter().map(|atoms| atoms.len()).sum();
+        ConjunctionRef {
+            atoms: normalize(lists.iter().flat_map(|atoms| atoms.iter()), len),
+        }
+    }
+
+    /// The normalized atoms, the list `Conjunction::of` would hold; `None`
+    /// when some atom is trivially false.
+    pub fn atoms(&self) -> Option<&[&'a Atom]> {
+        self.atoms.as_deref()
+    }
+
+    /// Exact satisfiability, decided as [`Conjunction::satisfiable`]
+    /// decides the same atoms. A trivially false atom answers `false` with
+    /// no check counted, as a [`CstObject`](crate::CstObject) whose only
+    /// disjunct is trivially false has no disjunct left to check.
+    pub fn satisfiable(&self) -> bool {
+        self.atoms.as_deref().is_some_and(decide)
     }
 }
 

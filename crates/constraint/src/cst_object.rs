@@ -15,7 +15,7 @@
 //! paper attributes to CLP(R) output simplification.
 
 use crate::atom::Atom;
-use crate::conjunction::{Conjunction, Extremum};
+use crate::conjunction::{Conjunction, ConjunctionRef, Extremum};
 use crate::dnf::Dnf;
 use crate::error::ConstraintError;
 use crate::interval::IntervalBox;
@@ -412,6 +412,40 @@ impl CstObject {
         }
         let product = product.unwrap_or_else(|| vec![Vec::new()]);
         CstObject::new(free, product.into_iter().map(Conjunction::of))
+    }
+
+    /// The one disjunct of [`product`](Self::product)`(operands)` as
+    /// borrowed atoms, when every operand has exactly one disjunct and no
+    /// [`Operand::Object`] has bound variables for the product to rename
+    /// apart; `None` otherwise, and the caller builds the product. The
+    /// operands' atoms are gathered in order and normalized by the rule of
+    /// [`Conjunction::of`], so the list is the product's disjunct, and the
+    /// `Disjuncts` units the product would charge are noted: one per
+    /// operand after the first. `product_disjunct(ops).satisfiable()`
+    /// equals `product(ops).satisfiable()`, with the same engine counters,
+    /// except that sorting more than about twenty borrowed atoms can count
+    /// a different number of rational comparisons than sorting them owned
+    /// (the standard library's stable sort picks its method by element
+    /// size).
+    pub fn product_disjunct<'a>(operands: &[Operand<'a>]) -> Option<ConjunctionRef<'a>> {
+        let lists = operands
+            .iter()
+            .map(|operand| match *operand {
+                Operand::Object(o) if o.has_bound_vars() => None,
+                Operand::Object(o) => match o.disjuncts() {
+                    [d] => Some(d.atoms()),
+                    _ => None,
+                },
+                Operand::Lists(_, lists) => match lists {
+                    [atoms] => Some(atoms.as_slice()),
+                    _ => None,
+                },
+            })
+            .collect::<Option<Vec<&[Atom]>>>()?;
+        for _ in 1..lists.len() {
+            lyric_engine::note(lyric_engine::Resource::Disjuncts);
+        }
+        Some(ConjunctionRef::of(&lists))
     }
 
     /// Logical disjunction (union); schemas are merged like [`and`](Self::and).

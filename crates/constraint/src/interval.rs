@@ -10,10 +10,12 @@
 //! > every point satisfying the conjunction lies inside the inferred box,
 //!
 //! so an **empty** box proves the conjunction unsatisfiable without ever
-//! touching the simplex solver. The converse does not hold — a nonempty
-//! box says nothing (the box of `x ≤ y ∧ y ≤ x − 1` is ⊤) — which is
-//! exactly the asymmetry cheap geometric filters exploit before exact
-//! elimination.
+//! touching the simplex solver. In general the converse does not hold — a
+//! nonempty box says nothing (the box of `x ≤ y ∧ y ≤ x − 1` is ⊤) — which
+//! is exactly the asymmetry cheap geometric filters exploit before exact
+//! elimination. It does hold when every atom mentions at most one
+//! variable, where `Conjunction::satisfiable` lets a nonempty box answer
+//! without the LP.
 //!
 //! # Transfer functions
 //!
@@ -42,6 +44,7 @@ use crate::conjunction::Conjunction;
 use crate::linexpr::LinExpr;
 use crate::var::Var;
 use lyric_arith::Rational;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -269,14 +272,15 @@ impl IntervalBox {
     }
 
     /// The truncated-fixpoint box of an atom list understood as a
-    /// conjunction. Runs at most [`MAX_ROUNDS`] Gauss–Seidel sweeps,
-    /// stopping early when a sweep changes nothing or emptiness is proved.
-    pub fn of_atoms(atoms: &[Atom]) -> IntervalBox {
+    /// conjunction, owned or borrowed. Runs at most [`MAX_ROUNDS`]
+    /// Gauss–Seidel sweeps, stopping early when a sweep changes nothing or
+    /// emptiness is proved.
+    pub fn of_atoms<A: Borrow<Atom>>(atoms: &[A]) -> IntervalBox {
         let mut bx = IntervalBox::top();
         for _ in 0..MAX_ROUNDS {
             let mut changed = false;
             for a in atoms {
-                match bx.transfer(a) {
+                match bx.transfer(a.borrow()) {
                     Transfer::Empty => return IntervalBox::empty(),
                     Transfer::Changed => changed = true,
                     Transfer::Unchanged => {}

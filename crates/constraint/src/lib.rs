@@ -67,7 +67,7 @@ mod linexpr;
 mod var;
 
 pub use atom::{Atom, NormOp, RelOp};
-pub use conjunction::{Conjunction, Extremum};
+pub use conjunction::{Conjunction, ConjunctionRef, Extremum};
 pub use cst_object::{CstFamily, CstObject, FamilyOp, Operand};
 pub use dnf::Dnf;
 pub use error::ConstraintError;

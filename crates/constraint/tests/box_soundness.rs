@@ -6,15 +6,20 @@
 //! * every satisfying point the exact solver can produce lies inside the
 //!   inferred box, and so does every per-variable LP extremum.
 //!
-//! The converse direction is explicitly *not* promised — a nonempty box
+//! The converse direction is *not* promised in general — a nonempty box
 //! proves nothing (boxes ignore all inter-variable geometry beyond what
 //! single-atom refinement recovers) — which is what makes the domain safe
 //! to use as a pre-LP prune: see `Conjunction::satisfiable` and the
 //! `boxes_differential` suite for the engine-level guarantees
-//! (bit-identical answers with pruning on and off).
+//! (bit-identical answers with pruning on and off). It does hold for
+//! conjunctions whose atoms each mention at most one variable, where
+//! `satisfiable()` lets a nonempty box answer without the LP; the last
+//! two tests pin that this answer equals the LP's and that conjunctions
+//! with two-variable atoms still run the LP.
 
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, Conjunction, CstObject, IntervalBox, LinExpr, Var};
+use lyric_engine::{EngineStats, ExecOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,5 +135,125 @@ proptest! {
         if let Some(p) = both.find_point() {
             prop_assert!(weak.contains(&p));
         }
+    }
+}
+
+/// A nonzero fraction with a small numerator and denominator.
+fn nonzero_fraction(r: &mut StdRng) -> Rational {
+    let n = [-5, -3, -2, -1, 1, 2, 3, 5][r.gen_range(0..8)];
+    Rational::from_pair(n, r.gen_range(1..=4i64))
+}
+
+/// A fraction in about `[-5, 5]`, often an integer.
+fn fraction(r: &mut StdRng) -> Rational {
+    Rational::from_pair(r.gen_range(-10..=10i64), r.gen_range(1..=2i64))
+}
+
+/// A random conjunction whose atoms each mention one variable, over one
+/// to three variables that repeat: `≤ < = ≥ > ≠` with fractional
+/// coefficients and bounds, plus, now and then, a value pinned by an
+/// equality or by two closed bounds that a `≠` then excludes or misses.
+fn single_variable_conjunction(seed: u64) -> Conjunction {
+    let mut r = StdRng::seed_from_u64(seed);
+    let nvars = r.gen_range(1..=3usize);
+    let mut atoms = Vec::new();
+    for _ in 0..r.gen_range(1..=7usize) {
+        let v = Var::new(format!("v{}", r.gen_range(0..nvars)));
+        let c = nonzero_fraction(&mut r);
+        let lhs = LinExpr::term(v.clone(), c.clone());
+        let rhs = LinExpr::constant(fraction(&mut r));
+        match r.gen_range(0..8) {
+            0 => atoms.push(Atom::le(lhs, rhs)),
+            1 => atoms.push(Atom::lt(lhs, rhs)),
+            2 => atoms.push(Atom::ge(lhs, rhs)),
+            3 => atoms.push(Atom::gt(lhs, rhs)),
+            4 => atoms.push(Atom::eq(lhs, rhs)),
+            5 => atoms.push(Atom::neq(lhs, rhs)),
+            pin => {
+                let value = fraction(&mut r);
+                let at = |c: &Rational| LinExpr::constant(c * &value);
+                if pin == 6 {
+                    atoms.push(Atom::eq(lhs, at(&c)));
+                } else {
+                    atoms.push(Atom::ge(lhs.clone(), at(&c)));
+                    atoms.push(Atom::le(lhs, at(&c)));
+                }
+                // Excludes the pinned value, or one next to it.
+                let k = nonzero_fraction(&mut r);
+                let off = if r.gen_range(0..3) == 0 {
+                    Rational::from_pair(1, 3)
+                } else {
+                    Rational::zero()
+                };
+                let excluded = LinExpr::constant(&k * &(&value + &off));
+                atoms.push(Atom::neq(LinExpr::term(v, k), excluded));
+            }
+        }
+    }
+    Conjunction::of(atoms)
+}
+
+/// `c.satisfiable()` under an engine context with boxes on, and the
+/// counters it moved.
+fn satisfiable_with_boxes(c: &Conjunction) -> (bool, EngineStats) {
+    let opts = ExecOptions::default().with_threads(1).with_boxes(true);
+    let (sat, stats, _) =
+        lyric_engine::run(&opts, None, || c.satisfiable()).expect("unlimited budget");
+    (sat, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Box exactness: on single-variable conjunctions the boxes-on answer
+    /// is the LP's (outside any context `satisfiable()` is the pure LP),
+    /// and it runs no LP.
+    #[test]
+    fn single_variable_conjunctions_are_decided_by_the_box(seed in 0u64..1_000_000) {
+        let c = single_variable_conjunction(seed);
+        let exact = c.satisfiable();
+        let (boxed, stats) = satisfiable_with_boxes(&c);
+        prop_assert_eq!(boxed, exact, "box and LP disagree on {}", c);
+        prop_assert_eq!(stats.lp_runs, 0, "the LP ran on {}", c);
+        prop_assert_eq!(stats.sat_checks, 1);
+        prop_assert_eq!(stats.box_checks, 1);
+    }
+}
+
+/// Two-variable conjunctions whose box is nonempty but which are
+/// unsatisfiable: only the LP can refute them, so boxes on must still run
+/// it and answer `false`.
+#[test]
+fn two_variable_conjunctions_with_nonempty_boxes_run_the_lp() {
+    let x = || LinExpr::var(Var::new("x"));
+    let y = || LinExpr::var(Var::new("y"));
+    let k = |n: i64| LinExpr::from(n);
+    let cases = [
+        // x ≤ y ∧ y ≤ x − 1: the box is ⊤.
+        Conjunction::of([Atom::le(x(), y()), Atom::le(y(), x() - k(1))]),
+        // The same strip on [0, 1000]²: each sweep moves the bounds by 1,
+        // so the truncated fixpoint stays nonempty.
+        Conjunction::of([
+            Atom::ge(x(), k(0)),
+            Atom::le(x(), k(1000)),
+            Atom::ge(y(), k(0)),
+            Atom::le(y(), k(1000)),
+            Atom::le(x(), y()),
+            Atom::le(y(), x() - k(1)),
+        ]),
+        // x = y ∧ x ≠ y on a bounded square.
+        Conjunction::of([
+            Atom::ge(x(), k(0)),
+            Atom::le(x(), k(1)),
+            Atom::eq(x(), y()),
+            Atom::neq(x(), y()),
+        ]),
+    ];
+    for c in cases {
+        assert!(!IntervalBox::of_conjunction(&c).is_empty(), "box of {c}");
+        assert!(!c.satisfiable(), "LP must refute {c}");
+        let (sat, stats) = satisfiable_with_boxes(&c);
+        assert!(!sat, "boxes on must refute {c}");
+        assert!(stats.lp_runs > 0, "{c} was decided without the LP: {stats}");
     }
 }

@@ -1104,10 +1104,9 @@ fn eval_cond_inner<'a>(
                 String::new,
                 f.span().byte_range(),
             );
-            // One emptiness check on the instantiated object:
+            // One emptiness check on the instantiated formula:
             // canonicalizing first would decide the same emptiness twice.
-            let obj = ctx.template(f).instantiate(ctx, binding)?;
-            Ok(if obj.satisfiable() {
+            Ok(if ctx.template(f).satisfiable(ctx, binding)? {
                 vec![binding.clone()]
             } else {
                 vec![]

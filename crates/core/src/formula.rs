@@ -143,14 +143,68 @@ impl<'q> Template<'q> {
             String::new,
             self.source,
         );
-        let mut splice = Splice::new(ctx, binding);
-        let pieces = splice.parts(&self.parts)?;
-        let equalities = splice.equalities();
-        let obj = splice.conjoin(pieces, equalities);
+        let (splice, pieces) = self.splice(ctx, binding)?;
+        let obj = splice.conjoin(pieces);
         Ok(match &self.proj {
             Some(vars) => obj.project(vars.clone()),
             None => obj,
         })
+    }
+
+    /// Splice the conjuncts under `binding` and append the implicit
+    /// equalities of the references they resolved.
+    fn splice<'c>(
+        &'c self,
+        ctx: &'c Ctx<'c>,
+        binding: &'c Binding<'c>,
+    ) -> Result<(Splice<'c>, Vec<Piece<'c>>), LyricError> {
+        let mut splice = Splice::new(ctx, binding);
+        let mut pieces = splice.parts(&self.parts)?;
+        pieces.extend(splice.equalities().map(Piece::Built));
+        Ok((splice, pieces))
+    }
+
+    /// Decide a WHERE `(φ)` under `binding`: the emptiness of the object
+    /// [`instantiate`](Self::instantiate) would build, with the same
+    /// answer and errors, and the same engine counters but for the
+    /// comparisons a sort counts as arithmetic operations. When every
+    /// conjunct has one disjunct and none has bound variables the product
+    /// would rename apart, the product's one disjunct is decided on the
+    /// conjuncts' borrowed atoms ([`CstObject::product_disjunct`], which
+    /// notes when its sort counts other comparisons), and a lone stored or
+    /// built conjunct is decided as it is. Every other shape (a conjunct
+    /// with zero or several disjuncts, an object conjunct with bound
+    /// variables) builds the product as `instantiate` does. An outer
+    /// projection `((vars) | φ)` is skipped: it keeps φ's disjuncts,
+    /// already sorted, so it keeps φ's emptiness. The `instantiate` span
+    /// covers the splice, the gathering and the normalization; the
+    /// decision runs outside it.
+    pub(crate) fn satisfiable(
+        &self,
+        ctx: &Ctx<'_>,
+        binding: &Binding<'_>,
+    ) -> Result<bool, LyricError> {
+        let span = lyric_engine::span(
+            lyric_engine::SpanKind::Instantiate,
+            String::new,
+            self.source,
+        );
+        let (splice, pieces) = self.splice(ctx, binding)?;
+        let operands: Vec<Operand<'_>> = pieces.iter().map(|p| splice.operand(p)).collect();
+        if let [Operand::Object(obj)] = operands[..] {
+            // Its disjuncts are normalized already, and a lone conjunct is
+            // never renamed apart.
+            drop(span);
+            return Ok(obj.satisfiable());
+        }
+        if let Some(disjunct) = CstObject::product_disjunct(&operands) {
+            drop(span);
+            return Ok(disjunct.satisfiable());
+        }
+        drop(operands);
+        let obj = splice.conjoin(pieces);
+        drop(span);
+        Ok(obj.satisfiable())
     }
 
     /// The positional query window of a `Sat` template for the reference
@@ -340,11 +394,11 @@ pub(crate) fn entails(
     binding: &Binding<'_>,
 ) -> Result<bool, LyricError> {
     let mut splice = Splice::new(ctx, binding);
-    let l = splice.parts(&lhs.parts)?;
+    let mut l = splice.parts(&lhs.parts)?;
     let r = splice.parts(&rhs.parts)?;
-    let equalities = splice.equalities();
-    let lhs = splice.conjoin(l, equalities);
-    let rhs = splice.conjoin(r, None);
+    l.extend(splice.equalities().map(Piece::Built));
+    let lhs = splice.conjoin(l);
+    let rhs = splice.conjoin(r);
 
     let lf: BTreeSet<&Var> = lhs.free().iter().collect();
     let rf: BTreeSet<&Var> = rhs.free().iter().collect();
@@ -437,7 +491,7 @@ impl<'c> Splice<'c> {
             Part::Slot(slot) => self.slot(slot)?,
             Part::And(ps) => {
                 let pieces = self.parts(ps)?;
-                Piece::Built(self.conjoin(pieces, None))
+                Piece::Built(self.conjoin(pieces))
             }
             Part::Or(a, b) => {
                 let l = self.object(a)?;
@@ -512,19 +566,23 @@ impl<'c> Splice<'c> {
         Some(CstObject::from_conjunction(free, Conjunction::of(atoms)))
     }
 
-    /// The conjunction of the pieces and the equalities: one product; a
-    /// lone piece is returned as is.
-    fn conjoin(&self, mut pieces: Vec<Piece<'c>>, equalities: Option<CstObject>) -> CstObject {
-        pieces.extend(equalities.map(Piece::Built));
+    /// The conjunction of the pieces: one product; a lone piece is
+    /// returned as is.
+    fn conjoin(&self, mut pieces: Vec<Piece<'c>>) -> CstObject {
         if pieces.len() == 1 {
             return self.materialize(pieces.pop().expect("one conjunct"));
         }
-        CstObject::product(pieces.iter().map(|p| match p {
+        CstObject::product(pieces.iter().map(|p| self.operand(p)))
+    }
+
+    /// A piece as an operand of the product.
+    fn operand<'p>(&'p self, piece: &'p Piece<'c>) -> Operand<'p> {
+        match piece {
             Piece::Const(obj) => Operand::Object(obj),
             Piece::Stored(i) => Operand::Object(self.resolved[*i].object()),
             Piece::Renamed(i, lists) => Operand::Lists(self.resolved[*i].query_vars(), lists),
             Piece::Built(obj) => Operand::Object(obj),
-        }))
+        }
     }
 
     fn materialize(&self, piece: Piece<'c>) -> CstObject {

@@ -391,14 +391,21 @@ fn set_valued_paths() {
 }
 
 /// Every query result carries engine statistics: real LP work shows up as
-/// pivots, and a repeated entailment is counted once per binding.
+/// pivots, and a repeated entailment is counted once per binding. The
+/// desk-in-room join's `(φ)` relates several variables, so no interval box
+/// decides it and it needs the simplex.
 #[test]
 fn engine_stats_are_reported() {
     let mut db = db();
     let res = execute(
         &mut db,
-        "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
-         FROM Office_Object CO WHERE CO.extent[E] AND CO.translation[D]",
+        "SELECT DSK FROM Object_In_Room O, Desk DSK
+         WHERE O.catalog_object[DSK] AND O.location[L]
+           AND DSK.drawer_center[C] AND DSK.translation[D]
+           AND DSK.drawer.extent[DRE] AND DSK.drawer.translation[DRD]
+           AND (C(p,q) AND DRE(w1,z1) AND DRD(w1,z1,x1,y1,u1,v1)
+                AND D(w,z,x,y,u,v) AND L(x,y) AND w = u1 AND z = v1
+                AND 0 < u AND u < 20 AND 0 < v AND v < 10)",
     )
     .unwrap();
     assert!(

@@ -302,10 +302,13 @@ pub fn is_active() -> bool {
     CONTEXT.with(|c| c.borrow().is_some())
 }
 
-/// True when the interval-box disjointness test should run in front of
-/// sat/entailment LP calls. False outside any context: standalone library
-/// use stays exact-LP only, so plain unit tests of the constraint layer
-/// never depend on the abstract domain.
+/// True when interval boxes should run in front of the LP of each
+/// satisfiability check (entailment checks reach it through theirs): an
+/// empty box refutes the conjunction, and a nonempty box decides one
+/// whose atoms each mention at most one variable, where the box is exact.
+/// False outside any context: standalone library use stays exact-LP
+/// only, so plain unit tests of the constraint layer never depend on the
+/// abstract domain.
 pub fn boxes_enabled() -> bool {
     CONTEXT.with(|c| c.borrow().as_ref().is_some_and(|a| a.boxes))
 }
@@ -589,11 +592,12 @@ pub struct ExecOptions {
     /// when set to `0`). `false` forces every rational operation onto the
     /// `BigInt` path — the measurement baseline and differential oracle.
     pub arith_fast: bool,
-    /// Run the interval-box disjointness test in front of sat/entailment
-    /// LP calls? On by default: the test is sound — it only ever skips
-    /// LPs whose answer is a foregone conclusion. `false` sends every
-    /// check straight to simplex — the differential baseline for the
-    /// box-pruning soundness layer.
+    /// Decide satisfiability checks by their interval box where the box
+    /// settles them? On by default: an empty box refutes the conjunction,
+    /// and a nonempty box decides one whose atoms each mention at most one
+    /// variable, where the box is exact, so it only ever skips LPs whose
+    /// answer it knows. `false` sends every check straight to simplex —
+    /// the differential baseline for the box layer.
     pub boxes: bool,
     /// Bind index-answerable FROM variables from store-index probes
     /// (scalar postings and bounding-box pages)? Defaults to

@@ -15,8 +15,16 @@
 //! * On the same objects canonicalization is idempotent, which is what
 //!   lets a CST oid canonicalize once and rename the result: its identity
 //!   carrier equals the object's `canonical_form`.
+//! * `product_disjunct`, which a WHERE `(φ)` decides on borrowed atoms,
+//!   holds the atoms of the product's one disjunct in the same order, and
+//!   deciding it moves every engine counter but the arithmetic ones as
+//!   deciding the product does; on every other shape it declines and notes
+//!   nothing. (The standard library's stable sort picks its method by
+//!   element size, so sorting more than about twenty borrowed atoms can
+//!   count a different number of rational comparisons than sorting the
+//!   same atoms owned; the sorted lists are equal.)
 
-use lyric::constraint::{Atom, Conjunction, CstObject, NormOp, Var};
+use lyric::constraint::{Atom, Conjunction, CstObject, LinExpr, NormOp, Operand, Var};
 use lyric::engine::{run, EngineStats, ExecOptions};
 use lyric::oodb::CstOid;
 use lyric_bench::workload;
@@ -197,6 +205,100 @@ fn punctured_objects(seed: u64) -> (CstObject, bool, CstObject) {
             .map(|d| d.and_atom(neq_atom(&mut r))),
     );
     (obj, degenerate, punctured)
+}
+
+/// One operand of a random product over `v0..v3`, as its owned parts: an
+/// object with every variable free, an object with bound variables, an
+/// object with two disjuncts, or atom lists (one list, or now and then
+/// two), some with a trivially true or false atom.
+enum OwnedOperand {
+    Object(CstObject),
+    Lists(Vec<Var>, Vec<Vec<Atom>>),
+}
+
+fn random_operand(r: &mut StdRng) -> OwnedOperand {
+    let all = ["v0", "v1", "v2", "v3"];
+    match r.gen_range(0..10) {
+        0..=3 => OwnedOperand::Object(conj_object(r, &all)),
+        4 => OwnedOperand::Object(conj_object(r, &["v0", "v1"])),
+        5 => OwnedOperand::Object(dnf_object(r, &["v0", "v1", "v2"], 2)),
+        kind => {
+            let list = |r: &mut StdRng| -> Vec<Atom> {
+                let mut atoms: Vec<Atom> = (0..r.gen_range(1..7))
+                    .map(|_| workload::random_atom(r, 4))
+                    .collect();
+                match r.gen_range(0..8) {
+                    0 => atoms.push(Atom::le(LinExpr::from(1), LinExpr::from(0))),
+                    1 => atoms.push(Atom::le(LinExpr::from(0), LinExpr::from(1))),
+                    _ => {}
+                }
+                atoms
+            };
+            let lists = if kind == 9 {
+                vec![list(r), list(r)]
+            } else {
+                vec![list(r)]
+            };
+            OwnedOperand::Lists(vars(&all), lists)
+        }
+    }
+}
+
+impl OwnedOperand {
+    fn operand(&self) -> Operand<'_> {
+        match self {
+            OwnedOperand::Object(o) => Operand::Object(o),
+            OwnedOperand::Lists(schema, lists) => Operand::Lists(schema, lists),
+        }
+    }
+
+    /// Does the product decide this operand on borrowed atoms?
+    fn borrowable(&self) -> bool {
+        match self {
+            OwnedOperand::Object(o) => o.disjuncts().len() == 1 && !o.has_bound_vars(),
+            OwnedOperand::Lists(_, lists) => lists.len() == 1,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn product_disjunct_is_the_product_decided_alike(seed in 0u64..1_000_000, n in 1usize..5) {
+        let mut r = workload::rng(seed);
+        let owned: Vec<OwnedOperand> = (0..n).map(|_| random_operand(&mut r)).collect();
+        let ops: Vec<Operand<'_>> = owned.iter().map(OwnedOperand::operand).collect();
+        let (borrowed, borrowed_stats) = counted(|| {
+            CstObject::product_disjunct(&ops).map(|d| {
+                let atoms = d.atoms().map(|atoms| atoms.iter().map(|a| (*a).clone()).collect::<Vec<_>>());
+                (atoms, d.satisfiable())
+            })
+        });
+        let ((product, product_sat), product_stats) = counted(|| {
+            let p = CstObject::product(ops.iter().copied());
+            let sat = p.satisfiable();
+            (p, sat)
+        });
+        match borrowed {
+            Some((atoms, sat)) => {
+                prop_assert!(owned.iter().all(OwnedOperand::borrowable));
+                let disjunct = product.disjuncts().first().map(|d| d.atoms().to_vec());
+                prop_assert_eq!(atoms, disjunct, "atoms of {}", product);
+                prop_assert_eq!(sat, product_sat);
+                prop_assert_eq!(
+                    borrowed_stats.semantic(),
+                    product_stats.semantic(),
+                    "counters of {}",
+                    product
+                );
+            }
+            None => {
+                prop_assert!(!owned.iter().all(OwnedOperand::borrowable));
+                prop_assert_eq!(borrowed_stats, EngineStats::default());
+            }
+        }
+    }
 }
 
 proptest! {

@@ -91,8 +91,15 @@ fn dnf_negation_aborts_under_disjunct_budget() {
 #[test]
 fn query_level_budget_returns_structured_error() {
     let mut db = lyric::paper_example::database();
-    let query = "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
-         FROM Office_Object CO WHERE CO.extent[E] AND CO.translation[D]";
+    // The desk-in-room join: its `(φ)` relates several variables, so no
+    // interval box decides it and it needs the simplex.
+    let query = "SELECT DSK FROM Object_In_Room O, Desk DSK
+         WHERE O.catalog_object[DSK] AND O.location[L]
+           AND DSK.drawer_center[C] AND DSK.translation[D]
+           AND DSK.drawer.extent[DRE] AND DSK.drawer.translation[DRD]
+           AND (C(p,q) AND DRE(w1,z1) AND DRD(w1,z1,x1,y1,u1,v1)
+                AND D(w,z,x,y,u,v) AND L(x,y) AND w = u1 AND z = v1
+                AND 0 < u AND u < 20 AND 0 < v AND v < 10)";
     let err = execute_budgeted(&mut db, query, EngineBudget::unlimited().with_max_pivots(1))
         .expect_err("1 pivot cannot evaluate a paper query");
     match err {
@@ -111,8 +118,14 @@ fn query_level_budget_returns_structured_error() {
     // its work.
     let res = execute_budgeted(&mut db, query, EngineBudget::interactive())
         .expect("interactive budget is generous enough for paper queries");
-    assert_eq!(res.rows.len(), 2);
+    assert_eq!(res.rows.len(), 1);
     assert!(res.stats.pivots > 0);
+    let res = execute(&mut db, query).expect("default options");
+    assert!(
+        res.stats.lp_runs > 0,
+        "the query must still need the LP under default options: {}",
+        res.stats
+    );
 }
 
 #[test]

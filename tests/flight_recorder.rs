@@ -53,8 +53,14 @@ fn budget_abort_writes_one_attributed_dump() {
     lyric::flight::recorder::set_enabled(true);
 
     let mut db = paper_example::database();
-    let query = "SELECT CO, ((u,v) | E AND D AND x = 6 AND y = 4)
-         FROM Office_Object CO WHERE CO.extent[E] AND CO.translation[D]";
+    // The desk-in-room join: its `(φ)` needs the simplex.
+    let query = "SELECT DSK FROM Object_In_Room O, Desk DSK
+         WHERE O.catalog_object[DSK] AND O.location[L]
+           AND DSK.drawer_center[C] AND DSK.translation[D]
+           AND DSK.drawer.extent[DRE] AND DSK.drawer.translation[DRD]
+           AND (C(p,q) AND DRE(w1,z1) AND DRD(w1,z1,x1,y1,u1,v1)
+                AND D(w,z,x,y,u,v) AND L(x,y) AND w = u1 AND z = v1
+                AND 0 < u AND u < 20 AND 0 < v AND v < 10)";
     let opts = ExecOptions::default().with_budget(EngineBudget::unlimited().with_max_pivots(1));
     let err = execute_with_options(&mut db, query, &opts)
         .expect_err("1 pivot cannot evaluate a paper query");
