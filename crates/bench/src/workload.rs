@@ -112,6 +112,34 @@ pub const Q_PAIRWISE: &str = "SELECT X, Y
        AND (EX(w,z) AND DX(w,z,x,y,u,v) AND LX(x,y)
             AND EY(w2,z2) AND DY(w2,z2,x2,y2,u,v) AND LY(x2,y2))";
 
+/// The served scan (`perfbench`'s `served` workload) at a window
+/// `[x0, x1] × [y0, y1]` of room coordinates: the objects whose room
+/// extent meets it, one satisfiability check per object.
+pub fn q_scan_window(x0: i64, x1: i64, y0: i64, y1: i64) -> String {
+    format!(
+        "SELECT O FROM Object_In_Room O \
+         WHERE O.catalog_object[C] AND C.extent[E] AND C.translation[D] AND O.location[L] \
+         AND (E(w,z) AND D(w,z,x,y,u,v) AND L(x,y) \
+         AND u >= {x0} AND u <= {x1} AND v >= {y0} AND v <= {y1})"
+    )
+}
+
+/// The served pairwise join at a window of room coordinates: the ordered
+/// pairs of distinct objects that overlap inside it.
+pub fn q_join_window(x0: i64, x1: i64, y0: i64, y1: i64) -> String {
+    format!(
+        "SELECT X, Y FROM Object_In_Room X, Object_In_Room Y \
+         WHERE X.catalog_object[CX] AND Y.catalog_object[CY] \
+         AND X.location[LX] AND Y.location[LY] \
+         AND CX.extent[EX] AND CX.translation[DX] \
+         AND CY.extent[EY] AND CY.translation[DY] \
+         AND X != Y \
+         AND (EX(w,z) AND DX(w,z,x,y,u,v) AND LX(x,y) \
+         AND EY(w2,z2) AND DY(w2,z2,x2,y2,u,v) AND LY(x2,y2) \
+         AND u >= {x0} AND u <= {x1} AND v >= {y0} AND v <= {y1})"
+    )
+}
+
 // ---------------------------------------------------------------- scaling
 
 /// The store-index scaling workload (E16): `n` flat `Item` objects, each

@@ -30,22 +30,41 @@
 //! The implementation is deliberately minimal — the workspace builds
 //! offline with no external crates (DESIGN.md §5) — so this is
 //! `std::net::TcpListener`, HTTP/1.0-style request parsing (request
-//! line, headers, `Content-Length` body), one thread per connection,
-//! and `Connection: close` on every response. That is all a Prometheus
-//! scraper or a test client needs.
+//! line, headers, `Content-Length` body), and `Connection: close` on
+//! every response, sent in one write. That is all a Prometheus scraper
+//! or a test client needs.
+//!
+//! Connections are served by a fixed pool of workers, each of which
+//! calls `accept` on the one listener and answers the connection itself;
+//! the kernel's listen backlog is the queue in front of them. The pool
+//! holds one worker more than the server has evaluation permits
+//! (`available_parallelism / ExecOptions::threads`, at least one): at
+//! most that many `POST /query` evaluate at once, a query that finds
+//! every permit held is answered `503` at once (and counted in
+//! `lyric_serve_busy_total`), and the spare worker keeps `/healthz`,
+//! `/metrics` and `/debug/*` answering while every permit is held. Each
+//! connection must deliver its whole request within [`READ_DEADLINE`]
+//! of its accept (else `408`), and each write of its reply may block
+//! for at most a fixed write timeout. A panic while serving a connection
+//! closes that connection; its worker goes on accepting.
 //!
 //! [`Server::bind`] on port 0 picks an ephemeral port, which is how the
 //! tests and the benchmark in `perfbench/` drive an in-process instance.
+//! When the options enable the store index, `bind` builds it, so no
+//! query is charged for the build.
 
 #![warn(missing_docs)]
 
 use lyric::oodb::Database;
 use lyric::trace::Json;
 use lyric::{execute_shared, ExecOptions};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body (a query text), in bytes.
 const MAX_BODY: usize = 1 << 20;
@@ -54,23 +73,59 @@ const MAX_BODY: usize = 1 << 20;
 const MAX_LINE: usize = 8 << 10;
 /// Most header lines accepted in one request.
 const MAX_HEADERS: usize = 100;
+/// Time a connection has to deliver its whole request, head and body,
+/// counted from its accept. A client that sends nothing, or drips its
+/// bytes, holds a worker at most this long and is then answered `408`.
+pub const READ_DEADLINE: Duration = Duration::from_secs(2);
+/// Longest one write of a reply may block on a client that does not
+/// read it.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Pause after a failed `accept` (for example `EMFILE`), so that a
+/// worker waits for the condition to pass instead of spinning a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// A bound (but not yet running) server: the listener plus the shared
-/// database and per-query execution options.
+/// A bound server: the listener, the shared database, the per-query
+/// execution options and the evaluation permits its workers share once
+/// it runs.
 pub struct Server {
     listener: TcpListener,
     db: Arc<Database>,
     opts: ExecOptions,
+    /// Permits in all: as many queries as the host has cores for at
+    /// `opts.threads` engine threads each, and at least one.
+    permits: usize,
+    /// Permits not held right now.
+    free: AtomicUsize,
+    /// `lyric_serve_busy_total`.
+    busy: lyric::metrics::Counter,
 }
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port), serving
-    /// queries against `db` under per-query options `opts`.
+    /// queries against `db` under per-query options `opts`. When
+    /// `opts.index` is set, the database's store index is built here.
     pub fn bind(addr: &str, db: Arc<Database>, opts: ExecOptions) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        if opts.index {
+            lyric::store::index_for(&db);
+        }
+        // The host's parallelism as `/version` reports it, read once per
+        // process: `available_parallelism` reads the cgroup files on each
+        // call.
+        let cores: usize = lyric::metrics::build::host_parallelism()
+            .parse()
+            .unwrap_or(1);
+        let permits = (cores / opts.threads.max(1)).max(1);
         Ok(Server {
-            listener: TcpListener::bind(addr)?,
+            listener,
             db,
             opts,
+            permits,
+            free: AtomicUsize::new(permits),
+            busy: lyric::metrics::global().counter(
+                "lyric_serve_busy_total",
+                "POST /query requests answered 503 because every evaluation permit was held.",
+            ),
         })
     }
 
@@ -79,33 +134,222 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Accept connections forever, one handler thread per connection.
+    /// Serve connections forever on a pool of one worker more than there
+    /// are permits, the calling thread being one of them.
     pub fn run(self) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let db = Arc::clone(&self.db);
-            let opts = self.opts.clone();
-            std::thread::spawn(move || {
-                let _ = handle_connection(stream, &db, &opts);
-            });
+        let server = Arc::new(self);
+        server.start(server.permits)?;
+        server.work()
+    }
+
+    /// Start every worker of the pool on a detached thread, returning
+    /// the bound address. Used by in-process clients (tests,
+    /// `perfbench/`); the workers live until process exit.
+    pub fn spawn(self) -> std::io::Result<SocketAddr> {
+        let addr = self.local_addr()?;
+        let server = Arc::new(self);
+        server.start(server.permits + 1)?;
+        Ok(addr)
+    }
+
+    /// Start `n` workers on detached threads.
+    fn start(self: &Arc<Self>, n: usize) -> io::Result<()> {
+        for i in 0..n {
+            let server = Arc::clone(self);
+            std::thread::Builder::new()
+                .name(format!("lyric-serve-{i}"))
+                .spawn(move || server.work())?;
         }
         Ok(())
     }
 
-    /// Run the accept loop on a detached background thread, returning the
-    /// bound address. Used by in-process clients (tests, `perfbench/`);
-    /// the thread lives until process exit.
-    pub fn spawn(self) -> std::io::Result<SocketAddr> {
-        let addr = self.local_addr()?;
-        std::thread::Builder::new()
-            .name("lyric-serve".to_string())
-            .spawn(move || {
-                let _ = self.run();
-            })?;
-        Ok(addr)
+    /// Accept and serve connections forever.
+    fn work(&self) -> ! {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    // A panic ends this connection, not the worker; the
+                    // permit guard has given back its permit.
+                    let _ = panic::catch_unwind(AssertUnwindSafe(|| self.serve(stream)));
+                }
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+            }
+        }
+    }
+
+    /// Read one request from `stream`, answer it, and close.
+    fn serve(&self, mut stream: TcpStream) -> io::Result<()> {
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        let mut reader = DeadlineReader {
+            stream: &stream,
+            deadline: Instant::now() + READ_DEADLINE,
+            expired: false,
+        };
+        let reply = match read_request(&mut reader) {
+            Ok(request) => self.respond(&request),
+            Err(_) if reader.expired => Reply::error(
+                408,
+                format!(
+                    "request not received within {} ms",
+                    READ_DEADLINE.as_millis()
+                ),
+            ),
+            Err(msg) => Reply::error(400, msg),
+        };
+        reply.send(&mut stream)
+    }
+
+    fn respond(&self, request: &Request) -> Reply {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => Reply::new(200, "text/plain", "ok\n".to_string()),
+            ("GET", "/metrics") => Reply::new(
+                200,
+                "text/plain; version=0.0.4",
+                lyric::metrics::render_prometheus(),
+            ),
+            ("GET", "/version") => Reply::json(200, version_json()),
+            ("GET", "/debug/inflight") => Reply::json(200, lyric::flight::inflight::to_json()),
+            ("GET", "/debug/flight") => Reply::json(200, lyric::flight::recorder::to_json()),
+            ("GET", "/debug/caches") => Reply::json(200, caches_json(&self.db)),
+            ("POST", "/query") => self.query(&request.body),
+            ("GET" | "POST", _) => Reply::json(
+                404,
+                Json::obj([
+                    (
+                        "error",
+                        Json::str(format!("unknown path {:?}", request.path)),
+                    ),
+                    (
+                        "endpoints",
+                        Json::Arr(ENDPOINTS.iter().map(|e| Json::str(*e)).collect()),
+                    ),
+                ]),
+            ),
+            _ => Reply::new(405, "text/plain", String::new()),
+        }
+    }
+
+    /// Answer `POST /query` under an evaluation permit, or `503` when
+    /// every permit is held. The permit is given back before the reply
+    /// is written, so a client that waits for each reply before sending
+    /// its next request, on at most as many connections as there are
+    /// permits, is never turned away.
+    fn query(&self, body: &str) -> Reply {
+        let Some(_permit) = Permit::take(&self.free) else {
+            self.busy.inc();
+            return Reply::error(
+                503,
+                format!(
+                    "all {} evaluation permits are held; retry later",
+                    self.permits
+                ),
+            );
+        };
+        match run_query(&self.db, &self.opts, body) {
+            Ok(json) => Reply::json(200, json),
+            Err(msg) => Reply::error(400, msg),
+        }
+    }
+}
+
+/// One held evaluation permit; dropping it, also while unwinding, gives
+/// it back.
+struct Permit<'a>(&'a AtomicUsize);
+
+impl Permit<'_> {
+    /// Take one of the `free` permits, if any is left.
+    fn take(free: &AtomicUsize) -> Option<Permit<'_>> {
+        free.fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| n.checked_sub(1))
+            .ok()
+            .map(|_| Permit(free))
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// A connection's reader, bounded by one deadline for the whole request:
+/// each read waits at most the time left before it, so a client that
+/// drips bytes cannot restart the clock.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+    /// Set once a read has failed for want of time.
+    expired: bool,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        let result = if left.is_zero() {
+            Err(io::ErrorKind::TimedOut.into())
+        } else {
+            self.stream
+                .set_read_timeout(Some(left))
+                .and_then(|()| Read::read(&mut self.stream, buf))
+        };
+        if let Err(e) = &result {
+            self.expired = matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            );
+        }
+        result
+    }
+}
+
+/// A response, written in one piece by [`Reply::send`].
+struct Reply {
+    status: u16,
+    content_type: &'static str,
+    body: String,
+}
+
+impl Reply {
+    fn new(status: u16, content_type: &'static str, body: String) -> Reply {
+        Reply {
+            status,
+            content_type,
+            body,
+        }
+    }
+
+    fn json(status: u16, body: Json) -> Reply {
+        Reply::new(status, "application/json", body.to_string())
+    }
+
+    /// A JSON `{"error": msg}` reply.
+    fn error(status: u16, msg: String) -> Reply {
+        Reply::json(status, Json::obj([("error", Json::str(msg))]))
+    }
+
+    /// Write the head and body with one `write_all`: a head and a body in
+    /// two writes make the write-write-read pattern, in which Nagle's
+    /// algorithm holds the body back until the client acknowledges the
+    /// head, and a client may delay that acknowledgement.
+    fn send(self, stream: &mut TcpStream) -> io::Result<()> {
+        let reason = match self.status {
+            200 => "OK",
+            400 => "Bad Request",
+            404 => "Not Found",
+            405 => "Method Not Allowed",
+            408 => "Request Timeout",
+            503 => "Service Unavailable",
+            _ => "",
+        };
+        let mut out = String::with_capacity(self.body.len() + 128);
+        let _ = write!(
+            out,
+            "HTTP/1.0 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            self.status,
+            self.content_type,
+            self.body.len()
+        );
+        out.push_str(&self.body);
+        stream.write_all(out.as_bytes())
     }
 }
 
@@ -130,7 +374,7 @@ fn read_head_line(reader: &mut impl BufRead, what: &str) -> Result<String, Strin
     String::from_utf8(line).map_err(|_| format!("read {what}: stream did not contain valid UTF-8"))
 }
 
-fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+fn read_request(stream: impl Read) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
     let line = read_head_line(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
@@ -174,22 +418,6 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         path,
         body: String::from_utf8_lossy(&body).into_owned(),
     })
-}
-
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.0 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
 }
 
 /// A validated `POST /query` request: the statement text plus the
@@ -311,86 +539,6 @@ fn caches_json(db: &Database) -> Json {
             ]),
         ),
     ])
-}
-
-fn handle_connection(
-    mut stream: TcpStream,
-    db: &Database,
-    opts: &ExecOptions,
-) -> std::io::Result<()> {
-    let request = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(msg) => {
-            let body = Json::obj([("error", Json::str(msg))]).to_string();
-            return write_response(&mut stream, 400, "Bad Request", "application/json", &body);
-        }
-    };
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => write_response(&mut stream, 200, "OK", "text/plain", "ok\n"),
-        ("GET", "/metrics") => write_response(
-            &mut stream,
-            200,
-            "OK",
-            "text/plain; version=0.0.4",
-            &lyric::metrics::render_prometheus(),
-        ),
-        ("GET", "/version") => write_response(
-            &mut stream,
-            200,
-            "OK",
-            "application/json",
-            &version_json().to_string(),
-        ),
-        ("GET", "/debug/inflight") => write_response(
-            &mut stream,
-            200,
-            "OK",
-            "application/json",
-            &lyric::flight::inflight::to_json().to_string(),
-        ),
-        ("GET", "/debug/flight") => write_response(
-            &mut stream,
-            200,
-            "OK",
-            "application/json",
-            &lyric::flight::recorder::to_json().to_string(),
-        ),
-        ("GET", "/debug/caches") => write_response(
-            &mut stream,
-            200,
-            "OK",
-            "application/json",
-            &caches_json(db).to_string(),
-        ),
-        ("POST", "/query") => match run_query(db, opts, &request.body) {
-            Ok(json) => write_response(
-                &mut stream,
-                200,
-                "OK",
-                "application/json",
-                &json.to_string(),
-            ),
-            Err(msg) => {
-                let body = Json::obj([("error", Json::str(msg))]).to_string();
-                write_response(&mut stream, 400, "Bad Request", "application/json", &body)
-            }
-        },
-        ("GET" | "POST", _) => {
-            let body = Json::obj([
-                (
-                    "error",
-                    Json::str(format!("unknown path {:?}", request.path)),
-                ),
-                (
-                    "endpoints",
-                    Json::Arr(ENDPOINTS.iter().map(|e| Json::str(*e)).collect()),
-                ),
-            ])
-            .to_string();
-            write_response(&mut stream, 404, "Not Found", "application/json", &body)
-        }
-        _ => write_response(&mut stream, 405, "Method Not Allowed", "text/plain", ""),
-    }
 }
 
 /// A tiny HTTP/1.0 client for tests and benchmarks: send `method path`
@@ -573,6 +721,37 @@ mod tests {
         assert!(plan.get("total_us").is_some(), "plan is analyzed");
     }
 
+    /// With the store index on, `bind` builds it: `/debug/caches` reads
+    /// `built` before any query, and the first reply to a probe carries
+    /// the same counters as the second, so no query pays for the build.
+    #[test]
+    fn store_index_is_built_at_bind() {
+        let db = Arc::new(lyric_bench::workload::scaling_db(2_000, 42));
+        let opts = ExecOptions::default().with_threads(1).with_index(true);
+        let addr = Server::bind("127.0.0.1:0", db, opts)
+            .expect("bind ephemeral port")
+            .spawn()
+            .expect("spawn workers");
+        let (status, body) = http_request(addr, "GET", "/debug/caches", "").unwrap();
+        assert_eq!(status, 200);
+        let caches = lyric::trace::json::parse(&body).expect("caches is valid JSON");
+        let built = caches.get("index").and_then(|index| index.get("built"));
+        assert_eq!(built, Some(&Json::Bool(true)), "{body}");
+
+        let probe = lyric_bench::workload::q_weight_eq(1_234);
+        let stats = || {
+            let (status, reply) = http_request(addr, "POST", "/query", &probe).unwrap();
+            assert_eq!(status, 200, "{reply}");
+            let reply = lyric::trace::json::parse(&reply).expect("reply is valid JSON");
+            reply.get("stats").cloned().expect("reply carries stats")
+        };
+        let first = stats();
+        for name in lyric::trace::stats::COUNTER_NAMES {
+            assert!(first.get(name).is_some(), "stats lack {name}");
+        }
+        assert_eq!(first, stats(), "the first query pays nothing extra");
+    }
+
     /// Send the raw bytes of a request, then close the sending half and
     /// read the reply.
     fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
@@ -623,6 +802,29 @@ mod tests {
         let over = format!("GET /healthz HTTP/1.0\r\n{headers}X-Over: v\r\n");
         let msg = rejected(addr, &over);
         assert!(msg.contains("header lines"), "{msg}");
+    }
+
+    /// A client that stops partway through its head is answered 408 once
+    /// the read deadline has passed, and the connection is closed.
+    #[test]
+    fn unfinished_request_times_out_with_408() {
+        let addr = test_server();
+        // Taken before the connection exists, so before its accept.
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.0\r\n").unwrap();
+        let (status, body) = read_reply(stream).unwrap();
+        let waited = started.elapsed();
+        assert_eq!(status, 408, "{body}");
+        let json = lyric::trace::json::parse(&body).expect("error body is valid JSON");
+        assert!(json.get("error").and_then(Json::as_str).is_some());
+        // The socket timeout is set in whole microseconds, so allow the
+        // lower bound a little.
+        let early = Duration::from_millis(10);
+        assert!(
+            waited + early >= READ_DEADLINE && waited < READ_DEADLINE + Duration::from_secs(1),
+            "answered after {waited:?}"
+        );
     }
 
     #[test]

@@ -15,9 +15,14 @@
 //! exits instead of serving, so it doubles as a text → snapshot
 //! converter. `--addr` defaults to `127.0.0.1:7171`; use port 0 for an
 //! ephemeral port (the bound address is printed on startup).
+//!
+//! Every query runs under [`EngineBudget::interactive`], the REPL's
+//! envelope (200,000 simplex pivots, 50,000 Fourier–Motzkin atoms,
+//! 20,000 DNF disjuncts, 5 s): a query that exhausts it is answered with
+//! a 400 whose `error` names the resource.
 
 use lyric::snapshot::SnapshotExt;
-use lyric::ExecOptions;
+use lyric::{EngineBudget, ExecOptions};
 use lyric_serve::Server;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -33,7 +38,7 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7171".to_string();
     let mut db_path: Option<String> = None;
     let mut save_path: Option<String> = None;
-    let mut opts = ExecOptions::default();
+    let mut opts = ExecOptions::default().with_budget(EngineBudget::interactive());
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

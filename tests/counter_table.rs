@@ -17,32 +17,9 @@
 use lyric::oodb::Database;
 use lyric::trace::stats::COUNTER_NAMES;
 use lyric::{execute_shared, paper_example, ExecOptions};
-use lyric_bench::workload::{office_db, q_region_window, q_weight_eq, q_weight_ge, scaling_db};
-
-/// The served scan at a window `[x0, x1] × [y0, y1]` of room coordinates.
-fn scan(x0: i64, x1: i64, y0: i64, y1: i64) -> String {
-    format!(
-        "SELECT O FROM Object_In_Room O \
-         WHERE O.catalog_object[C] AND C.extent[E] AND C.translation[D] AND O.location[L] \
-         AND (E(w,z) AND D(w,z,x,y,u,v) AND L(x,y) \
-         AND u >= {x0} AND u <= {x1} AND v >= {y0} AND v <= {y1})"
-    )
-}
-
-/// The served pairwise join at a window of room coordinates.
-fn join(x0: i64, x1: i64, y0: i64, y1: i64) -> String {
-    format!(
-        "SELECT X, Y FROM Object_In_Room X, Object_In_Room Y \
-         WHERE X.catalog_object[CX] AND Y.catalog_object[CY] \
-         AND X.location[LX] AND Y.location[LY] \
-         AND CX.extent[EX] AND CX.translation[DX] \
-         AND CY.extent[EY] AND CY.translation[DY] \
-         AND X != Y \
-         AND (EX(w,z) AND DX(w,z,x,y,u,v) AND LX(x,y) \
-         AND EY(w2,z2) AND DY(w2,z2,x2,y2,u,v) AND LY(x2,y2) \
-         AND u >= {x0} AND u <= {x1} AND v >= {y0} AND v <= {y1})"
-    )
-}
+use lyric_bench::workload::{
+    office_db, q_join_window, q_region_window, q_scan_window, q_weight_eq, q_weight_ge, scaling_db,
+};
 
 /// The paper queries of `tests/boxes_differential.rs`.
 const PAPER_QUERIES: [&str; 5] = [
@@ -78,7 +55,7 @@ fn queries() -> Vec<(String, Database, String)> {
         out.push((
             format!("scan {i}"),
             scan_db.clone(),
-            scan(w.0, w.1, w.2, w.3),
+            q_scan_window(w.0, w.1, w.2, w.3),
         ));
     }
     for (i, w) in [(40, 64, 30, 42), (100, 116, 50, 58)]
@@ -88,12 +65,16 @@ fn queries() -> Vec<(String, Database, String)> {
         out.push((
             format!("join {i}"),
             join_db.clone(),
-            join(w.0, w.1, w.2, w.3),
+            q_join_window(w.0, w.1, w.2, w.3),
         ));
     }
     // The whole room over twice the objects: some pairs overlap, so some
     // checks reach the LP.
-    out.push(("join 2".into(), dense_join_db, join(0, 200, 0, 100)));
+    out.push((
+        "join 2".into(),
+        dense_join_db,
+        q_join_window(0, 200, 0, 100),
+    ));
     out.push(("weight equality".into(), items.clone(), q_weight_eq(1_234)));
     out.push(("weight range".into(), items.clone(), q_weight_ge(1_950)));
     out.push(("region window".into(), items, q_region_window(1_000)));
