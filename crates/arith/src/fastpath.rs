@@ -13,8 +13,7 @@
 //! flag on the query thread (and on every pool worker) for the duration
 //! of a run and restores the previous value afterwards. A fresh thread
 //! starts in the *unset* state and lazily resolves its mode from the
-//! `LYRIC_ARITH_FAST` environment variable (any value other than `0`
-//! enables the fast path; unset means enabled).
+//! `LYRIC_ARITH_FAST` environment variable ([`default_fast_path`]).
 //!
 //! The counters are likewise thread-local and cumulative for the thread's
 //! lifetime; callers (the engine's stat refresh) take snapshots with
@@ -50,15 +49,20 @@ thread_local! {
 }
 
 /// The process-wide default for the fast path, read once from the
-/// `LYRIC_ARITH_FAST` environment variable: `0` disables it, anything
-/// else (including unset) enables it.
+/// `LYRIC_ARITH_FAST` environment variable: `0`, `off` or `false`
+/// (trimmed, any case) disables it; unset or any other value enables it.
+/// These are the on/off spellings of every `LYRIC_*` variable (see
+/// `lyric_metrics::env`); this crate reads its one variable itself
+/// because it has no dependencies.
 pub fn default_fast_path() -> bool {
     static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("LYRIC_ARITH_FAST")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
+    *DEFAULT.get_or_init(|| fast_path_from(|name| std::env::var(name).ok()))
+}
+
+/// [`default_fast_path`] over the variables as `var` reports them.
+fn fast_path_from(var: impl Fn(&str) -> Option<String>) -> bool {
+    let value = var("LYRIC_ARITH_FAST").map(|v| v.trim().to_ascii_lowercase());
+    !matches!(value.as_deref(), Some("0" | "off" | "false"))
 }
 
 /// Whether the current thread uses the inline small-coefficient path.
@@ -122,6 +126,21 @@ mod tests {
         assert!(!set_fast_path(true));
         assert!(fast_path_enabled());
         set_fast_path(initial);
+    }
+
+    #[test]
+    fn fast_path_variable_takes_the_shared_spellings() {
+        let with = |v: Option<&str>| fast_path_from(|_| v.map(str::to_string));
+        assert!(with(None), "on when unset");
+        for v in ["0", "off", "false", "OFF", " False ", "0\n"] {
+            assert!(!with(Some(v)), "{v:?} turns it off");
+        }
+        for v in ["1", "on", "true", "ON", " True "] {
+            assert!(with(Some(v)), "{v:?} turns it on");
+        }
+        for v in ["", "yes", "2", "of"] {
+            assert!(with(Some(v)), "unparsable {v:?} keeps the default");
+        }
     }
 
     #[test]

@@ -18,10 +18,7 @@
 //!   intersection/containment.
 //!
 //! The `report` binary (`cargo run -p lyric-bench --bin report --release`)
-//! prints every experiment as a markdown table; the Criterion benches
-//! (`cargo bench`) time the same operations, printing one median
-//! `ns/iter` line each (the in-tree shim does no statistical analysis).
-//! The workspace's differential test suites draw their databases from
+//! prints every experiment as a markdown table. The workspace's differential test suites draw their databases from
 //! [`workload`], and `tests/dnf_differential.rs` checks the DNF algebra
 //! against [`gridrep`]'s rasters.
 

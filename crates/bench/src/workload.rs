@@ -3,6 +3,7 @@
 use lyric::paper_example::{box2, point2, translation2};
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, Conjunction, CstObject, Dnf, LinExpr, NormOp, Var};
+use lyric_flatrel::FlatDb;
 use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,6 +100,50 @@ pub fn office_db(n: usize, seed: u64) -> Database {
 pub const Q_LINEAR: &str = "SELECT O, ((u,v) | E AND D AND L(x,y))
      FROM Object_In_Room O
      WHERE O.catalog_object[C] AND C.extent[E] AND C.translation[D] AND O.location[L]";
+
+/// The §5 flat-algebra plan for [`Q_LINEAR`]: the object-in-room extent
+/// joined with its location, catalog object, extent and translation
+/// relations, projected on `(u, v)`, with each object's disjuncts grouped
+/// into one CST object. E7 times it and `tests/flat_equivalence.rs`
+/// checks it against the direct evaluator.
+pub fn flat_linear_regions(flat: &FlatDb) -> Vec<(Oid, CstObject)> {
+    let oir = flat.extent("Object_In_Room").expect("extent relation");
+    let loc = flat
+        .attr("Object_In_Room", "location")
+        .expect("location relation");
+    let cat = flat
+        .attr("Object_In_Room", "catalog_object")
+        .expect("catalog relation");
+    let ext = flat
+        .attr("Office_Object", "extent")
+        .expect("extent relation")
+        .rename_col("obj", "cat_obj");
+    let tr = flat
+        .attr("Office_Object", "translation")
+        .expect("translation relation")
+        .rename_col("obj", "cat_obj");
+    // OIR ⋈ location ⋈ catalog ⋈ extent ⋈ translation; constraint
+    // variables x,y (location/translation) and w,z (extent/translation)
+    // unify by name — the §3.2 natural-join analogy.
+    let projected = oir
+        .join(loc, &[("obj", "obj")])
+        .join(cat, &[("obj", "obj")])
+        .rename_col("val", "cat_obj")
+        .join(&ext, &[("cat_obj", "cat_obj")])
+        .join(&tr, &[("cat_obj", "cat_obj")])
+        .project(&["obj"], &[Var::new("u"), Var::new("v")]);
+    let mut out: Vec<(Oid, CstObject)> = Vec::new();
+    for t in projected.tuples() {
+        let obj = t.values[0].clone();
+        let piece =
+            CstObject::from_conjunction(vec![Var::new("u"), Var::new("v")], t.constraint.clone());
+        match out.iter_mut().find(|(o, _)| *o == obj) {
+            Some((_, acc)) => *acc = acc.or(&piece),
+            None => out.push((obj, piece)),
+        }
+    }
+    out
+}
 
 /// The E2 "pairwise" probe query: overlapping pairs of room objects
 /// (quadratic join with a satisfiability predicate per pair).

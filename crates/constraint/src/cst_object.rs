@@ -607,17 +607,6 @@ impl CstObject {
         )
     }
 
-    /// Rename schema variables (positionally-preserving); `map` entries for
-    /// bound variables are ignored.
-    pub fn rename_free(&self, map: &BTreeMap<Var, Var>) -> CstObject {
-        let target: Vec<Var> = self
-            .free
-            .iter()
-            .map(|v| map.get(v).unwrap_or(v).clone())
-            .collect();
-        self.align_to(&target)
-    }
-
     /// Substitute a schema variable by a constant, dropping it from the
     /// schema (a geometric *slice*, e.g. the paper's "projection of their
     /// cut at the height of 1/2 feet").

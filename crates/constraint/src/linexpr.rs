@@ -113,11 +113,6 @@ impl LinExpr {
         }
     }
 
-    /// Add a constant in place.
-    pub fn add_constant(&mut self, c: &Rational) {
-        self.constant += c;
-    }
-
     /// Multiply every coefficient and the constant by `c`.
     pub fn scale(&self, c: &Rational) -> LinExpr {
         if c.is_zero() {

@@ -127,20 +127,6 @@ impl PathExpr {
             span: Span::DUMMY,
         }
     }
-
-    /// All variables occurring in selector positions.
-    pub fn selector_vars(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        if let Selector::Var(v) = &self.root {
-            out.push(v.as_str());
-        }
-        for s in &self.steps {
-            if let Some(Selector::Var(v)) = &s.selector {
-                out.push(v.as_str());
-            }
-        }
-        out
-    }
 }
 
 /// A selector: a variable or a ground oid literal.

@@ -588,9 +588,10 @@ pub struct ExecOptions {
     /// strictly serial. Defaults to [`default_threads`].
     pub threads: usize,
     /// Use the inline small-coefficient arithmetic fast path? Defaults to
-    /// [`lyric_arith::default_fast_path`] (`LYRIC_ARITH_FAST`, off only
-    /// when set to `0`). `false` forces every rational operation onto the
-    /// `BigInt` path — the measurement baseline and differential oracle.
+    /// [`lyric_arith::default_fast_path`] (`LYRIC_ARITH_FAST`; `0`, `off`
+    /// or `false` turns it off). `false` forces every rational operation
+    /// onto the `BigInt` path — the measurement baseline and differential
+    /// oracle.
     pub arith_fast: bool,
     /// Decide satisfiability checks by their interval box where the box
     /// settles them? On by default: an empty box refutes the conjunction,
@@ -601,7 +602,8 @@ pub struct ExecOptions {
     pub boxes: bool,
     /// Bind index-answerable FROM variables from store-index probes
     /// (scalar postings and bounding-box pages)? Defaults to
-    /// [`default_index`] (`LYRIC_INDEX`, off only when set to `0`).
+    /// [`default_index`] (`LYRIC_INDEX`; `0`, `off` or `false` turns it
+    /// off).
     /// `false` scans every extent in full — the differential baseline for
     /// the scan-vs-index soundness layer.
     pub index: bool,
@@ -673,30 +675,22 @@ impl ExecOptions {
     }
 }
 
-/// The default for store-index probing of FROM extents: on unless the
-/// `LYRIC_INDEX` environment variable is set to `0` (mirroring
-/// `LYRIC_ARITH_FAST`). Probes are sound — every probe returns a superset
-/// of the oids a full scan could keep or error on — so the index
-/// defaults on.
+/// The default for store-index probing of FROM extents: on unless
+/// `LYRIC_INDEX` turns it off ([`lyric_metrics::env::Env::index`]).
+/// Probes are sound — every probe returns a superset of the oids a full
+/// scan could keep or error on — so the index defaults on.
 pub fn default_index() -> bool {
-    std::env::var("LYRIC_INDEX")
-        .map(|v| v.trim() != "0")
-        .unwrap_or(true)
+    lyric_metrics::env::get().index
 }
 
-/// The default thread budget: the `LYRIC_THREADS` environment variable
-/// when set to a positive integer, else
-/// [`std::thread::available_parallelism`] (1 when unknown).
+/// The default thread budget: `LYRIC_THREADS` when set to a positive
+/// integer, else the host's parallelism
+/// ([`lyric_metrics::build::host_parallelism`]). Both are read once per
+/// process.
 pub fn default_threads() -> usize {
-    std::env::var("LYRIC_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    lyric_metrics::env::get()
+        .threads
+        .unwrap_or_else(lyric_metrics::build::host_parallelism)
 }
 
 /// Run `f` under an engine context built from `opts` — the one way to

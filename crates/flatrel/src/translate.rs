@@ -72,13 +72,6 @@ impl FlatDb {
     pub fn attr(&self, class: &str, attr: &str) -> Option<&Relation> {
         self.attributes.get(&(class.to_string(), attr.to_string()))
     }
-
-    /// Total number of flat tuples (used by the benchmarks to report the
-    /// size of the translated database).
-    pub fn total_tuples(&self) -> usize {
-        self.extents.values().map(Relation::len).sum::<usize>()
-            + self.attributes.values().map(Relation::len).sum::<usize>()
-    }
 }
 
 fn push_attr(rel: &mut Relation, obj: &Oid, value: &Value, target: &AttrTarget) {

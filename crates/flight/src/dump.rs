@@ -25,7 +25,7 @@ use lyric_metrics::querylog::{Outcome, QueryRecord};
 use lyric_trace::json::Json;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Why a dump was written; becomes the `trigger` member and part of the
 /// file name.
@@ -62,17 +62,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn dir_slot() -> &'static Mutex<Option<PathBuf>> {
     static DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-    static ENV: Once = Once::new();
-    let slot = DIR.get_or_init(|| Mutex::new(None));
-    ENV.call_once(|| {
-        if let Ok(dir) = std::env::var("LYRIC_FLIGHT_DIR") {
-            let dir = dir.trim().to_string();
-            if !dir.is_empty() {
-                *lock(slot) = Some(PathBuf::from(dir));
-            }
-        }
-    });
-    slot
+    DIR.get_or_init(|| Mutex::new(lyric_metrics::env::get().flight_dir.clone()))
 }
 
 /// Override (or, with `None`, clear) the dump directory. The

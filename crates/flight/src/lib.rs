@@ -29,11 +29,12 @@
 //! out, and nothing here ever blocks a query on more than a striped
 //! mutex.
 //!
-//! Environment: `LYRIC_FLIGHT=0` disables query recording,
-//! `LYRIC_FLIGHT_EVENTS=1` enables the event tee (sampling 1 event in
-//! 16), and `LYRIC_FLIGHT_DIR=...` configures (and thereby enables) anomaly
-//! dumps. Overhead is pinned by experiment E17 and the allocator-guard
-//! test in `crates/engine/tests/trace_overhead.rs`.
+//! Environment (parsed once in `lyric_metrics::env`): `LYRIC_FLIGHT=0`
+//! disables query recording, `LYRIC_FLIGHT_EVENTS=1` enables the event
+//! tee (sampling 1 event in 16), and `LYRIC_FLIGHT_DIR=...` configures
+//! (and thereby enables) anomaly dumps. Overhead is pinned by experiment
+//! E17 and the allocator-guard test in
+//! `crates/engine/tests/trace_overhead.rs`.
 
 #![warn(missing_docs)]
 

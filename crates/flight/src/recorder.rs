@@ -18,11 +18,12 @@
 //!   `crates/engine/tests/trace_overhead.rs`.
 
 use crate::ring::Ring;
+use lyric_metrics::env::Switch;
 use lyric_metrics::querylog::{Outcome, QueryRecord};
 use lyric_trace::json::Json;
 use lyric_trace::model::EventKind;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Completed-query ring capacity.
 pub const QUERY_RING: usize = 256;
@@ -30,52 +31,32 @@ pub const QUERY_RING: usize = 256;
 /// Sampled-event ring capacity.
 pub const EVENT_RING: usize = 1024;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static ENABLED_ENV: Once = Once::new();
+static ENABLED: Switch = Switch::new(|e| e.flight);
 
 /// True when completed queries are recorded (the default). Initially
 /// from `LYRIC_FLIGHT` (`0`/`off`/`false` disables), then [`set_enabled`].
 pub fn enabled() -> bool {
-    ENABLED_ENV.call_once(|| {
-        if let Ok(v) = std::env::var("LYRIC_FLIGHT") {
-            let v = v.trim().to_ascii_lowercase();
-            if v == "0" || v == "off" || v == "false" {
-                ENABLED.store(false, Ordering::Relaxed);
-            }
-        }
-    });
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.get()
 }
 
 /// Enable or disable completed-query recording process-wide.
 pub fn set_enabled(on: bool) {
-    ENABLED_ENV.call_once(|| {});
-    ENABLED.store(on, Ordering::Relaxed);
+    ENABLED.set(on);
 }
 
-static EVENTS_ENABLED: AtomicBool = AtomicBool::new(false);
-static EVENTS_ENV: Once = Once::new();
+static EVENTS_ENABLED: Switch = Switch::new(|e| e.flight_events.unwrap_or(false));
 
 /// True when trace events are teed into the event ring. **Off by
-/// default**; enabled by `LYRIC_FLIGHT_EVENTS=1` or [`set_events_enabled`]
-/// (the serve binary and REPL turn it on at startup — they are the
-/// surfaces that can show the ring).
+/// default**; enabled by `LYRIC_FLIGHT_EVENTS=1` (or `on`/`true`) or
+/// [`set_events_enabled`] (the serve binary and REPL turn it on at
+/// startup — they are the surfaces that can show the ring).
 pub fn events_enabled() -> bool {
-    EVENTS_ENV.call_once(|| {
-        if let Ok(v) = std::env::var("LYRIC_FLIGHT_EVENTS") {
-            let v = v.trim().to_ascii_lowercase();
-            if v == "1" || v == "on" || v == "true" {
-                EVENTS_ENABLED.store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    EVENTS_ENABLED.load(Ordering::Relaxed)
+    EVENTS_ENABLED.get()
 }
 
 /// Enable or disable the event tee process-wide.
 pub fn set_events_enabled(on: bool) {
-    EVENTS_ENV.call_once(|| {});
-    EVENTS_ENABLED.store(on, Ordering::Relaxed);
+    EVENTS_ENABLED.set(on);
 }
 
 /// Turn the event tee on *unless* `LYRIC_FLIGHT_EVENTS` was set
@@ -83,10 +64,8 @@ pub fn set_events_enabled(on: bool) {
 /// startup: they can show the ring, so they default the tee on, but an
 /// operator's explicit env setting always wins.
 pub fn enable_events_default() {
-    if std::env::var_os("LYRIC_FLIGHT_EVENTS").is_none() {
+    if lyric_metrics::env::get().flight_events.is_none() {
         set_events_enabled(true);
-    } else {
-        let _ = events_enabled();
     }
 }
 

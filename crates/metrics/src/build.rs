@@ -29,16 +29,12 @@ pub fn version() -> &'static str {
     env!("CARGO_PKG_VERSION")
 }
 
-/// The host's available parallelism (1 when unknown), as a decimal
-/// string for use as a label value.
-pub fn host_parallelism() -> &'static str {
-    static HP: OnceLock<String> = OnceLock::new();
-    HP.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .to_string()
-    })
+/// The host's available parallelism (1 when unknown), read once per
+/// process: `std::thread::available_parallelism` reads the cgroup files
+/// on each call.
+pub fn host_parallelism() -> usize {
+    static HP: OnceLock<usize> = OnceLock::new();
+    *HP.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Register the `lyric_build_info` gauge in the global registry (idempotent)
@@ -53,7 +49,7 @@ pub fn register_build_info() {
             &[
                 ("git_rev", git_rev()),
                 ("version", version()),
-                ("host_parallelism", host_parallelism()),
+                ("host_parallelism", &host_parallelism().to_string()),
             ],
         )
         .set(1);
@@ -72,7 +68,7 @@ mod tests {
             "fixed at compile time"
         );
         assert_eq!(version(), env!("CARGO_PKG_VERSION"));
-        assert!(host_parallelism().parse::<u64>().unwrap() >= 1);
+        assert!(host_parallelism() >= 1);
     }
 
     #[test]

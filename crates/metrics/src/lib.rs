@@ -18,18 +18,22 @@
 //!   and the structured JSON query log written from it: one line per
 //!   query with the query hash, row count, duration, per-query engine
 //!   counters, thread count, budget outcome, and trace id, plus a
-//!   slow-query threshold configurable through `LYRIC_SLOW_MS`.
+//!   slow-query threshold configurable through `LYRIC_SLOW_MS`;
+//! * the runtime environment ([`mod@env`]): every `LYRIC_*` variable but
+//!   `LYRIC_ARITH_FAST`, parsed once per process, for the engine, the
+//!   flight recorder and the query log alike.
 //!
-//! Metrics are enabled by default; [`set_enabled`] (or the
-//! `LYRIC_METRICS=0` environment variable) turns every recording path
-//! into an early return so the overhead of the disabled path is one
-//! relaxed atomic load (experiment E12 pins the enabled-path overhead).
+//! Metrics are enabled by default; [`set_enabled`] (or
+//! `LYRIC_METRICS=0`) turns every recording path into an early return so
+//! the overhead of the disabled path is one relaxed atomic load
+//! (experiment E12 pins the enabled-path overhead).
 //!
 //! [`EngineStats`]: lyric_trace::stats::EngineStats
 
 #![warn(missing_docs)]
 
 pub mod build;
+pub mod env;
 pub mod hist;
 pub mod prometheus;
 pub mod querylog;
@@ -41,39 +45,19 @@ pub use registry::{
     Registry, SeriesSnapshot, Snapshot,
 };
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_ONCE: Once = Once::new();
-
-/// Apply the `LYRIC_METRICS` environment default exactly once, before the
-/// first read or explicit override.
-fn apply_env_default() {
-    ENV_ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LYRIC_METRICS") {
-            let v = v.trim().to_ascii_lowercase();
-            if v == "0" || v == "off" || v == "false" {
-                ENABLED.store(false, Ordering::Relaxed);
-            }
-        }
-    });
-}
+static ENABLED: env::Switch = env::Switch::new(|e| e.metrics);
 
 /// True when metric recording is enabled (the default). Controlled by
-/// [`set_enabled`] and initially by the `LYRIC_METRICS` environment
-/// variable (`0`/`off`/`false` disables).
+/// [`set_enabled`] and initially by `LYRIC_METRICS` ([`env::Env::metrics`]).
 pub fn enabled() -> bool {
-    apply_env_default();
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.get()
 }
 
 /// Enable or disable all metric recording process-wide. Reading
 /// ([`Registry::snapshot`], [`render_prometheus`]) always works; only the
 /// recording paths are gated.
 pub fn set_enabled(on: bool) {
-    apply_env_default();
-    ENABLED.store(on, Ordering::Relaxed);
+    ENABLED.set(on);
 }
 
 /// Render the global registry in Prometheus text format 0.0.4. Output is

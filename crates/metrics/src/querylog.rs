@@ -44,7 +44,7 @@ use lyric_trace::json::Json;
 use lyric_trace::stats::EngineStats;
 use std::io::Write;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The query-log line schema version written by [`QueryRecord::log_json`].
 /// Bumped to 2 when `git_rev` (and the `v` member itself) were added;
@@ -179,29 +179,21 @@ type Sink = Box<dyn Write + Send>;
 
 fn sink_slot() -> &'static Mutex<Option<Sink>> {
     static SINK: OnceLock<Mutex<Option<Sink>>> = OnceLock::new();
-    static ENV: Once = Once::new();
-    let slot = SINK.get_or_init(|| Mutex::new(None));
-    ENV.call_once(|| {
-        if let Ok(target) = std::env::var("LYRIC_QUERY_LOG") {
-            let target = target.trim().to_string();
-            let sink: Option<Sink> = if target.is_empty() {
-                None
-            } else if target == "stderr" || target == "-" {
-                Some(Box::new(std::io::stderr()))
+    SINK.get_or_init(|| {
+        let sink = crate::env::get().query_log.as_deref().and_then(|target| {
+            if target == "stderr" || target == "-" {
+                Some(Box::new(std::io::stderr()) as Sink)
             } else {
                 std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
-                    .open(&target)
+                    .open(target)
                     .ok()
                     .map(|f| Box::new(f) as Sink)
-            };
-            if sink.is_some() {
-                *lock(slot) = sink;
             }
-        }
-    });
-    slot
+        });
+        Mutex::new(sink)
+    })
 }
 
 /// Install (or, with `None`, remove) the query-log sink. Whole lines are
@@ -236,16 +228,10 @@ pub fn capture() -> Arc<Mutex<Vec<u8>>> {
 }
 
 /// Slow threshold in milliseconds; negative = unset. Initialized from
-/// `LYRIC_SLOW_MS` once, overridable via [`set_slow_ms`].
+/// `LYRIC_SLOW_MS`, overridable via [`set_slow_ms`].
 fn slow_cell() -> &'static AtomicI64 {
     static SLOW: OnceLock<AtomicI64> = OnceLock::new();
-    SLOW.get_or_init(|| {
-        let from_env = std::env::var("LYRIC_SLOW_MS")
-            .ok()
-            .and_then(|s| s.trim().parse::<i64>().ok())
-            .filter(|&v| v >= 0);
-        AtomicI64::new(from_env.unwrap_or(-1))
-    })
+    SLOW.get_or_init(|| AtomicI64::new(crate::env::get().slow_ms.map_or(-1, |v| v as i64)))
 }
 
 /// Override the slow-query threshold (`None` clears it, logging every
@@ -261,30 +247,19 @@ pub fn slow_ms() -> Option<u64> {
 }
 
 /// Whether slow-query log lines should carry an explain-analyze summary;
-/// 0 = off, 1 = on, unset = read `LYRIC_SLOW_EXPLAIN` once.
-fn slow_explain_cell() -> &'static AtomicI64 {
-    static SLOW_EXPLAIN: OnceLock<AtomicI64> = OnceLock::new();
-    SLOW_EXPLAIN.get_or_init(|| {
-        let on = std::env::var("LYRIC_SLOW_EXPLAIN")
-            .map(|s| {
-                let s = s.trim().to_ascii_lowercase();
-                s == "1" || s == "on" || s == "true"
-            })
-            .unwrap_or(false);
-        AtomicI64::new(i64::from(on))
-    })
-}
+/// initially `LYRIC_SLOW_EXPLAIN`.
+static SLOW_EXPLAIN: crate::env::Switch = crate::env::Switch::new(|e| e.slow_explain);
 
 /// Override the slow-explain gate (the `LYRIC_SLOW_EXPLAIN` default).
 pub fn set_slow_explain(on: bool) {
-    slow_explain_cell().store(i64::from(on), Ordering::Relaxed);
+    SLOW_EXPLAIN.set(on);
 }
 
 /// True when slow-query lines should carry an explain-analyze summary:
 /// the gate is on **and** a slow threshold is configured (without a
 /// threshold every query would pay the explain instrumentation).
 pub fn slow_explain() -> bool {
-    slow_explain_cell().load(Ordering::Relaxed) != 0 && slow_ms().is_some()
+    SLOW_EXPLAIN.get() && slow_ms().is_some()
 }
 
 fn slow_counter() -> &'static crate::Counter {

@@ -109,12 +109,8 @@ impl Server {
         if opts.index {
             lyric::store::index_for(&db);
         }
-        // The host's parallelism as `/version` reports it, read once per
-        // process: `available_parallelism` reads the cgroup files on each
-        // call.
-        let cores: usize = lyric::metrics::build::host_parallelism()
-            .parse()
-            .unwrap_or(1);
+        // The host's parallelism as `/version` reports it.
+        let cores = lyric::metrics::build::host_parallelism();
         let permits = (cores / opts.threads.max(1)).max(1);
         Ok(Server {
             listener,
@@ -512,11 +508,7 @@ pub fn version_json() -> Json {
         ("git_rev", Json::str(lyric::metrics::build::git_rev())),
         (
             "host_parallelism",
-            Json::int(
-                lyric::metrics::build::host_parallelism()
-                    .parse()
-                    .unwrap_or(1),
-            ),
+            Json::int(lyric::metrics::build::host_parallelism() as u64),
         ),
     ])
 }
@@ -636,13 +628,11 @@ mod tests {
         let (status, body) = http_request(addr, "GET", "/metrics", "").unwrap();
         assert_eq!(status, 200);
         let scrape = lyric::metrics::prometheus::parse(&body).expect("scrape parses");
+        let host_parallelism = lyric::metrics::build::host_parallelism().to_string();
         let labels = [
             ("git_rev", lyric::metrics::build::git_rev()),
             ("version", lyric::metrics::build::version()),
-            (
-                "host_parallelism",
-                lyric::metrics::build::host_parallelism(),
-            ),
+            ("host_parallelism", host_parallelism.as_str()),
         ];
         assert_eq!(
             lyric::metrics::prometheus::sample_value(&scrape, "lyric_build_info", &labels),

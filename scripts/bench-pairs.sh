@@ -24,7 +24,8 @@
 # medians, IQRs and wins, plus the failed and incorrect run counts.
 #
 # Needs only bash, git, cargo and the POSIX tools. Builds and logs go to
-# $BENCH_PAIRS_DIR (default target/bench-pairs).
+# $BENCH_PAIRS_DIR (default target/bench-pairs). A TERM or INT stops the
+# running build or benchmark with the script.
 set -euo pipefail
 
 pairs=10
@@ -74,16 +75,38 @@ done
 lock="$root/${manifest%Cargo.toml}Cargo.lock"
 cp "$lock" "$dir/lock.saved"
 trap 'cp "$dir/lock.saved" "$lock"' EXIT
-echo "building parent $parent_rev and change $rev" >&2
-(cd "$dir/parent-src" && CARGO_TARGET_DIR="$dir/parent-target" cargo build --release --offline --quiet --manifest-path "$manifest")
-CARGO_TARGET_DIR="$dir/change-target" cargo build --release --offline --quiet --manifest-path "$manifest"
 
-# run SIDE WORKLOAD SEED: the last stdout line of one benchmark run.
+# in_child DIR TARGET_DIR CMD...: run CMD in DIR with CARGO_TARGET_DIR set,
+# in the background, and wait for it. Bash runs no trap while a foreground
+# command or a command substitution runs, so this is what lets the TERM/INT
+# trap below stop the child. `cargo run` execs the benchmark binary, so
+# the child's pid is then the benchmark's.
+child=
+in_child() {
+    local src=$1 tgt=$2
+    shift 2
+    (cd "$src" && CARGO_TARGET_DIR=$tgt exec "$@") &
+    child=$!
+    wait "$child"
+    child=
+}
+stop() {
+    if [ -n "$child" ]; then kill "$child" 2>/dev/null || true; fi
+    exit "$1"
+}
+trap 'stop 130' INT
+trap 'stop 143' TERM
+
+echo "building parent $parent_rev and change $rev" >&2
+in_child "$dir/parent-src" "$dir/parent-target" cargo build --release --offline --quiet --manifest-path "$manifest"
+in_child "$root" "$dir/change-target" cargo build --release --offline --quiet --manifest-path "$manifest"
+
+# run SIDE WORKLOAD SEED: one benchmark run, its stdout in $dir/run.out.
 run() {
     local src=$root tgt=$dir/change-target
     if [ "$1" = parent ]; then src=$dir/parent-src tgt=$dir/parent-target; fi
-    (cd "$src" && CARGO_TARGET_DIR=$tgt "${command[@]}" --workload "$2" --seed "$3" \
-        --seconds "$seconds" --trace 0 2>>"$dir/stderr.log" | tail -n 1)
+    in_child "$src" "$tgt" "${command[@]}" --workload "$2" --seed "$3" \
+        --seconds "$seconds" --trace 0 >"$dir/run.out" 2>>"$dir/stderr.log"
 }
 metric() { sed -n "s/.*\"$1\":{\"value\":\([-0-9.eE+]*\).*/\1/p"; }
 
@@ -110,7 +133,8 @@ for w in "${workloads[@]}"; do
         order="parent change"
         [ $((p % 2)) -eq 0 ] || order="change parent"
         for side in $order; do
-            line=$(run "$side" "$w" "$seed")
+            run "$side" "$w" "$seed"
+            line=$(tail -n 1 "$dir/run.out")
             echo "$line" >>"$data/$side.jsonl"
             case $line in *'"correct":true'*) ;; *) echo x >>"$data/$side.incorrect" ;; esac
             echo "$line" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p' >>"$data/$side.failed"

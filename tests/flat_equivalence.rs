@@ -2,43 +2,10 @@
 //! exactly the answers of the direct object evaluator, across synthetic
 //! databases of several sizes and seeds.
 
-use lyric_bench::workload::{office_db, Q_LINEAR};
-use lyric_constraint::{CstObject, Var};
+use lyric_bench::workload::{flat_linear_regions, office_db, Q_LINEAR};
+use lyric_constraint::Var;
 use lyric_flatrel::FlatDb;
 use lyric_oodb::Oid;
-
-/// The flat-algebra plan for [`Q_LINEAR`] (see the E7 bench and report).
-fn flat_linear_regions(flat: &FlatDb) -> Vec<(Oid, CstObject)> {
-    let oir = flat.extent("Object_In_Room").unwrap();
-    let loc = flat.attr("Object_In_Room", "location").unwrap();
-    let cat = flat.attr("Object_In_Room", "catalog_object").unwrap();
-    let ext = flat
-        .attr("Office_Object", "extent")
-        .unwrap()
-        .rename_col("obj", "cat_obj");
-    let tr = flat
-        .attr("Office_Object", "translation")
-        .unwrap()
-        .rename_col("obj", "cat_obj");
-    let projected = oir
-        .join(loc, &[("obj", "obj")])
-        .join(cat, &[("obj", "obj")])
-        .rename_col("val", "cat_obj")
-        .join(&ext, &[("cat_obj", "cat_obj")])
-        .join(&tr, &[("cat_obj", "cat_obj")])
-        .project(&["obj"], &[Var::new("u"), Var::new("v")]);
-    let mut out: Vec<(Oid, CstObject)> = Vec::new();
-    for t in projected.tuples() {
-        let obj = t.values[0].clone();
-        let piece =
-            CstObject::from_conjunction(vec![Var::new("u"), Var::new("v")], t.constraint.clone());
-        match out.iter_mut().find(|(o, _)| *o == obj) {
-            Some((_, acc)) => *acc = acc.or(&piece),
-            None => out.push((obj, piece)),
-        }
-    }
-    out
-}
 
 #[test]
 fn flat_translation_matches_direct_evaluator() {
