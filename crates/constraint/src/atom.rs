@@ -90,12 +90,12 @@ impl Atom {
     /// Build and normalize `lhs relop rhs`.
     pub fn new(lhs: LinExpr, relop: RelOp, rhs: LinExpr) -> Atom {
         let (expr, op) = match relop {
-            RelOp::Le => (&lhs - &rhs, NormOp::Le),
-            RelOp::Lt => (&lhs - &rhs, NormOp::Lt),
-            RelOp::Ge => (&rhs - &lhs, NormOp::Le),
-            RelOp::Gt => (&rhs - &lhs, NormOp::Lt),
-            RelOp::Eq => (&lhs - &rhs, NormOp::Eq),
-            RelOp::Neq => (&lhs - &rhs, NormOp::Neq),
+            RelOp::Le => (lhs - rhs, NormOp::Le),
+            RelOp::Lt => (lhs - rhs, NormOp::Lt),
+            RelOp::Ge => (rhs - lhs, NormOp::Le),
+            RelOp::Gt => (rhs - lhs, NormOp::Lt),
+            RelOp::Eq => (lhs - rhs, NormOp::Eq),
+            RelOp::Neq => (lhs - rhs, NormOp::Neq),
         };
         Atom::normalized(expr, op)
     }
@@ -151,7 +151,7 @@ impl Atom {
             },
         };
         if factor != Rational::one() {
-            self.expr = self.expr.scale(&factor);
+            self.expr = std::mem::take(&mut self.expr) * &factor;
         }
         if matches!(self.op, NormOp::Eq | NormOp::Neq) {
             let leading_negative = self
@@ -161,7 +161,7 @@ impl Atom {
                 .map(|(_, c)| c.is_negative())
                 .unwrap_or(false);
             if leading_negative {
-                self.expr = -&self.expr;
+                self.expr = -std::mem::take(&mut self.expr);
             }
         }
     }

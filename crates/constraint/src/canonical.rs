@@ -23,6 +23,7 @@ use crate::cst_object::CstObject;
 use crate::dnf::Dnf;
 use crate::var::Var;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 impl Dnf {
     /// The paper's chosen disjunction simplification: drop semantically
@@ -103,6 +104,11 @@ impl CstObject {
     /// disjuncts kept in order.
     pub fn canonicalize(&self) -> CstObject {
         let ds: Vec<Conjunction> = lyric_engine::parallel_map(self.disjuncts(), |_, d| {
+            if !self.binds_in(d) {
+                // Nothing to eliminate: the disjunct is its own
+                // simplification.
+                return d.satisfiable().then(|| d.clone());
+            }
             let s = self.simplify_disjunct(d);
             s.satisfiable().then_some(s)
         })
@@ -208,35 +214,60 @@ impl CstObject {
     /// c.canonical_form()`, because canonicalization is idempotent; the
     /// rename is purely syntactic and runs no satisfiability check.
     pub fn rename_positionally(&self) -> CstObject {
-        let free_map: BTreeMap<Var, Var> = self
+        let new_free: Vec<Var> = (0..self.free().len()).map(|i| positional('$', i)).collect();
+        let mut map: BTreeMap<Var, Var> = self
             .free()
             .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), Var::new(format!("${i}"))))
-            .collect();
-        let new_free: Vec<Var> = (0..self.free().len())
-            .map(|i| Var::new(format!("${i}")))
+            .cloned()
+            .zip(new_free.iter().cloned())
             .collect();
         let ds: Vec<Conjunction> = self
             .disjuncts()
             .iter()
             .map(|d| {
-                let mut map = free_map.clone();
-                let mut next = 0usize;
+                // Name this disjunct's bound variables in the shared map,
+                // rename, and take the names out again.
+                let mut bound = Vec::new();
                 for a in d.atoms() {
-                    for v in a.vars() {
-                        if let std::collections::btree_map::Entry::Vacant(e) = map.entry(v) {
-                            e.insert(Var::new(format!("?{next}")));
-                            next += 1;
+                    for (v, _) in a.expr().terms() {
+                        if !map.contains_key(v) {
+                            map.insert(v.clone(), positional('?', bound.len()));
+                            bound.push(v.clone());
                         }
                     }
                 }
-                d.rename(&map)
+                let renamed = d.rename(&map);
+                for v in &bound {
+                    map.remove(v);
+                }
+                renamed
             })
             .collect();
         CstObject::new(new_free, ds)
     }
 }
+
+/// The positional name `{prefix}{i}` (`$i` for schema variables, `?i`
+/// for bound ones), shared for the first [`SHARED_NAMES`] positions so
+/// that renaming allocates no string for them.
+fn positional(prefix: char, i: usize) -> Var {
+    static NAMES: OnceLock<[Vec<Var>; 2]> = OnceLock::new();
+    let names = NAMES.get_or_init(|| {
+        ['$', '?'].map(|p| {
+            (0..SHARED_NAMES)
+                .map(|k| Var::new(format!("{p}{k}")))
+                .collect()
+        })
+    });
+    let table = if prefix == '$' { &names[0] } else { &names[1] };
+    match table.get(i) {
+        Some(v) => v.clone(),
+        None => Var::new(format!("{prefix}{i}")),
+    }
+}
+
+/// Positions with a shared positional name.
+const SHARED_NAMES: usize = 32;
 
 #[cfg(test)]
 mod tests {

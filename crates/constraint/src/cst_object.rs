@@ -20,7 +20,7 @@ use crate::dnf::Dnf;
 use crate::error::ConstraintError;
 use crate::interval::IntervalBox;
 use crate::linexpr::LinExpr;
-use crate::var::Var;
+use crate::var::{first_repeat, Var};
 use lyric_arith::Rational;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -202,10 +202,8 @@ impl CstObject {
     /// Build from a schema and disjuncts. Panics if `free` contains
     /// duplicates.
     pub fn new(free: Vec<Var>, disjuncts: impl IntoIterator<Item = Conjunction>) -> CstObject {
-        let distinct: BTreeSet<&Var> = free.iter().collect();
-        assert_eq!(
-            distinct.len(),
-            free.len(),
+        assert!(
+            first_repeat(&free).is_none(),
             "duplicate variable in CST schema"
         );
         let mut ds: Vec<Conjunction> = disjuncts
@@ -294,11 +292,14 @@ impl CstObject {
 
     /// Does any disjunct carry existential quantifiers?
     pub fn has_bound_vars(&self) -> bool {
-        self.disjuncts.iter().any(|d| {
-            d.atoms()
-                .iter()
-                .any(|a| a.expr().terms().any(|(v, _)| !self.free.contains(v)))
-        })
+        self.disjuncts.iter().any(|d| self.binds_in(d))
+    }
+
+    /// Does the disjunct mention a variable outside the schema?
+    pub(crate) fn binds_in(&self, d: &Conjunction) -> bool {
+        d.atoms()
+            .iter()
+            .any(|a| a.expr().terms().any(|(v, _)| !self.free.contains(v)))
     }
 
     /// Smallest §3.1 family containing this object.
@@ -479,6 +480,12 @@ impl CstObject {
     /// [`canonicalize`](Self::canonicalize) or [`project_eager`](Self::project_eager).
     pub fn project(&self, new_free: Vec<Var>) -> CstObject {
         CstObject::new(new_free, self.disjuncts.clone())
+    }
+
+    /// [`project`](Self::project) of an owned object: the disjuncts move
+    /// into the result instead of being cloned.
+    pub fn into_projection(self, new_free: Vec<Var>) -> CstObject {
+        CstObject::new(new_free, self.disjuncts)
     }
 
     /// Eager projection: like [`project`](Self::project) but immediately

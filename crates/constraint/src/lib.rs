@@ -73,4 +73,4 @@ pub use dnf::Dnf;
 pub use error::ConstraintError;
 pub use interval::{Interval, IntervalBox, MAX_ROUNDS};
 pub use linexpr::{Assignment, LinExpr};
-pub use var::Var;
+pub use var::{first_repeat, Var};

@@ -12,11 +12,14 @@ pub type Assignment = BTreeMap<Var, Rational>;
 
 /// A linear expression over constraint variables.
 ///
-/// Invariant: `terms` never maps a variable to a zero coefficient, so two
-/// expressions are structurally equal iff they are the same polynomial.
+/// Invariant: `terms` is sorted by variable, holds each variable at most
+/// once and never holds a zero coefficient, so two expressions are
+/// structurally equal iff they are the same polynomial. The derived
+/// `Ord` and `Hash` compare and hash the (variable, coefficient) pairs in
+/// variable order, as an ordered map of the terms would.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<Var, Rational>,
+    terms: Vec<(Var, Rational)>,
     constant: Rational,
 }
 
@@ -29,7 +32,7 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant(c: impl Into<Rational>) -> LinExpr {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c.into(),
         }
     }
@@ -41,20 +44,38 @@ impl LinExpr {
 
     /// `coeff · v`.
     pub fn term(v: impl Into<Var>, coeff: impl Into<Rational>) -> LinExpr {
-        let mut terms = BTreeMap::new();
         let c = coeff.into();
-        if !c.is_zero() {
-            terms.insert(v.into(), c);
-        }
+        let terms = if c.is_zero() {
+            Vec::new()
+        } else {
+            vec![(v.into(), c)]
+        };
         LinExpr {
             terms,
             constant: Rational::zero(),
         }
     }
 
+    /// Build from terms already sorted by variable, distinct and
+    /// nonzero; the invariant is checked in debug builds.
+    fn from_sorted(terms: Vec<(Var, Rational)>, constant: Rational) -> LinExpr {
+        debug_assert!(
+            terms.windows(2).all(|w| w[0].0 < w[1].0) && terms.iter().all(|(_, c)| !c.is_zero()),
+            "LinExpr terms must be sorted, distinct and nonzero"
+        );
+        LinExpr { terms, constant }
+    }
+
+    fn position(&self, v: &Var) -> Result<usize, usize> {
+        self.terms.binary_search_by(|(w, _)| w.cmp(v))
+    }
+
     /// Coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: &Var) -> Rational {
-        self.terms.get(v).cloned().unwrap_or_else(Rational::zero)
+        match self.position(v) {
+            Ok(i) => self.terms[i].1.clone(),
+            Err(_) => Rational::zero(),
+        }
     }
 
     /// The constant term.
@@ -64,7 +85,7 @@ impl LinExpr {
 
     /// Iterate over (variable, nonzero coefficient) pairs in variable order.
     pub fn terms(&self) -> impl Iterator<Item = (&Var, &Rational)> {
-        self.terms.iter()
+        self.terms.iter().map(|(v, c)| (v, c))
     }
 
     /// Number of variables with nonzero coefficient.
@@ -84,12 +105,12 @@ impl LinExpr {
 
     /// The set of variables occurring with nonzero coefficient.
     pub fn vars(&self) -> BTreeSet<Var> {
-        self.terms.keys().cloned().collect()
+        self.terms.iter().map(|(v, _)| v.clone()).collect()
     }
 
     /// Whether `v` occurs in the expression.
     pub fn contains(&self, v: &Var) -> bool {
-        self.terms.contains_key(v)
+        self.position(v).is_ok()
     }
 
     /// Add `coeff · v` in place.
@@ -97,17 +118,14 @@ impl LinExpr {
         if coeff.is_zero() {
             return;
         }
-        use std::collections::btree_map::Entry;
-        match self.terms.entry(v) {
-            Entry::Vacant(e) => {
-                e.insert(coeff.clone());
-            }
-            Entry::Occupied(mut e) => {
-                let sum = e.get() + coeff;
+        match self.position(&v) {
+            Err(i) => self.terms.insert(i, (v, coeff.clone())),
+            Ok(i) => {
+                let sum = &self.terms[i].1 + coeff;
                 if sum.is_zero() {
-                    e.remove();
+                    self.terms.remove(i);
                 } else {
-                    *e.get_mut() = sum;
+                    self.terms[i].1 = sum;
                 }
             }
         }
@@ -138,13 +156,12 @@ impl LinExpr {
     /// Replace `v` by the expression `by` (used by equality substitution in
     /// Fourier–Motzkin and by canonical simplification).
     pub fn substitute(&self, v: &Var, by: &LinExpr) -> LinExpr {
-        match self.terms.get(v) {
-            None => self.clone(),
-            Some(c) => {
-                let c = c.clone();
-                let mut out = self.clone();
-                out.terms.remove(v);
-                &out + &by.scale(&c)
+        match self.position(v) {
+            Err(_) => self.clone(),
+            Ok(i) => {
+                let mut rest = self.clone();
+                let (_, c) = rest.terms.remove(i);
+                rest + by.scale(&c)
             }
         }
     }
@@ -153,12 +170,66 @@ impl LinExpr {
     /// unchanged). Renaming may merge terms, e.g. `x + y` with `y ↦ x`
     /// becomes `2x`.
     pub fn rename(&self, map: &BTreeMap<Var, Var>) -> LinExpr {
-        let mut out = LinExpr::constant(self.constant.clone());
-        for (v, c) in &self.terms {
-            let target = map.get(v).unwrap_or(v).clone();
-            out.add_term(target, c);
+        let mut terms: Vec<(Var, Rational)> = self
+            .terms
+            .iter()
+            .map(|(v, c)| (map.get(v).unwrap_or(v).clone(), c.clone()))
+            .collect();
+        terms.sort_by(|a, b| a.0.cmp(&b.0));
+        // Merge the terms that now share a variable into the first of them.
+        terms.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += &next.1;
+            }
+            same
+        });
+        terms.retain(|(_, c)| !c.is_zero());
+        LinExpr::from_sorted(terms, self.constant.clone())
+    }
+
+    /// `self + sign · other` as one merge of the two sorted term lists.
+    fn merge(&self, other: &LinExpr, negate: bool) -> LinExpr {
+        let mut terms = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let (mut a, mut b) = (self.terms.iter().peekable(), other.terms.iter().peekable());
+        let signed = |c: &Rational| if negate { -c } else { c.clone() };
+        loop {
+            match (a.peek(), b.peek()) {
+                (Some((va, ca)), Some((vb, cb))) => match va.cmp(vb) {
+                    std::cmp::Ordering::Less => {
+                        terms.push((va.clone(), ca.clone()));
+                        a.next();
+                    }
+                    std::cmp::Ordering::Greater => {
+                        terms.push((vb.clone(), signed(cb)));
+                        b.next();
+                    }
+                    std::cmp::Ordering::Equal => {
+                        let sum = if negate { ca - cb } else { ca + cb };
+                        if !sum.is_zero() {
+                            terms.push((va.clone(), sum));
+                        }
+                        a.next();
+                        b.next();
+                    }
+                },
+                (Some((va, ca)), None) => {
+                    terms.push((va.clone(), ca.clone()));
+                    a.next();
+                }
+                (None, Some((vb, cb))) => {
+                    terms.push((vb.clone(), signed(cb)));
+                    b.next();
+                }
+                (None, None) => break,
+            }
         }
-        out
+        let constant = if negate {
+            &self.constant - &other.constant
+        } else {
+            &self.constant + &other.constant
+        };
+        LinExpr::from_sorted(terms, constant)
     }
 }
 
@@ -183,38 +254,47 @@ impl From<Var> for LinExpr {
 impl Add for &LinExpr {
     type Output = LinExpr;
     fn add(self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        for (v, c) in &other.terms {
-            out.add_term(v.clone(), c);
-        }
-        out.constant += &other.constant;
-        out
+        self.merge(other, false)
     }
 }
 
 impl Sub for &LinExpr {
     type Output = LinExpr;
     fn sub(self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        for (v, c) in &other.terms {
-            out.add_term(v.clone(), &-c);
-        }
-        out.constant -= &other.constant;
-        out
+        self.merge(other, true)
     }
 }
 
+/// Owned operands reuse a term list when the other side is a constant.
 impl Add for LinExpr {
     type Output = LinExpr;
-    fn add(self, other: LinExpr) -> LinExpr {
-        &self + &other
+    fn add(mut self, mut other: LinExpr) -> LinExpr {
+        if other.terms.is_empty() {
+            self.constant += &other.constant;
+            self
+        } else if self.terms.is_empty() {
+            other.constant += &self.constant;
+            other
+        } else {
+            &self + &other
+        }
     }
 }
 
+/// Owned operands reuse a term list when the other side is a constant.
 impl Sub for LinExpr {
     type Output = LinExpr;
-    fn sub(self, other: LinExpr) -> LinExpr {
-        &self - &other
+    fn sub(mut self, other: LinExpr) -> LinExpr {
+        if other.terms.is_empty() {
+            self.constant -= &other.constant;
+            self
+        } else if self.terms.is_empty() {
+            let mut out = -other;
+            out.constant += &self.constant;
+            out
+        } else {
+            &self - &other
+        }
     }
 }
 
@@ -227,8 +307,12 @@ impl Neg for &LinExpr {
 
 impl Neg for LinExpr {
     type Output = LinExpr;
-    fn neg(self) -> LinExpr {
-        -&self
+    fn neg(mut self) -> LinExpr {
+        for (_, c) in &mut self.terms {
+            *c = -&*c;
+        }
+        self.constant = -&self.constant;
+        self
     }
 }
 
@@ -236,6 +320,21 @@ impl Mul<&Rational> for &LinExpr {
     type Output = LinExpr;
     fn mul(self, c: &Rational) -> LinExpr {
         self.scale(c)
+    }
+}
+
+/// Scales in place.
+impl Mul<&Rational> for LinExpr {
+    type Output = LinExpr;
+    fn mul(mut self, c: &Rational) -> LinExpr {
+        if c.is_zero() {
+            return LinExpr::zero();
+        }
+        for (_, a) in &mut self.terms {
+            *a = &*a * c;
+        }
+        self.constant = &self.constant * c;
+        self
     }
 }
 

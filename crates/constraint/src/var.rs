@@ -41,6 +41,17 @@ impl Var {
     }
 }
 
+/// The first variable of `vars` that repeats an earlier one, if any. A
+/// CST schema, a class interface and an interface renaming must name
+/// distinct variables. Quadratic in `vars.len()`, which is an arity, with
+/// no allocation.
+pub fn first_repeat(vars: &[Var]) -> Option<&Var> {
+    vars.iter()
+        .enumerate()
+        .find(|(i, v)| vars[..*i].contains(v))
+        .map(|(_, v)| v)
+}
+
 impl fmt::Debug for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Var({})", self.0)
@@ -88,6 +99,17 @@ mod tests {
         // Re-freshening replaces the suffix instead of stacking.
         let g = Var::fresh(f.name(), 7);
         assert_eq!(g.name(), "w%7");
+    }
+
+    #[test]
+    fn first_repeat_finds_the_second_occurrence() {
+        let vs = |names: &[&str]| names.iter().map(Var::new).collect::<Vec<_>>();
+        assert_eq!(first_repeat(&vs(&["u", "v", "w"])), None);
+        assert_eq!(first_repeat(&vs(&[])), None);
+        assert_eq!(
+            first_repeat(&vs(&["u", "v", "u", "v"])),
+            Some(&Var::new("u"))
+        );
     }
 
     #[test]

@@ -356,8 +356,20 @@ fn reads_binding(a: &Arith, bindable: &BTreeSet<String>) -> bool {
 pub(crate) fn lower_chain(
     first: &Arith,
     rest: &[(CRelOp, Arith)],
-    mut arith: impl FnMut(&Arith) -> Result<LinExpr, LyricError>,
+    arith: impl FnMut(&Arith) -> Result<LinExpr, LyricError>,
 ) -> Result<CstObject, LyricError> {
+    let conj = Conjunction::of(chain_atoms(first, rest, arith)?);
+    let free: Vec<Var> = conj.vars().into_iter().collect();
+    Ok(CstObject::from_conjunction(free, conj))
+}
+
+/// The atoms of a chain's adjacent pairs, in textual order and not yet
+/// normalized as a conjunction.
+pub(crate) fn chain_atoms(
+    first: &Arith,
+    rest: &[(CRelOp, Arith)],
+    mut arith: impl FnMut(&Arith) -> Result<LinExpr, LyricError>,
+) -> Result<Vec<Atom>, LyricError> {
     let mut atoms = Vec::with_capacity(rest.len());
     let mut prev = arith(first)?;
     for (op, next) in rest {
@@ -370,12 +382,10 @@ pub(crate) fn lower_chain(
             CRelOp::Ge => RelOp::Ge,
             CRelOp::Gt => RelOp::Gt,
         };
-        atoms.push(Atom::new(prev, relop, rhs.clone()));
-        prev = rhs;
+        let lhs = std::mem::replace(&mut prev, rhs);
+        atoms.push(Atom::new(lhs, relop, prev.clone()));
     }
-    let conj = Conjunction::of(atoms);
-    let free: Vec<Var> = conj.vars().into_iter().collect();
-    Ok(CstObject::from_conjunction(free, conj))
+    Ok(atoms)
 }
 
 /// Decide an entailment predicate `φ |= ψ` under `binding`, from the
@@ -733,12 +743,12 @@ pub(crate) fn arith_to_linexpr(
                 .ok_or_else(|| LyricError::type_error(format!("{} has no value", display_path(p))))
         }
         Arith::Add(x, y) => {
-            Ok(&arith_to_linexpr(ctx, x, binding)? + &arith_to_linexpr(ctx, y, binding)?)
+            Ok(arith_to_linexpr(ctx, x, binding)? + arith_to_linexpr(ctx, y, binding)?)
         }
         Arith::Sub(x, y) => {
-            Ok(&arith_to_linexpr(ctx, x, binding)? - &arith_to_linexpr(ctx, y, binding)?)
+            Ok(arith_to_linexpr(ctx, x, binding)? - arith_to_linexpr(ctx, y, binding)?)
         }
-        Arith::Neg(x) => Ok(-&arith_to_linexpr(ctx, x, binding)?),
+        Arith::Neg(x) => Ok(-arith_to_linexpr(ctx, x, binding)?),
         Arith::Mul(x, y) => {
             let l = arith_to_linexpr(ctx, x, binding)?;
             let r = arith_to_linexpr(ctx, y, binding)?;

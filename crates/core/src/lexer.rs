@@ -24,211 +24,191 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LyricError> {
 /// The two vectors are parallel: `spans[i]` covers `toks[i]` in `src`
 /// (half-open byte range). The trailing [`Token::Eof`] gets the empty span
 /// at the end of the input.
+///
+/// The scan walks the input's bytes and decodes a `char` only at a
+/// non-ASCII byte: the paper's notation (`≤ ≥ ≠ ∧ ∨ ¬ ⊨`) and non-ASCII
+/// identifiers. Every token therefore starts and ends on a `char`
+/// boundary.
 pub fn lex_spanned(src: &str) -> Result<(Vec<Token>, Vec<Span>), LyricError> {
+    let bytes = src.as_bytes();
+    let at = |k: usize| bytes.get(k).copied();
     let mut out = Vec::new();
     let mut spans = Vec::new();
-    let chars: Vec<char> = src.chars().collect();
-    // Byte offset of each char, plus one-past-the-end, so spans are byte
-    // ranges even in the presence of multi-byte paper notation (≤, ∧, …).
-    let mut byte_of: Vec<usize> = src.char_indices().map(|(b, _)| b).collect();
-    byte_of.push(src.len());
     let mut i = 0usize;
-    macro_rules! emit {
-        ($tok:expr, $start:expr) => {{
-            out.push($tok);
-            spans.push(Span::new(byte_of[$start], byte_of[i]));
-        }};
-    }
-    while i < chars.len() {
-        let c = chars[i];
+    while i < bytes.len() {
         let s = i;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '-' if chars.get(i + 1) == Some(&'-') => {
+        let tok = match bytes[i] {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                i += 1;
+                continue;
+            }
+            b'-' if at(i + 1) == Some(b'-') => {
                 // SQL-style line comment.
-                while i < chars.len() && chars[i] != '\n' {
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            '(' => {
-                i += 1;
-                emit!(Token::LParen, s);
-            }
-            ')' => {
-                i += 1;
-                emit!(Token::RParen, s);
-            }
-            '[' => {
-                i += 1;
-                emit!(Token::LBracket, s);
-            }
-            ']' => {
-                i += 1;
-                emit!(Token::RBracket, s);
-            }
-            '.' if !matches!(chars.get(i + 1), Some(d) if d.is_ascii_digit()) => {
-                i += 1;
-                emit!(Token::Dot, s);
-            }
-            ',' => {
-                i += 1;
-                emit!(Token::Comma, s);
-            }
-            '+' => {
-                i += 1;
-                emit!(Token::Plus, s);
-            }
-            '-' => {
-                i += 1;
-                emit!(Token::Minus, s);
-            }
-            '*' => {
-                i += 1;
-                emit!(Token::Star, s);
-            }
-            '|' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    i += 2;
-                    emit!(Token::Entails, s);
-                } else {
-                    i += 1;
-                    emit!(Token::Bar, s);
+            b'(' => single(&mut i, Token::LParen),
+            b')' => single(&mut i, Token::RParen),
+            b'[' => single(&mut i, Token::LBracket),
+            b']' => single(&mut i, Token::RBracket),
+            b'.' if !at(i + 1).is_some_and(|d| d.is_ascii_digit()) => single(&mut i, Token::Dot),
+            b',' => single(&mut i, Token::Comma),
+            b'+' => single(&mut i, Token::Plus),
+            b'-' => single(&mut i, Token::Minus),
+            b'*' => single(&mut i, Token::Star),
+            b'|' if at(i + 1) == Some(b'=') => double(&mut i, Token::Entails),
+            b'|' => single(&mut i, Token::Bar),
+            b'=' => match (at(i + 1), at(i + 2)) {
+                (Some(b'>'), Some(b'>')) => {
+                    i += 3;
+                    Token::ArrowSet
                 }
-            }
-            '⊨' => {
-                i += 1;
-                emit!(Token::Entails, s);
-            }
-            '∧' => {
-                i += 1;
-                emit!(Token::And, s);
-            }
-            '∨' => {
-                i += 1;
-                emit!(Token::Or, s);
-            }
-            '¬' => {
-                i += 1;
-                emit!(Token::Not, s);
-            }
-            '=' => {
-                if chars.get(i + 1) == Some(&'>') {
-                    if chars.get(i + 2) == Some(&'>') {
-                        i += 3;
-                        emit!(Token::ArrowSet, s);
-                    } else {
-                        i += 2;
-                        emit!(Token::ArrowScalar, s);
-                    }
-                } else {
-                    i += 1;
-                    emit!(Token::Eq, s);
-                }
-            }
-            '!' if chars.get(i + 1) == Some(&'=') => {
-                i += 2;
-                emit!(Token::Neq, s);
-            }
-            '≠' => {
-                i += 1;
-                emit!(Token::Neq, s);
-            }
-            '≤' => {
-                i += 1;
-                emit!(Token::Le, s);
-            }
-            '≥' => {
-                i += 1;
-                emit!(Token::Ge, s);
-            }
-            '<' => match chars.get(i + 1) {
-                Some('=') => {
-                    i += 2;
-                    emit!(Token::Le, s);
-                }
-                Some('>') => {
-                    i += 2;
-                    emit!(Token::Neq, s);
-                }
-                _ => {
-                    i += 1;
-                    emit!(Token::Lt, s);
-                }
+                (Some(b'>'), _) => double(&mut i, Token::ArrowScalar),
+                _ => single(&mut i, Token::Eq),
             },
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    i += 2;
-                    emit!(Token::Ge, s);
-                } else {
-                    i += 1;
-                    emit!(Token::Gt, s);
-                }
-            }
-            '\'' => {
+            b'!' if at(i + 1) == Some(b'=') => double(&mut i, Token::Neq),
+            b'<' => match at(i + 1) {
+                Some(b'=') => double(&mut i, Token::Le),
+                Some(b'>') => double(&mut i, Token::Neq),
+                _ => single(&mut i, Token::Lt),
+            },
+            b'>' if at(i + 1) == Some(b'=') => double(&mut i, Token::Ge),
+            b'>' => single(&mut i, Token::Gt),
+            b'\'' => {
                 let start = i + 1;
-                let mut j = start;
-                while j < chars.len() && chars[j] != '\'' {
-                    j += 1;
-                }
-                if j >= chars.len() {
+                let Some(len) = bytes[start..].iter().position(|&b| b == b'\'') else {
                     return Err(LyricError::lex_at(
                         "unterminated string literal",
-                        Span::new(byte_of[s], src.len()),
+                        Span::new(s, src.len()),
                     ));
-                }
-                i = j + 1;
-                emit!(Token::Str(chars[start..j].iter().collect()), s);
+                };
+                i = start + len + 1;
+                Token::Str(src[start..start + len].to_string())
             }
-            c if c.is_ascii_digit() || c == '.' => {
+            b'0'..=b'9' | b'.' => {
                 let mut j = i;
                 let mut seen_dot = false;
-                while j < chars.len()
-                    && (chars[j].is_ascii_digit() || (chars[j] == '.' && !seen_dot))
+                while j < bytes.len()
+                    && (bytes[j].is_ascii_digit() || (bytes[j] == b'.' && !seen_dot))
                 {
-                    if chars[j] == '.' {
+                    if bytes[j] == b'.' {
                         // A dot not followed by a digit is a path separator.
-                        if !matches!(chars.get(j + 1), Some(d) if d.is_ascii_digit()) {
+                        if !at(j + 1).is_some_and(|d| d.is_ascii_digit()) {
                             break;
                         }
                         seen_dot = true;
                     }
                     j += 1;
                 }
-                let text: String = chars[s..j].iter().collect();
-                let value: Rational = text.parse().map_err(|_| {
-                    LyricError::lex_at(
-                        format!("bad number literal {text}"),
-                        Span::new(byte_of[s], byte_of[j]),
-                    )
-                })?;
+                let text = &src[s..j];
                 i = j;
-                emit!(Token::Number(value), s);
+                Token::Number(number(text).ok_or_else(|| {
+                    LyricError::lex_at(format!("bad number literal {text}"), Span::new(s, j))
+                })?)
             }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == '_') {
-                    j += 1;
+            b if b.is_ascii_alphabetic() || b == b'_' => word(src, &mut i),
+            b if b.is_ascii() => {
+                return Err(unexpected(b as char, s));
+            }
+            _ => {
+                let c = src[i..]
+                    .chars()
+                    .next()
+                    .expect("a char starts at a token boundary");
+                match c {
+                    '⊨' => wide(&mut i, c, Token::Entails),
+                    '∧' => wide(&mut i, c, Token::And),
+                    '∨' => wide(&mut i, c, Token::Or),
+                    '¬' => wide(&mut i, c, Token::Not),
+                    '≠' => wide(&mut i, c, Token::Neq),
+                    '≤' => wide(&mut i, c, Token::Le),
+                    '≥' => wide(&mut i, c, Token::Ge),
+                    c if c.is_alphabetic() => word(src, &mut i),
+                    other => return Err(unexpected(other, s)),
                 }
-                let word: String = chars[s..j].iter().collect();
-                i = j;
-                // MAX_POINT / MIN_POINT are single identifiers with an
-                // underscore; keyword() sees the full word.
-                match Token::keyword(&word) {
-                    Some(k) => emit!(k, s),
-                    None => emit!(Token::Ident(word), s),
-                }
             }
-            other => {
-                return Err(LyricError::lex_at(
-                    format!("unexpected character {other:?}"),
-                    Span::new(byte_of[s], byte_of[s + 1]),
-                ));
-            }
-        }
+        };
+        debug_assert!(src.is_char_boundary(i), "token ends inside a char");
+        out.push(tok);
+        spans.push(Span::new(s, i));
     }
     out.push(Token::Eof);
     spans.push(Span::new(src.len(), src.len()));
     Ok((out, spans))
+}
+
+/// A one-byte token.
+fn single(i: &mut usize, tok: Token) -> Token {
+    *i += 1;
+    tok
+}
+
+/// A two-byte token.
+fn double(i: &mut usize, tok: Token) -> Token {
+    *i += 2;
+    tok
+}
+
+/// A token written as the one non-ASCII `char` `c`.
+fn wide(i: &mut usize, c: char, tok: Token) -> Token {
+    *i += c.len_utf8();
+    tok
+}
+
+fn unexpected(c: char, at: usize) -> LyricError {
+    LyricError::lex_at(
+        format!("unexpected character {c:?}"),
+        Span::new(at, at + c.len_utf8()),
+    )
+}
+
+/// An identifier or keyword starting at `*i`: letters, digits and `_`.
+/// `MAX_POINT` / `MIN_POINT` are single words with an underscore, so
+/// [`Token::keyword`] sees the full word.
+fn word(src: &str, i: &mut usize) -> Token {
+    let bytes = src.as_bytes();
+    let start = *i;
+    let mut j = start;
+    while j < bytes.len() {
+        let b = bytes[j];
+        if b.is_ascii_alphanumeric() || b == b'_' {
+            j += 1;
+        } else if b.is_ascii() {
+            break;
+        } else {
+            match src[j..].chars().next() {
+                Some(c) if c.is_alphanumeric() => j += c.len_utf8(),
+                _ => break,
+            }
+        }
+    }
+    *i = j;
+    let word = &src[start..j];
+    Token::keyword(word).unwrap_or_else(|| Token::Ident(word.to_string()))
+}
+
+/// The value of a scanned number literal: ASCII digits with at most one
+/// inner `.`. Literals of at most 18 digits, which fit in an `i64`, are
+/// read directly; longer ones go through [`Rational`]'s parser.
+fn number(text: &str) -> Option<Rational> {
+    let (int, frac) = text.split_once('.').unwrap_or((text, ""));
+    if int.len() + frac.len() > 18 {
+        return text.parse().ok();
+    }
+    let digits = |s: &str| {
+        s.bytes()
+            .fold(0i64, |acc, d| acc * 10 + i64::from(d - b'0'))
+    };
+    if frac.is_empty() {
+        return Some(Rational::from_int(digits(int)));
+    }
+    let scale = 10i64.pow(frac.len() as u32);
+    Some(Rational::from_pair(
+        digits(int) * scale + digits(frac),
+        scale,
+    ))
 }
 
 #[cfg(test)]
@@ -273,6 +253,12 @@ mod tests {
     fn numbers_exact() {
         assert_eq!(toks("0.5")[0], Token::Number(Rational::from_pair(1, 2)));
         assert_eq!(toks("12")[0], Token::Number(Rational::from_int(12)));
+        assert_eq!(toks("007")[0], Token::Number(Rational::from_int(7)));
+        assert_eq!(toks("2.50")[0], Token::Number(Rational::from_pair(5, 2)));
+        // Past 18 digits the literal goes through the `Rational` parser.
+        for long in ["1234567890123456789012", "98765432109876543.21"] {
+            assert_eq!(toks(long)[0], Token::Number(long.parse().unwrap()));
+        }
         // A trailing dot is a path separator, not a decimal point.
         let t = toks("x.y");
         assert_eq!(t[1], Token::Dot);

@@ -595,8 +595,9 @@ impl Parser {
     }
 
     fn arith_factor(&mut self) -> Result<Arith, LyricError> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::Number(n) => {
+                let n = n.clone();
                 self.bump();
                 Ok(Arith::Num(n))
             }

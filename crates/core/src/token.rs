@@ -61,35 +61,40 @@ pub enum Token {
     Eof,
 }
 
+/// The keywords, in their canonical (upper-case) spelling.
+static KEYWORDS: [(&str, Token); 23] = [
+    ("SELECT", Token::Select),
+    ("FROM", Token::From),
+    ("WHERE", Token::Where),
+    ("AND", Token::And),
+    ("OR", Token::Or),
+    ("NOT", Token::Not),
+    ("CREATE", Token::Create),
+    ("VIEW", Token::View),
+    ("AS", Token::As),
+    ("SUBCLASS", Token::Subclass),
+    ("OF", Token::Of),
+    ("SIGNATURE", Token::Signature),
+    ("OID", Token::OidKw),
+    ("FUNCTION", Token::Function),
+    ("MAX", Token::Max),
+    ("MIN", Token::Min),
+    ("MAX_POINT", Token::MaxPoint),
+    ("MIN_POINT", Token::MinPoint),
+    ("SUBJECT", Token::Subject),
+    ("TO", Token::To),
+    ("CONTAINS", Token::Contains),
+    ("TRUE", Token::True),
+    ("FALSE", Token::False),
+];
+
 impl Token {
-    /// Keyword lookup (case-insensitive).
+    /// Keyword lookup (case-insensitive in ASCII, without allocating).
     pub fn keyword(word: &str) -> Option<Token> {
-        Some(match word.to_ascii_uppercase().as_str() {
-            "SELECT" => Token::Select,
-            "FROM" => Token::From,
-            "WHERE" => Token::Where,
-            "AND" => Token::And,
-            "OR" => Token::Or,
-            "NOT" => Token::Not,
-            "CREATE" => Token::Create,
-            "VIEW" => Token::View,
-            "AS" => Token::As,
-            "SUBCLASS" => Token::Subclass,
-            "OF" => Token::Of,
-            "SIGNATURE" => Token::Signature,
-            "OID" => Token::OidKw,
-            "FUNCTION" => Token::Function,
-            "MAX" => Token::Max,
-            "MIN" => Token::Min,
-            "MAX_POINT" => Token::MaxPoint,
-            "MIN_POINT" => Token::MinPoint,
-            "SUBJECT" => Token::Subject,
-            "TO" => Token::To,
-            "CONTAINS" => Token::Contains,
-            "TRUE" => Token::True,
-            "FALSE" => Token::False,
-            _ => return None,
-        })
+        KEYWORDS
+            .iter()
+            .find(|(k, _)| k.eq_ignore_ascii_case(word))
+            .map(|(_, t)| t.clone())
     }
 }
 

@@ -157,18 +157,18 @@ impl Database {
         class: &str,
         attrs: impl IntoIterator<Item = (impl Into<String>, Value)>,
     ) -> Result<(), DbError> {
-        let class_def = self
+        let cst_dim = self
             .schema
             .class(class)
             .ok_or_else(|| DbError::UnknownClass(class.to_string()))?
-            .clone();
+            .cst_dim;
         if self.objects.contains_key(&oid) {
             return Err(DbError::DuplicateObject(oid.to_string()));
         }
         // CST classes: instances must be constraint oids of the declared
         // dimension (§3.2: CST objects are organized into classes by
         // dimension).
-        if let Some(dim) = class_def.cst_dim {
+        if let Some(dim) = cst_dim {
             match oid.as_cst() {
                 Some(c) if c.arity() == dim => {}
                 Some(c) => {
@@ -185,16 +185,15 @@ impl Database {
                 }
             }
         }
-        let visible = self.schema.attributes_of(class);
         let mut stored = BTreeMap::new();
         for (name, value) in attrs {
             let name = name.into();
-            let decl = visible
-                .get(&name)
-                .ok_or_else(|| DbError::UnknownAttribute {
+            let decl = self.schema.visible_attribute(class, &name).ok_or_else(|| {
+                DbError::UnknownAttribute {
                     class: class.to_string(),
                     attr: name.clone(),
-                })?;
+                }
+            })?;
             if decl.is_set != value.is_set() {
                 return Err(DbError::Cardinality {
                     class: class.to_string(),
@@ -214,12 +213,22 @@ impl Database {
                 attrs: stored,
             },
         );
-        self.extents
-            .entry(class.to_string())
-            .or_default()
-            .insert(oid.clone());
+        self.add_member(class, oid);
         self.touch();
         Ok(())
+    }
+
+    /// Add `oid` to the direct extent of `class`.
+    fn add_member(&mut self, class: &str, oid: Oid) {
+        match self.extents.get_mut(class) {
+            Some(extent) => {
+                extent.insert(oid);
+            }
+            None => {
+                self.extents
+                    .insert(class.to_string(), BTreeSet::from([oid]));
+            }
+        }
     }
 
     /// Record class membership for an oid without attribute data — used
@@ -241,10 +250,7 @@ impl Database {
                 }
             }
         }
-        self.extents
-            .entry(class.to_string())
-            .or_default()
-            .insert(oid.clone());
+        self.add_member(class, oid);
         self.touch();
         Ok(())
     }
@@ -304,9 +310,8 @@ impl Database {
     /// of the declared class. Run after bulk loading.
     pub fn validate_references(&self) -> Result<(), DbError> {
         for data in self.objects.values() {
-            let visible = self.schema.attributes_of(&data.class);
             for (name, value) in &data.attrs {
-                let Some(decl) = visible.get(name) else {
+                let Some(decl) = self.schema.visible_attribute(&data.class, name) else {
                     continue;
                 };
                 if let AttrTarget::Class { class: target, .. } = &decl.target {
@@ -346,10 +351,11 @@ impl Database {
             .ok_or_else(|| DbError::UnknownObject(oid.to_string()))?
             .class
             .clone();
-        let visible = self.schema.attributes_of(&class);
-        let decl = visible.get(attr).ok_or_else(|| DbError::UnknownAttribute {
-            class: class.clone(),
-            attr: attr.to_string(),
+        let decl = self.schema.visible_attribute(&class, attr).ok_or_else(|| {
+            DbError::UnknownAttribute {
+                class: class.clone(),
+                attr: attr.to_string(),
+            }
         })?;
         if decl.is_set != value.is_set() {
             return Err(DbError::Cardinality {
@@ -393,13 +399,32 @@ impl Database {
     /// All instances of `class`, including subclass members, in oid order.
     /// Built-in literal classes have unenumerable extents and return empty.
     pub fn extent(&self, class: &str) -> Vec<Oid> {
-        let mut out = BTreeSet::new();
-        for c in self.schema.subclasses_of(class) {
-            if let Some(e) = self.extents.get(c) {
-                out.extend(e.iter().cloned());
-            }
+        self.extent_refs(class).into_iter().cloned().collect()
+    }
+
+    /// [`extent`](Self::extent) without cloning an oid: the members of
+    /// `class` and its subclasses, sorted and without repeats.
+    pub fn extent_refs(&self, class: &str) -> Vec<&Oid> {
+        let mut direct = self
+            .schema
+            .subclasses_of(class)
+            .into_iter()
+            .filter_map(|c| self.extents.get(c))
+            .filter(|e| !e.is_empty());
+        let Some(first) = direct.next() else {
+            return Vec::new();
+        };
+        let mut out: Vec<&Oid> = first.iter().collect();
+        let mut merged = false;
+        for e in direct {
+            out.extend(e.iter());
+            merged = true;
         }
-        out.into_iter().collect()
+        if merged {
+            out.sort();
+            out.dedup();
+        }
+        out
     }
 
     /// The number of instances of `class`, including subclass members:

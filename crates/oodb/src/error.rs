@@ -45,6 +45,13 @@ pub enum DbError {
         class: String,
         detail: String,
     },
+    /// A class's interface, a CST attribute's schema or an interface
+    /// renaming names one variable twice.
+    RepeatedVariable {
+        class: String,
+        place: String,
+        var: String,
+    },
 }
 
 impl fmt::Display for DbError {
@@ -89,6 +96,9 @@ impl fmt::Display for DbError {
             }
             DbError::CstClassInstance { class, detail } => {
                 write!(f, "instance of CST class {class}: {detail}")
+            }
+            DbError::RepeatedVariable { class, place, var } => {
+                write!(f, "class {class}: variable {var} repeats in {place}")
             }
         }
     }

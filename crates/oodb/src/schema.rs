@@ -1,7 +1,7 @@
 //! Database schema: classes, IS-A, attributes, CST interfaces.
 
 use crate::error::DbError;
-use lyric_constraint::Var;
+use lyric_constraint::{first_repeat, Var};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Names of the built-in literal classes. Literal oids are implicit
@@ -143,9 +143,31 @@ impl Schema {
 
     /// Add a class (validation is deferred to [`Schema::validate`], so
     /// classes may reference classes defined later).
+    ///
+    /// A variable list that names one variable twice is refused here: the
+    /// interface, a CST attribute's schema, or an interface renaming.
     pub fn add_class(&mut self, def: ClassDef) -> Result<(), DbError> {
         if self.classes.contains_key(&def.name) || BUILTIN_CLASSES.contains(&def.name.as_str()) {
             return Err(DbError::DuplicateClass(def.name));
+        }
+        let lists = std::iter::once(("the interface".to_string(), &def.interface)).chain(
+            def.attributes.values().filter_map(|a| match &a.target {
+                AttrTarget::Cst { vars } => Some((format!("attribute {}", a.name), vars)),
+                AttrTarget::Class {
+                    actuals: Some(vars),
+                    ..
+                } => Some((format!("the renaming of attribute {}", a.name), vars)),
+                AttrTarget::Class { actuals: None, .. } => None,
+            }),
+        );
+        for (place, vars) in lists {
+            if let Some(v) = first_repeat(vars) {
+                return Err(DbError::RepeatedVariable {
+                    class: def.name.clone(),
+                    place,
+                    var: v.name().to_string(),
+                });
+            }
         }
         self.classes.insert(def.name.clone(), def);
         Ok(())
@@ -252,6 +274,19 @@ impl Schema {
         }
         walk(self, class, &mut out);
         out
+    }
+
+    /// The attribute `attr` as [`attributes_of`](Self::attributes_of)
+    /// resolves it, without building the map: the class's own declaration,
+    /// else the one visible from its last parent that has one.
+    pub fn visible_attribute<'a>(&'a self, class: &str, attr: &str) -> Option<&'a AttrDef> {
+        let def = self.classes.get(class)?;
+        def.attributes.get(attr).or_else(|| {
+            def.parents
+                .iter()
+                .rev()
+                .find_map(|p| self.visible_attribute(p, attr))
+        })
     }
 
     /// All attributes visible from `class` (own shadowing inherited).
@@ -386,6 +421,61 @@ mod tests {
         assert!(s.has_class("Desk"));
         assert!(s.has_class("string")); // builtin
         assert!(!s.has_class("Chair"));
+    }
+
+    #[test]
+    fn repeated_variables_rejected() {
+        let repeated = |def: ClassDef, place: &str| {
+            let mut s = office_schema();
+            assert_eq!(
+                s.add_class(def),
+                Err(DbError::RepeatedVariable {
+                    class: "Chair".into(),
+                    place: place.into(),
+                    var: "u".into(),
+                })
+            );
+        };
+        repeated(
+            ClassDef::new("Chair").interface(["u", "v", "u"]),
+            "the interface",
+        );
+        repeated(
+            ClassDef::new("Chair").attr(AttrDef::scalar("seat", AttrTarget::cst(["u", "u"]))),
+            "attribute seat",
+        );
+        repeated(
+            ClassDef::new("Chair").attr(AttrDef::scalar(
+                "drawer",
+                AttrTarget::class_renamed("Drawer", vec!["u".into(), "u".into()]),
+            )),
+            "the renaming of attribute drawer",
+        );
+    }
+
+    #[test]
+    fn visible_attribute_resolves_as_attributes_of() {
+        let mut s = office_schema();
+        // Two parents declare `k`: the map keeps the last parent's.
+        for (parent, var) in [("A", "a"), ("B", "b")] {
+            s.add_class(ClassDef::new(parent).attr(AttrDef::scalar("k", AttrTarget::cst([var]))))
+                .unwrap();
+        }
+        s.add_class(ClassDef::new("C").is_a("A").is_a("B")).unwrap();
+        assert_eq!(
+            s.visible_attribute("C", "k").map(|a| &a.target),
+            Some(&AttrTarget::cst(["b"]))
+        );
+        for class in ["Desk", "C", "Drawer", "Color"] {
+            let all = s.attributes_of(class);
+            for name in ["extent", "drawer", "color", "k", "missing"] {
+                assert_eq!(
+                    s.visible_attribute(class, name),
+                    all.get(name).copied(),
+                    "{class}.{name}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   R-tree.
 
 use lyric_arith::Rational;
-use lyric_constraint::Interval;
-use lyric_oodb::{AttrTarget, Database, Oid, Value};
+use lyric_constraint::{CstObject, Interval};
+use lyric_oodb::{AttrTarget, Database, ObjectData, Oid, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -92,21 +92,26 @@ impl StoreIndex {
             generation: db.data_generation(),
             ..StoreIndex::default()
         };
-        let classes: Vec<String> = db.schema().class_names().map(str::to_string).collect();
-        for class in classes {
-            let extent = db.extent(&class);
-            if extent.is_empty() {
+        for class in db.schema().class_names() {
+            // Each member's stored data is looked up once per class, not
+            // once per column.
+            let members: Vec<Member> = db
+                .extent_refs(class)
+                .into_iter()
+                .map(|oid| (oid, db.object(oid)))
+                .collect();
+            if members.is_empty() {
                 continue;
             }
-            for (attr, decl) in db.schema().attributes_of(&class) {
+            for (attr, decl) in db.schema().attributes_of(class) {
                 match &decl.target {
                     AttrTarget::Cst { vars } => {
-                        let col = build_box_column(db, &extent, &attr, vars.len());
-                        idx.boxes.insert((class.clone(), attr.clone()), col);
+                        let col = build_box_column(&members, &attr, vars.len());
+                        idx.boxes.insert((class.to_string(), attr), col);
                     }
                     AttrTarget::Class { .. } if !decl.is_set => {
-                        let col = build_scalar_column(db, &extent, &attr);
-                        idx.scalars.insert((class.clone(), attr.clone()), col);
+                        let col = build_scalar_column(&members, &attr);
+                        idx.scalars.insert((class.to_string(), attr), col);
                     }
                     _ => {}
                 }
@@ -216,10 +221,13 @@ fn boxes_disjoint(a: &[Interval], b: &[Interval]) -> bool {
     a.iter().zip(b).any(|(x, y)| x.intersect(y).is_empty())
 }
 
-fn build_scalar_column(db: &Database, extent: &[Oid], attr: &str) -> ScalarColumn {
+/// An extent member and its stored data, if it has any.
+type Member<'a> = (&'a Oid, Option<&'a ObjectData>);
+
+fn build_scalar_column(members: &[Member], attr: &str) -> ScalarColumn {
     let mut col = ScalarColumn::default();
-    for oid in extent {
-        let value = db.object(oid).and_then(|data| data.attr(attr));
+    for &(oid, data) in members {
+        let value = data.and_then(|data| data.attr(attr));
         match value {
             Some(Value::Scalar(v)) => match v {
                 Oid::Int(_) | Oid::Rat(_) => {
@@ -251,18 +259,15 @@ fn build_scalar_column(db: &Database, extent: &[Oid], attr: &str) -> ScalarColum
     col
 }
 
-fn build_box_column(db: &Database, extent: &[Oid], attr: &str, arity: usize) -> BoxColumn {
+fn build_box_column(members: &[Member], attr: &str, arity: usize) -> BoxColumn {
     let mut entries: Vec<BoxEntry> = Vec::new();
-    for oid in extent {
-        let Some(value) = db.object(oid).and_then(|data| data.attr(attr)) else {
+    for &(oid, data) in members {
+        let Some(value) = data.and_then(|data| data.attr(attr)) else {
             continue; // missing attribute: prunable, no entry
         };
         for member in value.iter() {
             let ivs = match member.as_cst() {
-                Some(c) if c.arity() == arity => {
-                    let b = c.interval_box();
-                    c.free().iter().map(|v| b.interval(v)).collect()
-                }
+                Some(c) if c.arity() == arity => positional_box(c),
                 // Dimension mismatch or non-CST member: keep the object
                 // as an always-candidate rather than risk pruning it.
                 _ => vec![Interval::top(); arity],
@@ -292,6 +297,27 @@ fn build_box_column(db: &Database, extent: &[Oid], attr: &str, arity: usize) -> 
         pages.push(BoxPage { hull, entries });
     }
     BoxColumn { arity, pages }
+}
+
+/// The object's [`interval_box`](CstObject::interval_box) read off in
+/// schema order: per schema variable, the hull over the disjuncts with a
+/// nonempty box of the disjunct's interval; ⊤ on every axis when no
+/// disjunct has one, as the empty object box reads. One box per
+/// disjunct, and no restricted or hulled box in between.
+fn positional_box(c: &CstObject) -> Vec<Interval> {
+    let mut out: Option<Vec<Interval>> = None;
+    for d in c.disjuncts() {
+        let bx = d.interval_box();
+        if bx.is_empty() {
+            continue;
+        }
+        let ivs = c.free().iter().map(|v| bx.interval(v));
+        out = Some(match out {
+            None => ivs.collect(),
+            Some(acc) => acc.iter().zip(ivs).map(|(a, b)| a.hull(&b)).collect(),
+        });
+    }
+    out.unwrap_or_else(|| vec![Interval::top(); c.arity()])
 }
 
 /// The packing sort key of an interval: `lo + hi`, twice the centre
@@ -379,6 +405,36 @@ mod tests {
                 Atom::le(LinExpr::var(Var::new("z")), LinExpr::from(y + 10)),
             ]),
         )
+    }
+
+    #[test]
+    fn positional_box_reads_the_object_box_in_schema_order() {
+        let (w, z) = (Var::new("w"), Var::new("z"));
+        let half_open = CstObject::from_conjunction(
+            vec![z.clone(), w.clone()],
+            Conjunction::of([Atom::lt(LinExpr::var(w.clone()), LinExpr::from(3))]),
+        );
+        let empty_box = CstObject::from_conjunction(
+            vec![w.clone(), z.clone()],
+            Conjunction::of([
+                Atom::ge(LinExpr::var(w.clone()), LinExpr::from(2)),
+                Atom::le(LinExpr::var(w.clone()), LinExpr::from(1)),
+            ]),
+        );
+        let objects = [
+            rect(3, 7),
+            span(-2, 5).or(&rect(20, -4)),
+            rect(0, 0).or(&empty_box),
+            half_open,
+            empty_box,
+            CstObject::bottom(vec![w.clone(), z.clone()]),
+            CstObject::top(vec![w, z]),
+        ];
+        for c in &objects {
+            let b = c.interval_box();
+            let expected: Vec<Interval> = c.free().iter().map(|v| b.interval(v)).collect();
+            assert_eq!(positional_box(c), expected, "{c}");
+        }
     }
 
     fn test_db(n: i64) -> Database {
