@@ -629,7 +629,7 @@ fn e9() {
     let mut r = workload::rng(4242);
     let conj = workload::random_satisfiable_conjunction(&mut r, 10, 40);
     let vars: Vec<Var> = (0..9).map(|i| Var::new(format!("v{i}"))).collect();
-    let (ms, outcome) = time_ms(1, || {
+    let (ms, (outcome, stats, _)) = time_ms(1, || {
         lyric::engine::run(
             &ExecOptions::default()
                 .with_budget(lyric::EngineBudget::unlimited().with_max_fm_atoms(10_000)),
@@ -638,13 +638,14 @@ fn e9() {
         )
     });
     match outcome {
-        Ok((eliminated, stats, _)) => println!(
+        Ok(eliminated) => println!(
             "completed within budget in {ms:.1} ms: {:?} atoms out, {} fm atoms produced",
             eliminated.map(|n| n.to_string()),
             stats.fm_atoms
         ),
         Err(exceeded) => println!(
-            "aborted in {ms:.1} ms: {exceeded} — the engine degrades gracefully instead of exhausting memory"
+            "aborted in {ms:.1} ms after {} fm atoms: {exceeded} — the engine degrades gracefully instead of exhausting memory",
+            stats.fm_atoms
         ),
     }
     println!("\nthe telemetry quantifies the paper's tractability story (polynomially growing LP work, §5) and the budget enforces it against the exponential corners §3.1 excludes.\n");
@@ -713,7 +714,7 @@ fn e10() -> Json {
 /// *this* host — on a single-core machine they are ~1.0x by construction,
 /// so the host's available parallelism is recorded alongside.
 fn e11() -> Json {
-    println!("## E11 — parallel evaluation (work-stealing pool, deterministic merge)\n");
+    println!("## E11 — parallel evaluation (shared-cursor handout, deterministic merge)\n");
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -785,7 +786,7 @@ fn e12() -> Json {
     println!("| metrics enabled | {:.2} |", judged.mode_ms);
     println!("| metrics disabled | {:.2} |", judged.base_ms);
     println!(
-        "\nmeasured overhead: {}. The recording path is a handful of relaxed striped-atomic adds plus one histogram observation per query, flushed once at engine-context teardown — not per operation.\n",
+        "\nmeasured overhead: {}. The recording path is a handful of relaxed striped-atomic adds plus one histogram observation per query, made once from the query's record by the runner's sink — not per operation.\n",
         judged.verdict()
     );
     Json::obj(judged.json())
@@ -868,16 +869,15 @@ fn e13() -> Json {
         };
         let (a, b, inner) = (mk_box(0, 10), mk_box(5, 15), mk_box(6, 9));
         let measure = |fast: bool| {
-            let ((ms, _), stats, _) = lyric::engine::run(&opts(fast), None, || {
+            let (timed, stats, _) = lyric::engine::run(&opts(fast), None, || {
                 time_ms(20, || {
                     for _ in 0..10 {
                         assert!(a.and(&b).satisfiable());
                         assert!(inner.implies(&a));
                     }
                 })
-            })
-            .expect("unlimited budget");
-            (ms, stats)
+            });
+            (timed.expect("unlimited budget").0, stats)
         };
         row("E3 constraint ops, 3-D", measure(true), measure(false));
     }
@@ -1153,8 +1153,7 @@ fn e16() -> Json {
 /// the recorder on (the default: in-flight registration, live progress
 /// mirroring into the slot's atomics, one ring push per completion) vs
 /// off (`set_enabled(false)`, the same switch as `LYRIC_FLIGHT=0`, which
-/// also skips registration). The event tee stays off in both modes —
-/// that is the sampled, opt-in layer. Acceptance bar < 5%, judged by
+/// also skips registration). Acceptance bar < 5%, judged by
 /// [`judge_overhead`].
 fn e17() -> Json {
     println!("## E17 — flight-recorder overhead (recorder on vs off)\n");
@@ -1164,7 +1163,6 @@ fn e17() -> Json {
         lyric::execute_shared(&db, Q_LINEAR, &opts).expect("linear query evaluates");
     };
     run(); // warm the arena pools and lazy statics so both modes measure steady state
-    lyric::flight::recorder::set_events_enabled(false);
     let judged = judge_overhead(
         "E17 flight recorder",
         Some(5.0),
@@ -1185,7 +1183,7 @@ fn e17() -> Json {
     println!(
         "\nmeasured overhead: {}. The recording path is one \
          registry insert and one striped-ring push per query plus relaxed atomic adds at \
-         counter-flush sites the engine already visits; the disabled path is a single \
+         counting sites the engine already visits; the disabled path is a single \
          relaxed load, pinned allocation-free by crates/flight/tests/zero_alloc.rs.\n",
         judged.verdict()
     );

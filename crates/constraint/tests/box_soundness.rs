@@ -197,9 +197,8 @@ fn single_variable_conjunction(seed: u64) -> Conjunction {
 /// counters it moved.
 fn satisfiable_with_boxes(c: &Conjunction) -> (bool, EngineStats) {
     let opts = ExecOptions::default().with_threads(1).with_boxes(true);
-    let (sat, stats, _) =
-        lyric_engine::run(&opts, None, || c.satisfiable()).expect("unlimited budget");
-    (sat, stats)
+    let (sat, stats, _) = lyric_engine::run(&opts, None, || c.satisfiable());
+    (sat.expect("unlimited budget"), stats)
 }
 
 proptest! {

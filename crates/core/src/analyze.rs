@@ -1267,12 +1267,12 @@ impl Analyzer<'_> {
                 .with_max_disjuncts(1_000)
                 .with_deadline(std::time::Duration::from_millis(250));
             let opts = lyric_engine::ExecOptions::default().with_budget(budget);
-            let verdict = lyric_engine::run(&opts, None, || {
+            let (verdict, _, _) = lyric_engine::run(&opts, None, || {
                 crate::storage::formula_to_cst(&f)
                     .ok()
                     .map(|c| c.satisfiable())
             });
-            if let Ok((Some(false), _, _)) = verdict {
+            if let Ok(Some(false)) = verdict {
                 self.diags.push(
                     Diagnostic::warning(
                         codes::LP_UNSAT,

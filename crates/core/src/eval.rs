@@ -160,10 +160,12 @@ enum Statement<'a> {
 
 /// The one query runner behind every entry point: lex and parse, the
 /// analyzer gate (skipped for [`execute_unchecked`]), one engine run, and
-/// one [`QueryRecord`] that the query log and the flight recorder (ring,
-/// and the dump an anomaly calls for) read. A statement the front end
-/// rejects never reaches the engine: it costs no engine work, writes no
-/// log line or flight record, and leaves `lyric_queries_total` alone.
+/// one [`QueryRecord`] — carrying the counters the run consumed, an
+/// aborted run's too — that [`crate::sink::publish`] projects onto
+/// `/metrics`, the query log and the flight recorder (ring, and the dump
+/// an anomaly calls for). A statement the front end rejects never reaches
+/// the engine: it costs no engine work, writes no log line or flight
+/// record, and leaves `lyric_queries_total` alone.
 ///
 /// Slow-query forensics (`LYRIC_SLOW_EXPLAIN=1` with a query-log sink and
 /// a slow threshold) turns `explain` on for every `SELECT`, so the record
@@ -207,7 +209,7 @@ fn run_statement(
     let (query, query_hash) = (querylog::truncate_query(src), querylog::query_hash(src));
     let guard = register(&query, query_hash, opts);
     let trace_id = Cell::new(0u64);
-    let outcome = lyric_engine::run(
+    let (outcome, stats, trace) = lyric_engine::run(
         &ExecOptions {
             explain: plan.is_some(),
             ..opts.clone()
@@ -227,7 +229,7 @@ fn run_statement(
 
     let mut summary = None;
     let result = match outcome {
-        Ok((value, stats, trace)) => value.map(|res| {
+        Ok(value) => value.map(|res| {
             let mut res = QueryResult { stats, ..res };
             if let (Some((plan, info)), Some(trace)) = (plan, &trace) {
                 let report = crate::explain::analyzed(plan, &info, trace);
@@ -269,13 +271,10 @@ fn run_statement(
         threads: opts.threads.max(1),
         trace_id: trace_id.get(),
         end_unix_ms: flight::recorder::unix_ms(),
-        stats: result.as_ref().map(|r| r.stats).unwrap_or_default(),
+        stats,
         plan: summary,
     };
-    querylog::log(&record);
-    if let Some(guard) = guard {
-        flight::finish(guard, record);
-    }
+    crate::sink::publish(record, &opts.budget, guard);
     result
 }
 

@@ -53,6 +53,7 @@ pub mod paper_example;
 mod parser;
 mod printer;
 mod scope;
+mod sink;
 pub mod snapshot;
 pub mod span;
 pub mod storage;

@@ -388,8 +388,8 @@ fn rejected_query_never_reaches_the_engine() {
             &mut db,
             "SELECT X FROM Desk X WHERE X.extent[E] AND (E(a,b,c))",
         )
-    })
-    .expect("no budget installed");
+    });
+    let res = res.expect("no budget installed");
     assert!(
         matches!(res, Err(lyric::LyricError::Analysis(_))),
         "expected analyzer rejection"

@@ -17,10 +17,15 @@
 //! active context counts the work and, when a budget limit is crossed,
 //! unwinds with a [`BudgetExceeded`] payload. [`run`] — the one way to
 //! install a context — catches that unwind at the boundary and returns
-//! `Err(BudgetExceeded)` instead; ordinary panics propagate untouched.
-//! With no active context (`note` outside `run`) all accounting is a
-//! no-op, so library code is usable standalone at zero cost beyond one
-//! thread-local read.
+//! `Err(BudgetExceeded)` instead, beside the counters the run consumed;
+//! ordinary panics propagate untouched. With no active context (`note`
+//! outside `run`) all accounting is a no-op, so library code is usable
+//! standalone at zero cost beyond one thread-local read.
+//!
+//! The engine writes nothing to the process-lifetime metric registry:
+//! its counters leave through what [`run`] returns, and the query runner
+//! projects them onto every surface (`/metrics`, the query log, the
+//! flight recorder) from one record.
 //!
 //! The unwind-based abort uses [`std::panic::panic_any`] with a private
 //! payload type; callers never observe it because `run` downcasts at the
@@ -48,7 +53,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-mod metrics;
 mod parallel;
 mod pool;
 
@@ -239,9 +243,6 @@ struct ActiveContext {
     /// index probes are counted here at their sites. A registered query's
     /// in-flight slot reads the same cell.
     progress: Arc<lyric_flight::Progress>,
-    /// Is `progress` a registered in-flight slot's? Gates the flight
-    /// recorder's event tee, so only registered queries feed its ring.
-    registered: bool,
 }
 
 /// Fold the thread's cumulative small/big/promotion arithmetic counters
@@ -263,10 +264,10 @@ thread_local! {
 }
 
 /// Bumped every time a context is installed. A context's generation is
-/// its query's `trace_id` (in the query log and the flight ring) and the
-/// tag on the flight recorder's sampled events. Process-global (not
-/// thread-local) so concurrent contexts on different threads get distinct
-/// generations while the workers of one parallel region share one.
+/// its query's `trace_id` (in the query log and the flight ring).
+/// Process-global (not thread-local) so concurrent contexts on different
+/// threads get distinct generations while the workers of one parallel
+/// region share one.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
 /// Private unwind payload; `run` downcasts it at the boundary.
@@ -329,7 +330,9 @@ pub fn generation() -> u64 {
 }
 
 /// The budget-consumption thresholds announced as trace events, percent.
-const BUDGET_THRESHOLDS: [u64; 2] = [50, 90];
+/// A counter crosses one during a run exactly when it ends above it, so
+/// the query runner counts the crossings from the final counters.
+pub const BUDGET_THRESHOLDS: [u64; 2] = [50, 90];
 
 /// Count `n` units of `r`, aborting the enclosing [`run`] when a budget
 /// limit is crossed. A no-op without an active context.
@@ -358,14 +361,11 @@ pub fn note_many(r: Resource, n: u64) {
         if let Some(limit) = active.budget.limit_for(r) {
             // Counters are monotonic, so each percent line is crossed by
             // exactly one note (across workers too — fetch_add hands out
-            // disjoint intervals); announce crossings to the tracer and
-            // the process-lifetime registry.
-            for pct in BUDGET_THRESHOLDS {
-                let before = before as u128 * 100;
-                let line = limit as u128 * pct as u128;
-                if before <= line && (counter as u128 * 100) > line {
-                    metrics::budget_threshold(r, pct);
-                    if let Some(tracer) = active.tracer.as_mut() {
+            // disjoint intervals); announce crossings to the tracer.
+            if let Some(tracer) = active.tracer.as_mut() {
+                for pct in BUDGET_THRESHOLDS {
+                    let line = limit as u128 * pct as u128;
+                    if before as u128 * 100 <= line && counter as u128 * 100 > line {
                         tracer.event(EventKind::BudgetThreshold {
                             resource: r.name(),
                             percent: pct as u8,
@@ -389,7 +389,8 @@ pub fn note_many(r: Resource, n: u64) {
             active.notes_since_clock = 0;
             if let Some(deadline) = active.budget.deadline {
                 let elapsed = active.started.elapsed();
-                if !deadline.is_zero() {
+                let tracer = active.tracer.as_mut().filter(|_| !deadline.is_zero());
+                if let Some(tracer) = tracer {
                     let pct_elapsed =
                         (elapsed.as_nanos().saturating_mul(100) / deadline.as_nanos()) as u64;
                     while let Some(&pct) = BUDGET_THRESHOLDS.get(active.time_thresholds_emitted) {
@@ -397,15 +398,12 @@ pub fn note_many(r: Resource, n: u64) {
                             break;
                         }
                         active.time_thresholds_emitted += 1;
-                        metrics::budget_threshold(Resource::Time, pct);
-                        if let Some(tracer) = active.tracer.as_mut() {
-                            tracer.event(EventKind::BudgetThreshold {
-                                resource: Resource::Time.name(),
-                                percent: pct as u8,
-                                consumed: elapsed.as_millis() as u64,
-                                limit: deadline.as_millis() as u64,
-                            });
-                        }
+                        tracer.event(EventKind::BudgetThreshold {
+                            resource: Resource::Time.name(),
+                            percent: pct as u8,
+                            consumed: elapsed.as_millis() as u64,
+                            limit: deadline.as_millis() as u64,
+                        });
                     }
                 }
                 if elapsed > deadline {
@@ -553,26 +551,13 @@ pub fn span_node(
     })
 }
 
-/// Attach a structured event to the innermost open span, and tee a
-/// sampled copy into the flight recorder's event ring when the query is
-/// registered in-flight and the tee is on. `event` is only invoked when
-/// at least one consumer wants it — with tracing off and the tee off (or
-/// the query unregistered) this remains one thread-local read plus at
-/// most one relaxed atomic load, allocating nothing.
+/// Attach a structured event to the innermost open span. `event` is only
+/// invoked when the active context is tracing — otherwise this is one
+/// thread-local read, allocating nothing.
 pub fn trace_event(event: impl FnOnce() -> EventKind) {
     CONTEXT.with(|c| {
-        if let Some(active) = c.borrow_mut().as_mut() {
-            let tee = active.registered && lyric_flight::event_tick();
-            if active.tracer.is_none() && !tee {
-                return;
-            }
-            let kind = event();
-            if tee {
-                lyric_flight::record_event(active.generation, &kind);
-            }
-            if let Some(t) = active.tracer.as_mut() {
-                t.event(kind);
-            }
+        if let Some(t) = c.borrow_mut().as_mut().and_then(|a| a.tracer.as_mut()) {
+            t.event(event());
         }
     });
 }
@@ -701,22 +686,22 @@ pub fn default_threads() -> usize {
 /// slot's, so `/debug/inflight` reads the run as it moves, or `None` for
 /// a private one.
 ///
-/// Returns `f`'s value, the accumulated [`EngineStats`] and the sealed
-/// trace (`Some` exactly when a collector was attached), or
-/// `Err(BudgetExceeded)` if a limit was crossed — the partial trace is
-/// discarded with the context. Every run flushes its final stats into
-/// the process-lifetime registry here, once. Contexts do not nest: a
+/// Returns `f`'s value, or `Err(BudgetExceeded)` if a limit was
+/// crossed; beside it, the [`EngineStats`] the run accumulated (an
+/// aborted run's too, worker deltas merged) and the sealed trace (`Some`
+/// exactly when a collector was attached and the run was not aborted —
+/// a partial trace is discarded with the context). The run writes
+/// nothing to the process-lifetime registry. Contexts do not nest: a
 /// `run` inside an active context would silently re-scope the outer
 /// budget, so it panics — callers gate on [`is_active`] instead.
 pub fn run<T>(
     opts: &ExecOptions,
     progress: Option<Arc<lyric_flight::Progress>>,
     f: impl FnOnce() -> T,
-) -> Result<(T, EngineStats, Option<trace::Trace>), BudgetExceeded> {
+) -> (Result<T, BudgetExceeded>, EngineStats, Option<trace::Trace>) {
     silence_budget_unwinds();
     let generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
     let threads = opts.threads.max(1);
-    metrics::record_options(threads, opts.arith_fast, opts.boxes, opts.index);
     // Pin the thread's arithmetic mode for the run (workers copy it from
     // the region plan); restored below so nested library use after the
     // query sees the caller's mode again.
@@ -739,7 +724,6 @@ pub fn run<T>(
             generation,
             threads,
             arith_base: lyric_arith::op_counters(),
-            registered: progress.is_some(),
             progress: progress.unwrap_or_default(),
         });
     });
@@ -749,24 +733,14 @@ pub fn run<T>(
         .with(|c| c.borrow_mut().take())
         .expect("context still installed");
     lyric_arith::set_fast_path(prev_arith_fast);
+    // Worker deltas were merged into `stats` on region join (an aborted
+    // region's too), so these are the whole run's counters.
     refresh_arith(&mut context);
     let stats = context.stats;
-    let elapsed = context.started.elapsed();
-    let trace = context.tracer.map(|t| t.finish(stats));
-
-    // The one flush point into the process-lifetime registry: worker
-    // deltas were already merged into `stats` on region join, so the
-    // cumulative counters stay exactly Σ per-query final stats.
     match outcome {
-        Ok(value) => {
-            metrics::flush_query(&stats, elapsed, None);
-            Ok((value, stats, trace))
-        }
+        Ok(value) => (Ok(value), stats, context.tracer.map(|t| t.finish(stats))),
         Err(payload) => match payload.downcast::<BudgetUnwind>() {
-            Ok(unwound) => {
-                metrics::flush_query(&stats, elapsed, Some(&unwound.0));
-                Err(unwound.0)
-            }
+            Ok(unwound) => (Err(unwound.0), stats, None),
             Err(other) => resume_unwind(other),
         },
     }
@@ -789,13 +763,13 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let ((), stats, _) = run(&opts(EngineBudget::unlimited()), None, || {
+        let (value, stats, _) = run(&opts(EngineBudget::unlimited()), None, || {
             note_many(Resource::Pivots, 7);
             note_many(Resource::FmAtoms, 3);
             note(Resource::Disjuncts);
             tally(|s| s.sat_checks += 2);
-        })
-        .expect("unlimited budget");
+        });
+        value.expect("unlimited budget");
         assert_eq!(stats.pivots, 7);
         assert_eq!(stats.fm_atoms, 3);
         assert_eq!(stats.disjuncts_produced, 1);
@@ -805,7 +779,7 @@ mod tests {
     #[test]
     fn progress_cell_counts_budgeted_and_live_work() {
         let progress = Arc::new(lyric_flight::Progress::default());
-        let ((), stats, _) = run(
+        let (value, stats, _) = run(
             &opts(EngineBudget::unlimited()),
             Some(Arc::clone(&progress)),
             || {
@@ -816,8 +790,8 @@ mod tests {
                 note_live(Live::BoxPrunes, 1);
                 note_live(Live::IndexProbes, 4);
             },
-        )
-        .expect("unlimited budget");
+        );
+        value.expect("unlimited budget");
         let p = &progress;
         let live = [
             &p.pivots,
@@ -846,19 +820,23 @@ mod tests {
 
     #[test]
     fn budget_aborts_with_payload() {
-        let err = run(
-            &opts(EngineBudget::unlimited().with_max_pivots(10)),
+        let (value, stats, trace) = run(
+            &opts(EngineBudget::unlimited().with_max_pivots(10)).with_trace(true),
             None,
             || {
+                note_live(Live::SatChecks, 3);
                 for _ in 0..100 {
                     note(Resource::Pivots);
                 }
             },
-        )
-        .expect_err("limit of 10 must trip");
+        );
+        let err = value.expect_err("limit of 10 must trip");
         assert_eq!(err.resource, Resource::Pivots);
         assert_eq!(err.limit, 10);
         assert_eq!(err.consumed, 11);
+        // The aborted run's counters come back; its partial trace does not.
+        assert_eq!((stats.pivots, stats.sat_checks), (11, 3));
+        assert!(trace.is_none());
         // The context is cleaned up even after an abort.
         assert!(!is_active());
     }
@@ -872,6 +850,7 @@ mod tests {
                 note(Resource::Pivots);
             },
         )
+        .0
         .expect_err("deadline must trip");
         assert_eq!(err.resource, Resource::Time);
         assert!(err.consumed >= err.limit);
@@ -903,6 +882,7 @@ mod tests {
                 note(Resource::Pivots);
             },
         )
+        .0
         .expect_err("expired deadline must trip");
         assert_eq!(err.resource, Resource::Time);
         assert!(
@@ -914,7 +894,7 @@ mod tests {
 
     #[test]
     fn traced_run_records_spans_events_and_thresholds() {
-        let ((), stats, trace) = run(
+        let (value, stats, trace) = run(
             &opts(EngineBudget::unlimited().with_max_pivots(1_000)).with_trace(true),
             None,
             || {
@@ -923,8 +903,8 @@ mod tests {
                 note_many(Resource::Pivots, 350); // crosses the 90% line
                 trace_event(|| EventKind::BoxPrune);
             },
-        )
-        .expect("within budget");
+        );
+        value.expect("within budget");
         let trace = trace.expect("traced run seals a trace");
         assert_eq!(stats.pivots, 950);
         assert_eq!(*trace.total_stats(), stats);
@@ -960,6 +940,7 @@ mod tests {
                 note_many(Resource::Pivots, 50);
             },
         )
+        .0
         .expect_err("limit of 5 must trip");
         assert_eq!(err.resource, Resource::Pivots);
         assert!(!is_active());
@@ -967,7 +948,7 @@ mod tests {
 
     #[test]
     fn span_and_event_are_inert_without_tracing() {
-        let ((), stats, trace) = run(&opts(EngineBudget::unlimited()), None, || {
+        let (value, stats, trace) = run(&opts(EngineBudget::unlimited()), None, || {
             let _g = span(
                 SpanKind::Where,
                 || unreachable!("label closure must not run when tracing is off"),
@@ -975,8 +956,8 @@ mod tests {
             );
             trace_event(|| unreachable!("event closure must not run when tracing is off"));
             assert!(!tracing());
-        })
-        .expect("unlimited budget");
+        });
+        value.expect("unlimited budget");
         assert!(stats.is_zero());
         assert!(trace.is_none(), "no collector unless trace or explain asks");
         // And outside any context at all.

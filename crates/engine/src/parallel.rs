@@ -1,6 +1,7 @@
-//! Parallel regions: fork a slice of independent work items across a
-//! work-stealing pool of scoped worker threads, then merge the workers'
-//! telemetry back into the parent context deterministically.
+//! Parallel regions: fork a slice of independent work items across
+//! scoped worker threads that take indices from one shared cursor, then
+//! merge the workers' telemetry back into the parent context
+//! deterministically.
 //!
 //! # Design
 //!
@@ -26,7 +27,7 @@
 //!
 //! Work is handed out as *indices* and results are reassembled in index
 //! order, so the output vector — and therefore the query answer — is
-//! bit-identical to the serial run's no matter how the steal schedule
+//! bit-identical to the serial run's no matter how the handout
 //! interleaves. Worker stats and trace subtrees are merged in worker-id
 //! order after the join, so Σ worker deltas equals the serial counters:
 //! no item's work depends on what another worker did first. A panic in
@@ -36,7 +37,7 @@
 //! budget unwind into `Err(BudgetExceeded)` exactly as for serial
 //! evaluation.
 
-use crate::pool::StealQueue;
+use crate::pool::Cursor;
 use crate::{trace, ActiveContext, EngineStats, BUDGET_THRESHOLDS, CONTEXT};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -75,22 +76,17 @@ struct RegionPlan {
     /// The query's progress cell, shared with every worker: the budget
     /// totals all workers check against, and what `/debug/inflight` reads.
     progress: Arc<lyric_flight::Progress>,
-    /// Whether `progress` is a registered in-flight slot's (the event tee).
-    registered: bool,
 }
 
 /// Decide whether a region over `items` items forks, and capture the plan
-/// if so. Also records the fork-vs-serial decision in the registry (only
-/// under an active context — standalone library calls are not engine
-/// fallbacks).
+/// if so.
 fn plan_region(items: usize) -> Option<RegionPlan> {
-    let plan = CONTEXT.with(|c| {
+    CONTEXT.with(|c| {
         let borrow = c.borrow();
         let active = borrow.as_ref()?;
         // Worker contexts run with a thread budget of 1, so nested
         // regions stay serial here too.
         if active.threads < 2 || items < MIN_PARALLEL_ITEMS {
-            crate::metrics::parallel_region(false);
             return None;
         }
         Some(RegionPlan {
@@ -103,21 +99,14 @@ fn plan_region(items: usize) -> Option<RegionPlan> {
             arith_fast: lyric_arith::fast_path_enabled(),
             trace_origin: active.tracer.as_ref().map(|t| t.origin()),
             progress: Arc::clone(&active.progress),
-            registered: active.registered,
         })
-    });
-    if plan.is_some() {
-        crate::metrics::parallel_region(true);
-    }
-    plan
+    })
 }
 
-/// A worker's exported telemetry: its local counter deltas, its per-item
-/// latency histogram, and, when tracing, its sealed span subtree plus
-/// drop count.
+/// A worker's exported telemetry: its local counter deltas and, when
+/// tracing, its sealed span subtree plus drop count.
 struct WorkerReport {
     stats: EngineStats,
-    items_hist: lyric_metrics::LocalHistogram,
     subtree: Option<(trace::TraceSpan, u64)>,
 }
 
@@ -127,10 +116,6 @@ struct WorkerReport {
 /// merge a complete report.
 struct WorkerContext<'a> {
     slot: &'a Mutex<Option<WorkerReport>>,
-    /// Per-item evaluation latencies, recorded lock-free by this worker
-    /// and merged into the registry histogram on join — the same
-    /// merge-on-join discipline as the worker's `EngineStats`.
-    items_hist: std::cell::RefCell<lyric_metrics::LocalHistogram>,
 }
 
 impl<'a> WorkerContext<'a> {
@@ -158,17 +143,9 @@ impl<'a> WorkerContext<'a> {
                 threads: 1,
                 arith_base: lyric_arith::op_counters(),
                 progress: Arc::clone(&plan.progress),
-                registered: plan.registered,
             });
         });
-        WorkerContext {
-            slot,
-            items_hist: std::cell::RefCell::new(lyric_metrics::LocalHistogram::new()),
-        }
-    }
-
-    fn observe_item(&self, us: u64) {
-        self.items_hist.borrow_mut().observe(us);
+        WorkerContext { slot }
     }
 }
 
@@ -180,12 +157,7 @@ impl Drop for WorkerContext<'_> {
         crate::refresh_arith(&mut ctx);
         let stats = ctx.stats;
         let subtree = ctx.tracer.map(|t| t.finish_subtree(stats));
-        let items_hist = std::mem::take(&mut *self.items_hist.borrow_mut());
-        *lock(self.slot) = Some(WorkerReport {
-            stats,
-            items_hist,
-            subtree,
-        });
+        *lock(self.slot) = Some(WorkerReport { stats, subtree });
     }
 }
 
@@ -212,18 +184,17 @@ where
             .collect();
     };
     let workers = plan.threads.min(items.len());
-    let queue = StealQueue::new(items.len(), workers);
+    let cursor = Cursor::new(items.len());
     let reports: Vec<Mutex<Option<WorkerReport>>> =
         (0..workers).map(|_| Mutex::new(None)).collect();
     let results: Vec<Mutex<Vec<(usize, R)>>> =
         (0..workers).map(|_| Mutex::new(Vec::new())).collect();
     let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let time_items = lyric_metrics::enabled();
 
     std::thread::scope(|s| {
         for w in 0..workers {
             let plan = &plan;
-            let queue = &queue;
+            let cursor = &cursor;
             let f = &f;
             let report_slot = &reports[w];
             let result_slot = &results[w];
@@ -232,21 +203,17 @@ where
                 .name(format!("lyric-worker-{w}"))
                 .spawn_scoped(s, move || {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let ctx = WorkerContext::install(plan, w, report_slot);
+                        let _ctx = WorkerContext::install(plan, w, report_slot);
                         let mut out = Vec::new();
-                        while let Some(i) = queue.next(w) {
-                            let started = time_items.then(Instant::now);
+                        while let Some(i) = cursor.next() {
                             out.push((i, f(i, &items[i])));
-                            if let Some(started) = started {
-                                ctx.observe_item(started.elapsed().as_micros() as u64);
-                            }
                         }
                         out
                     }));
                     match outcome {
                         Ok(out) => *lock(result_slot) = out,
                         Err(payload) => {
-                            queue.abort();
+                            cursor.abort();
                             lock(panic_payload).get_or_insert(payload);
                         }
                     }
@@ -255,10 +222,8 @@ where
         }
     });
 
-    // Merge per-worker stats, item histograms, and trace subtrees into
-    // the parent context in worker-id order — deterministic regardless
-    // of the steal schedule.
-    let merge_started = time_items.then(Instant::now);
+    // Merge per-worker stats and trace subtrees into the parent context
+    // in worker-id order — deterministic regardless of the handout.
     CONTEXT.with(|c| {
         let mut borrow = c.borrow_mut();
         let active = borrow.as_mut().expect("parent context still installed");
@@ -267,10 +232,9 @@ where
                 continue;
             };
             active.stats.absorb(&report.stats);
-            crate::metrics::merge_worker_items(&report.items_hist);
             if let Some((span, dropped)) = report.subtree {
                 if let Some(tracer) = active.tracer.as_mut() {
-                    // Idle workers (stole nothing before the region
+                    // Idle workers (took no index before the region
                     // drained) contribute an empty subtree; skip the noise.
                     if !span.children.is_empty()
                         || !report.stats.is_zero()
@@ -282,9 +246,6 @@ where
             }
         }
     });
-    if let Some(merge_started) = merge_started {
-        crate::metrics::worker_merge_time(merge_started.elapsed());
-    }
 
     // Re-raise the first worker panic (budget unwinds included) on the
     // calling thread, *after* the telemetry merge so the boundary still
@@ -327,8 +288,8 @@ mod tests {
                     note(Resource::Pivots);
                     (i as u64) * 1_000 + x * x
                 })
-            })
-            .unwrap();
+            });
+            let out = out.unwrap();
             let expect: Vec<u64> = (0..100).map(|x| x * 1_000 + x * x).collect();
             assert_eq!(out, expect);
             assert_eq!(stats.pivots, 100, "worker deltas sum to serial count");
@@ -351,12 +312,13 @@ mod tests {
     fn small_regions_stay_serial() {
         // Under MIN_PARALLEL_ITEMS the current thread evaluates everything,
         // so thread-local state set by f is visible to the caller.
-        let ((), _, _) = run(&opts(8), None, || {
+        run(&opts(8), None, || {
             let items = [1, 2, 3];
             let tid = std::thread::current().id();
             let out = parallel_map(&items, |_, _| std::thread::current().id());
             assert!(out.iter().all(|&t| t == tid));
         })
+        .0
         .unwrap();
     }
 
@@ -375,8 +337,8 @@ mod tests {
                 });
                 nested.iter().sum::<u32>()
             })
-        })
-        .unwrap();
+        });
+        let out = out.unwrap();
         assert_eq!(out.len(), 16);
         assert_eq!(stats.fm_atoms, 16 * 8);
     }
@@ -387,17 +349,22 @@ mod tests {
         let serial = run(&opts(1), None, || {
             parallel_map(&items, |_, _| note_many(Resource::Disjuncts, 10))
         })
+        .0
         .map(|_| ());
         for threads in [2, 4, 8] {
             let mut o = opts(threads);
             o.budget = EngineBudget::unlimited().with_max_disjuncts(100);
-            let err = run(&o, None, || {
+            let (value, stats, _) = run(&o, None, || {
                 parallel_map(&items, |_, _| note_many(Resource::Disjuncts, 10))
-            })
-            .expect_err("limit of 100 must trip under parallel execution");
+            });
+            let err = value.expect_err("limit of 100 must trip under parallel execution");
             assert_eq!(err.resource, Resource::Disjuncts);
             assert_eq!(err.limit, 100);
             assert!(err.consumed > 100, "consumed {} <= limit", err.consumed);
+            assert!(
+                stats.disjuncts_produced >= err.consumed,
+                "the aborted region's merged counters hold the abort's work"
+            );
         }
         assert!(serial.is_ok(), "unlimited serial run sanity check");
     }
@@ -422,14 +389,14 @@ mod tests {
     #[test]
     fn traced_regions_graft_worker_subtrees() {
         let items: Vec<u32> = (0..32).collect();
-        let ((), stats, trace) = run(&opts(4).with_trace(true), None, || {
+        let (value, stats, trace) = run(&opts(4).with_trace(true), None, || {
             let _outer = crate::span(crate::SpanKind::Where, || "w".into(), None);
             let _ = parallel_map(&items, |i, _| {
                 let _s = crate::span(crate::SpanKind::SatCheck, || format!("s{i}"), None);
                 note(Resource::Pivots);
             });
-        })
-        .unwrap();
+        });
+        value.unwrap();
         let trace = trace.expect("traced run seals a trace");
         assert_eq!(stats.pivots, 32);
         assert_eq!(*trace.total_stats(), stats);

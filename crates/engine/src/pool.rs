@@ -1,51 +1,26 @@
-//! A minimal work-stealing index queue for parallel regions.
+//! The index handout of a parallel region.
 //!
-//! [`StealQueue`] partitions `0..total` into one contiguous range per
-//! worker. A worker pops indices off the front of its own range; when it
-//! runs dry it *steals* the upper half of the fullest other range. Ranges
-//! are tiny (two `usize`s) behind per-worker mutexes, so the queue is
-//! std-only with no atomic-deque machinery — contention is bounded by the
-//! number of steals, which is `O(workers · log items)` for the halving
-//! policy, not by the number of items.
-//!
-//! The queue hands out *indices*, never item references, so result order
-//! is reconstructed deterministically by the caller regardless of which
-//! worker evaluated which index.
+//! [`Cursor`] hands out `0..total` from one shared atomic counter: each
+//! worker takes the next index when it is ready for one, so a worker
+//! whose items run long simply takes fewer of them, and no range needs
+//! stealing back. The cursor hands out *indices*, never item references,
+//! so the caller reassembles results in index order whichever worker
+//! evaluated which index.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-struct Range {
-    start: usize,
-    end: usize,
-}
-
-/// Lock a mutex, surviving poisoning (a worker panicking with a budget
-/// unwind must not wedge its siblings' steals).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-pub(crate) struct StealQueue {
-    ranges: Vec<Mutex<Range>>,
+pub(crate) struct Cursor {
+    next: AtomicUsize,
+    total: usize,
     aborted: AtomicBool,
 }
 
-impl StealQueue {
-    /// Partition `0..total` evenly across `workers` ranges.
-    pub(crate) fn new(total: usize, workers: usize) -> StealQueue {
-        let workers = workers.max(1);
-        let chunk = total.div_ceil(workers);
-        let ranges = (0..workers)
-            .map(|w| {
-                Mutex::new(Range {
-                    start: (w * chunk).min(total),
-                    end: ((w + 1) * chunk).min(total),
-                })
-            })
-            .collect();
-        StealQueue {
-            ranges,
+impl Cursor {
+    /// A cursor over `0..total`.
+    pub(crate) fn new(total: usize) -> Cursor {
+        Cursor {
+            next: AtomicUsize::new(0),
+            total,
             aborted: AtomicBool::new(false),
         }
     }
@@ -56,74 +31,13 @@ impl StealQueue {
         self.aborted.store(true, Ordering::Relaxed);
     }
 
-    /// The next index for `worker`, stealing when its own range is empty.
-    /// `None` when the region is drained or aborted.
-    pub(crate) fn next(&self, worker: usize) -> Option<usize> {
-        loop {
-            if self.aborted.load(Ordering::Relaxed) {
-                return None;
-            }
-            if let Some(i) = self.pop_local(worker) {
-                return Some(i);
-            }
-            if !self.steal(worker) {
-                return None;
-            }
+    /// The next index, or `None` when the region is drained or aborted.
+    pub(crate) fn next(&self) -> Option<usize> {
+        if self.aborted.load(Ordering::Relaxed) {
+            return None;
         }
-    }
-
-    fn pop_local(&self, worker: usize) -> Option<usize> {
-        let mut r = lock(&self.ranges[worker]);
-        (r.start < r.end).then(|| {
-            let i = r.start;
-            r.start += 1;
-            i
-        })
-    }
-
-    /// Move the upper half of the fullest victim's range into `worker`'s
-    /// (which is empty — only a dry worker steals, and nobody else ever
-    /// writes another worker's range). Locks are never nested, so steals
-    /// cannot deadlock. Returns false when every other range is empty.
-    fn steal(&self, worker: usize) -> bool {
-        loop {
-            let victim = (0..self.ranges.len())
-                .filter(|&v| v != worker)
-                .map(|v| {
-                    let r = lock(&self.ranges[v]);
-                    (r.end - r.start, v)
-                })
-                .max();
-            let Some((remaining, victim)) = victim else {
-                return false;
-            };
-            if remaining == 0 {
-                return false;
-            }
-            let stolen = {
-                let mut r = lock(&self.ranges[victim]);
-                let rem = r.end - r.start;
-                if rem == 0 {
-                    // The victim drained between the scan and the lock;
-                    // rescan (total work only shrinks, so this terminates).
-                    continue;
-                }
-                let take = rem.div_ceil(2);
-                let mid = r.end - take;
-                let span = Range {
-                    start: mid,
-                    end: r.end,
-                };
-                r.end = mid;
-                span
-            };
-            let mut own = lock(&self.ranges[worker]);
-            own.start = stolen.start;
-            own.end = stolen.end;
-            drop(own);
-            crate::metrics::pool_steal();
-            return true;
-        }
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.total).then_some(i)
     }
 }
 
@@ -137,15 +51,15 @@ mod tests {
     fn every_index_is_handed_out_exactly_once() {
         const TOTAL: usize = 1_000;
         const WORKERS: usize = 4;
-        let q = StealQueue::new(TOTAL, WORKERS);
+        let q = Cursor::new(TOTAL);
         let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
-            for w in 0..WORKERS {
+            for _ in 0..WORKERS {
                 let q = &q;
                 let seen = &seen;
                 s.spawn(move || {
                     let mut mine = Vec::new();
-                    while let Some(i) = q.next(w) {
+                    while let Some(i) = q.next() {
                         mine.push(i);
                     }
                     seen.lock().unwrap().extend(mine);
@@ -160,40 +74,11 @@ mod tests {
     }
 
     #[test]
-    fn uneven_partitions_cover_everything() {
-        // total not divisible by workers, and fewer items than workers.
-        for (total, workers) in [(7, 3), (2, 8), (0, 4), (1, 1)] {
-            let q = StealQueue::new(total, workers);
-            let mut got = BTreeSet::new();
-            for w in 0..workers {
-                while let Some(i) = q.next(w) {
-                    assert!(got.insert(i), "duplicate index {i}");
-                }
-            }
-            assert_eq!(got.len(), total);
-        }
-    }
-
-    #[test]
     fn abort_stops_the_handout() {
-        let q = StealQueue::new(100, 2);
-        assert!(q.next(0).is_some());
+        let q = Cursor::new(100);
+        assert!(q.next().is_some());
         q.abort();
-        assert_eq!(q.next(0), None);
-        assert_eq!(q.next(1), None);
-    }
-
-    #[test]
-    fn dry_worker_steals_from_the_fullest_victim() {
-        let q = StealQueue::new(100, 4);
-        // Drain worker 3's own range (indices 75..100).
-        let mut own = Vec::new();
-        for _ in 0..25 {
-            own.push(q.next(3).unwrap());
-        }
-        assert_eq!(own, (75..100).collect::<Vec<_>>());
-        // The next call steals — from worker 0's untouched range, upper half.
-        let stolen = q.next(3).unwrap();
-        assert!((0..75).contains(&stolen));
+        assert_eq!(q.next(), None);
+        assert_eq!(q.next(), None);
     }
 }

@@ -32,7 +32,7 @@ fn disabled_tracing_allocates_nothing() {
     // Install the context outside the measured window: `run` itself
     // allocates (the context, the panic-hook once-init).
     let opts = ExecOptions::default().with_budget(EngineBudget::unlimited());
-    let ((), stats, _) = lyric_engine::run(&opts, None, || {
+    let (value, stats, _) = lyric_engine::run(&opts, None, || {
         // Warm up thread-locals before counting.
         let _warm = span(SpanKind::Where, || unreachable!(), None);
         drop(_warm);
@@ -53,7 +53,7 @@ fn disabled_tracing_allocates_nothing() {
             "disabled span/event path allocated {} times",
             after - before
         );
-    })
-    .expect("unlimited budget");
+    });
+    value.expect("unlimited budget");
     assert!(stats.is_zero());
 }

@@ -5,9 +5,10 @@
 //! When a query aborts on budget, panics, fails in the engine after
 //! passing the analyzer, or breaches the `LYRIC_SLOW_MS` threshold,
 //! [`crate::finish`] calls [`dump`] with a [`Trigger`] and an *offender*
-//! built from the query's record (query text, outcome, plan). The dump
-//! is one self-contained JSON
-//! document — recorder rings, in-flight registry, build identity —
+//! built from the query's record (its [`QueryRecord::to_json`], plus the
+//! live in-flight slot and the error text). The dump is one
+//! self-contained JSON document — the recorder ring, in-flight registry,
+//! build identity —
 //! written to `LYRIC_FLIGHT_DIR` (or the [`set_dump_dir`] override) as
 //! `flight-<unix_ms>-<trigger>-<n>.json`. No directory configured means
 //! no dump: the feature is opt-in per deployment, and the write happens
@@ -99,24 +100,7 @@ pub fn build_doc(trigger: Trigger, offender: Option<Json>) -> Json {
             "inflight",
             Json::Arr(inflight::snapshot().iter().map(|s| s.to_json()).collect()),
         ),
-        (
-            "queries",
-            Json::Arr(
-                recorder::recent_queries()
-                    .iter()
-                    .map(recorder::record_json)
-                    .collect(),
-            ),
-        ),
-        (
-            "events",
-            Json::Arr(
-                recorder::recent_events()
-                    .iter()
-                    .map(|e| e.to_json())
-                    .collect(),
-            ),
-        ),
+        ("queries", recorder::queries_json()),
     ])
 }
 
@@ -146,36 +130,21 @@ pub fn dump(trigger: Trigger, offender: Option<Json>) -> Option<PathBuf> {
     }
 }
 
-/// The dump's `offender` member for a finished query: its in-flight slot
-/// (live counters included) while the caller still holds the registry
-/// guard, then the record's outcome, tripped resource and error, rows,
-/// duration, and plan summary.
+/// The dump's `offender` member for a finished query: the record as
+/// [`QueryRecord::to_json`] encodes it, plus the query's live in-flight
+/// slot (while the caller still holds the registry guard) and, unless the
+/// query succeeded, its error text.
 pub(crate) fn offender(record: &QueryRecord) -> Json {
-    let mut pairs = match inflight::current_snapshot().map(|s| s.to_json()) {
-        Some(Json::Obj(pairs)) => pairs,
-        _ => vec![
-            ("query".to_string(), Json::str(record.query.clone())),
-            (
-                "query_hash".to_string(),
-                Json::str(format!("{:016x}", record.query_hash)),
-            ),
-        ],
-    };
-    pairs.push(("outcome".to_string(), Json::str(record.outcome.name())));
-    match &record.outcome {
-        Outcome::Ok => {}
-        Outcome::BudgetExceeded { resource, message } => {
-            pairs.push(("resource".to_string(), Json::str(*resource)));
+    let mut doc = record.to_json();
+    if let Json::Obj(pairs) = &mut doc {
+        if let Some(slot) = inflight::current_snapshot() {
+            pairs.push(("inflight".to_string(), slot.to_json()));
+        }
+        if let Outcome::BudgetExceeded { message, .. } | Outcome::Error(message) = &record.outcome {
             pairs.push(("error".to_string(), Json::str(message.clone())));
         }
-        Outcome::Error(message) => pairs.push(("error".to_string(), Json::str(message.clone()))),
     }
-    pairs.push(("rows".to_string(), Json::int(record.rows)));
-    pairs.push(("duration_us".to_string(), Json::int(record.duration_us)));
-    if let Some(plan) = &record.plan {
-        pairs.push(("plan".to_string(), plan.clone()));
-    }
-    Json::Obj(pairs)
+    doc
 }
 
 /// The panic-hook entry: dump if (and only if) the panicking thread has
@@ -219,7 +188,6 @@ mod tests {
         let doc = build_doc(Trigger::BudgetAbort, Some(Json::str("offender")));
         for key in [
             "v", "trigger", "ts_ms", "git_rev", "version", "offender", "inflight", "queries",
-            "events",
         ] {
             assert!(doc.get(key).is_some(), "missing {key}");
         }

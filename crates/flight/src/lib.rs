@@ -12,10 +12,9 @@
 //!   engine's own per-query counters, so `/debug/inflight` and REPL
 //!   `:inflight` show live progress and percent-of-budget. A guard type
 //!   deregisters on every exit path, including budget unwind and panic.
-//! * [`recorder`] — fixed-capacity lock-striped [`ring::Ring`]s of
-//!   completed-query records and sampled trace events (teed from the
-//!   existing `lyric-trace` instrumentation sites; zero-alloc when
-//!   disabled, 1-in-N sampled when enabled).
+//! * [`recorder`] — a fixed-capacity lock-striped [`ring::Ring`] of
+//!   completed-query records, each with the counters its query consumed
+//!   (an aborted query's too).
 //! * [`mod@dump`] — the anomaly black box: on budget abort, panic,
 //!   analyzer-pass-but-engine-error, or a `LYRIC_SLOW_MS` breach, the
 //!   recorder state plus the offender's record is serialized to a
@@ -30,11 +29,9 @@
 //! mutex.
 //!
 //! Environment (parsed once in `lyric_metrics::env`): `LYRIC_FLIGHT=0`
-//! disables query recording, `LYRIC_FLIGHT_EVENTS=1` enables the event
-//! tee (sampling 1 event in 16), and `LYRIC_FLIGHT_DIR=...` configures
-//! (and thereby enables) anomaly dumps. Overhead is pinned by experiment
-//! E17 and the allocator-guard test in
-//! `crates/engine/tests/trace_overhead.rs`.
+//! disables query recording and registration, and `LYRIC_FLIGHT_DIR=...`
+//! configures (and thereby enables) anomaly dumps. Experiment E17 prices
+//! the enabled recorder.
 
 #![warn(missing_docs)]
 
@@ -45,7 +42,7 @@ pub mod ring;
 
 pub use dump::{dump, panic_dump, set_dump_dir, Trigger};
 pub use inflight::{register, BudgetCaps, InflightDesc, InflightGuard, Progress};
-pub use recorder::{event_tick, record_event, record_query, set_enabled, set_events_enabled};
+pub use recorder::{record_query, set_enabled};
 pub use ring::Ring;
 
 use lyric_metrics::querylog::{Outcome, QueryRecord};

@@ -1,7 +1,7 @@
 //! A fixed-capacity, lock-striped ring buffer.
 //!
-//! The flight recorder keeps the last N completed-query summaries and
-//! the last M sampled trace events for the lifetime of the process.
+//! The flight recorder keeps the last N completed-query records for the
+//! lifetime of the process.
 //! Writers are concurrent queries on arbitrary threads; readers are the
 //! `/debug/flight` endpoint and anomaly dumps, which are rare. The
 //! classic answer is one mutex around a `VecDeque`, but that serializes

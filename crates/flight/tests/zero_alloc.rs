@@ -1,9 +1,8 @@
-//! Allocator guard for the flight recorder's hot-path gates.
+//! Allocator guard for the flight recorder's per-query gate.
 //!
-//! The engine consults [`recorder::enabled`] once per query and
-//! [`recorder::event_tick`] once per `trace_event` site; with the tee
-//! off those gates are the *entire* cost of the feature, so they must
-//! be a relaxed atomic load — no heap allocation, ever. A counting
+//! The query runner consults [`recorder::enabled`] once per query; with
+//! the recorder off that gate is the *entire* cost of the feature, so it
+//! must be a relaxed atomic load — no heap allocation, ever. A counting
 //! global allocator pins that, mirroring the engine's own guard for the
 //! disabled tracing path (`crates/engine/tests/trace_overhead.rs`).
 
@@ -31,23 +30,19 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_gates_allocate_nothing() {
-    recorder::set_events_enabled(false);
-    // Warm the `Once`-guarded env reads outside the measured window.
+    recorder::set_enabled(false);
+    // Warm the `Once`-guarded env read outside the measured window.
     let _ = recorder::enabled();
-    let _ = recorder::events_enabled();
-    let _ = recorder::event_tick();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        assert!(!recorder::event_tick(), "tee is off");
-        let _ = recorder::enabled();
-        let _ = recorder::events_enabled();
+        assert!(!recorder::enabled(), "recorder is off");
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
         0,
-        "disabled recorder gates allocated {} times",
+        "disabled recorder gate allocated {} times",
         after - before
     );
 }

@@ -10,7 +10,6 @@
 //! | `LYRIC_SLOW_MS` | [`Env::slow_ms`] | no threshold |
 //! | `LYRIC_SLOW_EXPLAIN` | [`Env::slow_explain`] | off |
 //! | `LYRIC_FLIGHT` | [`Env::flight`] | on |
-//! | `LYRIC_FLIGHT_EVENTS` | [`Env::flight_events`] | off |
 //! | `LYRIC_FLIGHT_DIR` | [`Env::flight_dir`] | no dumps |
 //!
 //! An on/off variable has one spelling, trimmed and in any case: `0`,
@@ -51,11 +50,6 @@ pub struct Env {
     pub slow_explain: bool,
     /// `LYRIC_FLIGHT`: record completed queries in the flight recorder.
     pub flight: bool,
-    /// `LYRIC_FLIGHT_EVENTS`: tee sampled trace events into the flight
-    /// recorder. `None` when unset, so that a surface that defaults the
-    /// tee on can tell an operator's explicit setting from no setting; a
-    /// value that does not parse reads as off.
-    pub flight_events: Option<bool>,
     /// `LYRIC_FLIGHT_DIR`: the directory anomaly dumps are written to.
     pub flight_dir: Option<PathBuf>,
 }
@@ -82,7 +76,6 @@ impl Env {
                 .and_then(|v| u64::try_from(v).ok()),
             slow_explain: switch("LYRIC_SLOW_EXPLAIN", false),
             flight: switch("LYRIC_FLIGHT", true),
-            flight_events: var("LYRIC_FLIGHT_EVENTS").map(|v| flag(&v).unwrap_or(false)),
             flight_dir: text("LYRIC_FLIGHT_DIR").map(PathBuf::from),
         }
     }
@@ -179,7 +172,6 @@ mod tests {
                 slow_ms: None,
                 slow_explain: false,
                 flight: true,
-                flight_events: None,
                 flight_dir: None,
             }
         );
@@ -188,12 +180,11 @@ mod tests {
     #[test]
     fn switches_take_one_spelling_and_keep_their_default_otherwise() {
         type Field = fn(&Env) -> bool;
-        let switches: [(&str, bool, Field); 5] = [
+        let switches: [(&str, bool, Field); 4] = [
             ("LYRIC_INDEX", true, |e| e.index),
             ("LYRIC_METRICS", true, |e| e.metrics),
             ("LYRIC_SLOW_EXPLAIN", false, |e| e.slow_explain),
             ("LYRIC_FLIGHT", true, |e| e.flight),
-            ("LYRIC_FLIGHT_EVENTS", false, |e| e.flight_events.unwrap()),
         ];
         for (name, default, field) in switches {
             for v in OFFS {
@@ -205,26 +196,6 @@ mod tests {
             for v in UNPARSABLE {
                 assert_eq!(field(&parse(&[(name, v)])), default, "{name}={v:?}");
             }
-        }
-    }
-
-    #[test]
-    fn flight_events_unset_is_distinct_from_set() {
-        assert_eq!(parse(&[]).flight_events, None);
-        assert_eq!(
-            parse(&[("LYRIC_FLIGHT_EVENTS", "0")]).flight_events,
-            Some(false)
-        );
-        assert_eq!(
-            parse(&[("LYRIC_FLIGHT_EVENTS", "on")]).flight_events,
-            Some(true)
-        );
-        for v in UNPARSABLE {
-            assert_eq!(
-                parse(&[("LYRIC_FLIGHT_EVENTS", v)]).flight_events,
-                Some(false),
-                "set but unparsable is still set: {v:?}"
-            );
         }
     }
 

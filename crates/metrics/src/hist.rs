@@ -11,14 +11,6 @@
 //! `v <= e <= v + v/16` — an over-estimate by at most **6.25%**, and
 //! exact for values below 16. The histogram-oracle differential tests
 //! pin exactly this bound.
-//!
-//! # Merging
-//!
-//! Buckets are plain per-index counts, so merging is element-wise
-//! addition (plus `count`/`sum` addition and a `max` of maxima) —
-//! associative and commutative by construction. Parallel workers record
-//! into a private [`LocalHistogram`] and the parent merges them in
-//! worker-id order on join, mirroring how `EngineStats` merge.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -85,21 +77,6 @@ impl AtomicHistogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fold a worker-local histogram into this one.
-    pub fn merge_local(&self, local: &LocalHistogram) {
-        if local.count == 0 {
-            return;
-        }
-        self.count.fetch_add(local.count, Ordering::Relaxed);
-        self.sum.fetch_add(local.sum, Ordering::Relaxed);
-        self.max.fetch_max(local.max, Ordering::Relaxed);
-        for (i, &n) in local.buckets.iter().enumerate() {
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// A point-in-time copy of the distribution. Individual fields are
     /// read with relaxed ordering, so a snapshot taken while writers are
     /// active may be mid-observation inconsistent; quiescent snapshots
@@ -114,71 +91,6 @@ impl AtomicHistogram {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-        }
-    }
-}
-
-/// A single-threaded histogram with the same bucket layout as
-/// [`AtomicHistogram`], used by parallel workers so the hot record path
-/// is a plain add; merged into the shared histogram on join.
-#[derive(Clone, Debug, Default)]
-pub struct LocalHistogram {
-    count: u64,
-    sum: u64,
-    max: u64,
-    buckets: Vec<u64>,
-}
-
-impl LocalHistogram {
-    /// An empty local histogram.
-    pub fn new() -> Self {
-        LocalHistogram::default()
-    }
-
-    /// Record one observation.
-    pub fn observe(&mut self, v: u64) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; NUM_BUCKETS];
-        }
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        self.max = self.max.max(v);
-        self.buckets[bucket_index(v)] += 1;
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Fold another local histogram into this one (element-wise bucket
-    /// addition — associative and commutative).
-    pub fn merge(&mut self, other: &LocalHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; NUM_BUCKETS];
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-        for (i, &n) in other.buckets.iter().enumerate() {
-            self.buckets[i] += n;
-        }
-    }
-
-    /// A frozen copy of the distribution.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            buckets: if self.buckets.is_empty() {
-                vec![0; NUM_BUCKETS]
-            } else {
-                self.buckets.clone()
-            },
         }
     }
 }
@@ -296,7 +208,7 @@ mod tests {
 
     #[test]
     fn quantiles_of_known_distribution() {
-        let mut h = LocalHistogram::new();
+        let h = AtomicHistogram::new();
         for v in 1..=100u64 {
             h.observe(v);
         }
@@ -311,42 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_joint_recording() {
-        let mut a = LocalHistogram::new();
-        let mut b = LocalHistogram::new();
-        let mut joint = LocalHistogram::new();
-        for v in [0, 3, 17, 900, 70_000, u64::MAX] {
-            a.observe(v);
-            joint.observe(v);
-        }
-        for v in [1, 15, 16, 1_000_000] {
-            b.observe(v);
-            joint.observe(v);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.snapshot(), joint.snapshot());
-    }
-
-    #[test]
-    fn atomic_and_local_agree() {
-        let atomic = AtomicHistogram::new();
-        let mut local = LocalHistogram::new();
-        for v in [5, 42, 1_000, 123_456_789] {
-            atomic.observe(v);
-            local.observe(v);
-        }
-        assert_eq!(atomic.snapshot(), local.snapshot());
-        // merge_local doubles every bucket.
-        atomic.merge_local(&local);
-        let s = atomic.snapshot();
-        assert_eq!(s.count, 8);
-        assert_eq!(s.sum, 2 * (5 + 42 + 1_000 + 123_456_789));
-    }
-
-    #[test]
     fn cumulative_le_on_power_boundaries() {
-        let mut h = LocalHistogram::new();
+        let h = AtomicHistogram::new();
         for v in [0, 1, 7, 8, 15, 16, 31, 32, 1000] {
             h.observe(v);
         }

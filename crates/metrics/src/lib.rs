@@ -9,7 +9,7 @@
 //!
 //! * a global [`Registry`] of named metrics: monotonic [`Counter`]s
 //!   (stripe-sharded atomics, so hot increment sites do not contend),
-//!   [`Gauge`]s, and log-linear [`Histogram`]s with mergeable buckets
+//!   [`Gauge`]s, and log-linear [`Histogram`]s with fixed buckets
 //!   and p50/p90/p99/max quantile estimation (see [`hist`] for the
 //!   documented error bound);
 //! * Prometheus text-format 0.0.4 exposition via [`render_prometheus`],
@@ -39,7 +39,7 @@ pub mod prometheus;
 pub mod querylog;
 mod registry;
 
-pub use hist::{HistSnapshot, LocalHistogram};
+pub use hist::HistSnapshot;
 pub use registry::{
     global, render_table, Counter, FamilySnapshot, Gauge, Histogram, MetricKind, MetricValue,
     Registry, SeriesSnapshot, Snapshot,

@@ -108,9 +108,9 @@ impl Outcome {
 }
 
 /// One finished query as every sink sees it. The query runner builds it
-/// once per admitted statement; the query-log line ([`Self::log_json`]),
-/// the flight recorder's ring entry and the anomaly dump's offender are
-/// all projections of it.
+/// once per admitted statement; the `/metrics` series, the query-log line
+/// ([`Self::log_json`]), the flight recorder's ring entry and the anomaly
+/// dump's offender ([`Self::to_json`]) are all projections of it.
 #[derive(Clone, Debug)]
 pub struct QueryRecord {
     /// FNV-1a hash of the full query source ([`query_hash`]).
@@ -129,8 +129,8 @@ pub struct QueryRecord {
     pub trace_id: u64,
     /// Completion wall-clock time, ms since the Unix epoch.
     pub end_unix_ms: u64,
-    /// Per-query engine counters; zero unless the outcome is `ok`, since
-    /// an aborted context's counters are discarded.
+    /// The engine counters the query consumed, whatever its outcome: a
+    /// budget abort's are the work done up to the abort.
     pub stats: EngineStats,
     /// The explain-analyze summary (the hottest plan nodes by exclusive
     /// time), present when slow-query forensics ran the query explained.
@@ -142,12 +142,43 @@ impl QueryRecord {
     /// `slow` member when a threshold is configured and the plan summary
     /// as the `explain` member.
     pub fn log_json(&self) -> Json {
-        let mut pairs = vec![
+        let head = vec![
             ("v", Json::int(SCHEMA_VERSION)),
-            ("query_hash", Json::str(format!("{:016x}", self.query_hash))),
+            ("query_hash", self.hash_json()),
             ("git_rev", Json::str(crate::build::git_rev())),
-            ("outcome", Json::str(self.outcome.name())),
         ];
+        let slow = slow_ms().map(|thr| {
+            let slow = self.duration_us >= thr.saturating_mul(1000);
+            ("slow", Json::Bool(slow))
+        });
+        self.encode(head, slow)
+    }
+
+    /// The record as one JSON object outside the log: the `/debug/flight`
+    /// element and the body of an anomaly dump's offender. The log line's
+    /// members, but the query text and completion time in place of the
+    /// schema version, build and `slow` flag.
+    pub fn to_json(&self) -> Json {
+        let head = vec![
+            ("query_hash", self.hash_json()),
+            ("query", Json::str(self.query.clone())),
+        ];
+        self.encode(head, Some(("end_unix_ms", Json::int(self.end_unix_ms))))
+    }
+
+    fn hash_json(&self) -> Json {
+        Json::str(format!("{:016x}", self.query_hash))
+    }
+
+    /// `head`, the outcome (and tripped resource), rows, duration, threads
+    /// and trace id, then `extra`, the plan summary as `explain`, and every
+    /// engine counter as `stats`.
+    fn encode(
+        &self,
+        mut pairs: Vec<(&'static str, Json)>,
+        extra: Option<(&'static str, Json)>,
+    ) -> Json {
+        pairs.push(("outcome", Json::str(self.outcome.name())));
         if let Outcome::BudgetExceeded { resource, .. } = &self.outcome {
             pairs.push(("resource", Json::str(*resource)));
         }
@@ -157,12 +188,7 @@ impl QueryRecord {
             ("threads", Json::int(self.threads as u64)),
             ("trace_id", Json::int(self.trace_id)),
         ]);
-        if let Some(thr) = slow_ms() {
-            pairs.push((
-                "slow",
-                Json::Bool(self.duration_us >= thr.saturating_mul(1000)),
-            ));
-        }
+        pairs.extend(extra);
         if let Some(plan) = &self.plan {
             pairs.push(("explain", plan.clone()));
         }

@@ -113,14 +113,6 @@ impl Histogram {
         self.0.observe(v);
     }
 
-    /// Fold a worker-local histogram into this one.
-    pub fn merge_local(&self, local: &crate::LocalHistogram) {
-        if !crate::enabled() {
-            return;
-        }
-        self.0.merge_local(local);
-    }
-
     /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistSnapshot {
         self.0.snapshot()

@@ -5,12 +5,11 @@
 //! and sampled quantiles, the histogram estimate must sit within the
 //! bucket-error contract of `lyric_metrics::hist` — never below the true
 //! nearest-rank value, and at most `v/16` above it (exact below 16).
-//! Merging is checked associative against joint recording, and the
-//! Prometheus text format must round-trip (`parse(render(snapshot))`)
+//! The Prometheus text format must round-trip (`parse(render(snapshot))`)
 //! back to an identical exposition model.
 
 use lyric_metrics::hist::SUB_BUCKETS;
-use lyric_metrics::{prometheus, LocalHistogram, Registry};
+use lyric_metrics::{prometheus, HistSnapshot, Registry};
 use proptest::prelude::*;
 
 /// The nearest-rank quantile on a sorted sample — the oracle the
@@ -36,12 +35,13 @@ fn values_strategy() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(value_strategy(), 1..200)
 }
 
-fn record(values: &[u64]) -> LocalHistogram {
-    let mut h = LocalHistogram::new();
+/// The snapshot of a fresh histogram fed `values`.
+fn record(values: &[u64]) -> HistSnapshot {
+    let h = Registry::new().histogram("t_values", "recorded values");
     for &v in values {
         h.observe(v);
     }
-    h
+    h.snapshot()
 }
 
 proptest! {
@@ -54,7 +54,7 @@ proptest! {
         let mut sorted = values.clone();
         sorted.sort_unstable();
         let truth = oracle_quantile(&sorted, q);
-        let est = record(&values).snapshot().quantile(q);
+        let est = record(&values).quantile(q);
         prop_assert!(est >= truth, "estimate {est} below oracle {truth} at q={q}");
         prop_assert!(
             est - truth <= truth / 16,
@@ -68,7 +68,7 @@ proptest! {
     /// Count, sum, and max are exact regardless of bucketing.
     #[test]
     fn count_sum_max_are_exact(values in values_strategy()) {
-        let s = record(&values).snapshot();
+        let s = record(&values);
         prop_assert_eq!(s.count, values.len() as u64);
         let mut sum = 0u64;
         for &v in &values {
@@ -76,27 +76,6 @@ proptest! {
         }
         prop_assert_eq!(s.sum, sum);
         prop_assert_eq!(s.max, values.iter().copied().max().unwrap_or(0));
-    }
-
-    /// Merge is associative and equals joint recording: `(a ∪ b) ∪ c` and
-    /// `a ∪ (b ∪ c)` both match one histogram fed all three sets.
-    #[test]
-    fn merge_is_associative(
-        a in values_strategy(),
-        b in values_strategy(),
-        c in values_strategy(),
-    ) {
-        let (ha, hb, hc) = (record(&a), record(&b), record(&c));
-        let mut left = ha.clone();
-        left.merge(&hb);
-        left.merge(&hc);
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut right = ha.clone();
-        right.merge(&bc);
-        let joint: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-        prop_assert_eq!(left.snapshot(), record(&joint).snapshot());
-        prop_assert_eq!(right.snapshot(), record(&joint).snapshot());
     }
 
     /// Prometheus round-trip: rendering a registry snapshot and parsing

@@ -188,12 +188,13 @@ impl Database {
         let mut stored = BTreeMap::new();
         for (name, value) in attrs {
             let name = name.into();
-            let decl = self.schema.visible_attribute(class, &name).ok_or_else(|| {
-                DbError::UnknownAttribute {
-                    class: class.to_string(),
-                    attr: name.clone(),
-                }
-            })?;
+            let decl =
+                self.schema
+                    .attribute(class, &name)
+                    .ok_or_else(|| DbError::UnknownAttribute {
+                        class: class.to_string(),
+                        attr: name.clone(),
+                    })?;
             if decl.is_set != value.is_set() {
                 return Err(DbError::Cardinality {
                     class: class.to_string(),
@@ -311,7 +312,7 @@ impl Database {
     pub fn validate_references(&self) -> Result<(), DbError> {
         for data in self.objects.values() {
             for (name, value) in &data.attrs {
-                let Some(decl) = self.schema.visible_attribute(&data.class, name) else {
+                let Some(decl) = self.schema.attribute(&data.class, name) else {
                     continue;
                 };
                 if let AttrTarget::Class { class: target, .. } = &decl.target {
@@ -351,12 +352,13 @@ impl Database {
             .ok_or_else(|| DbError::UnknownObject(oid.to_string()))?
             .class
             .clone();
-        let decl = self.schema.visible_attribute(&class, attr).ok_or_else(|| {
-            DbError::UnknownAttribute {
-                class: class.clone(),
-                attr: attr.to_string(),
-            }
-        })?;
+        let decl =
+            self.schema
+                .attribute(&class, attr)
+                .ok_or_else(|| DbError::UnknownAttribute {
+                    class: class.clone(),
+                    attr: attr.to_string(),
+                })?;
         if decl.is_set != value.is_set() {
             return Err(DbError::Cardinality {
                 class,

@@ -276,29 +276,19 @@ impl Schema {
         out
     }
 
-    /// The attribute `attr` as [`attributes_of`](Self::attributes_of)
-    /// resolves it, without building the map: the class's own declaration,
-    /// else the one visible from its last parent that has one.
-    pub fn visible_attribute<'a>(&'a self, class: &str, attr: &str) -> Option<&'a AttrDef> {
-        let def = self.classes.get(class)?;
-        def.attributes.get(attr).or_else(|| {
-            def.parents
-                .iter()
-                .rev()
-                .find_map(|p| self.visible_attribute(p, attr))
-        })
-    }
-
-    /// All attributes visible from `class` (own shadowing inherited).
+    /// All attributes visible from `class`, each resolved as
+    /// [`attribute`](Self::attribute) resolves it: own shadowing inherited,
+    /// and among parents the first (depth-first, declaration order) that
+    /// declares it.
     pub fn attributes_of(&self, class: &str) -> BTreeMap<String, &AttrDef> {
         let mut out = BTreeMap::new();
         fn walk<'a>(schema: &'a Schema, class: &str, out: &mut BTreeMap<String, &'a AttrDef>) {
             if let Some(def) = schema.classes.get(class) {
+                for (name, a) in &def.attributes {
+                    out.entry(name.clone()).or_insert(a); // the nearest declaration wins
+                }
                 for p in &def.parents {
                     walk(schema, p, out);
-                }
-                for (name, a) in &def.attributes {
-                    out.insert(name.clone(), a); // own shadows inherited
                 }
             }
         }
@@ -454,23 +444,23 @@ mod tests {
     }
 
     #[test]
-    fn visible_attribute_resolves_as_attributes_of() {
+    fn attribute_resolves_as_attributes_of() {
         let mut s = office_schema();
-        // Two parents declare `k`: the map keeps the last parent's.
+        // Two parents declare `k`: both resolve to the first parent's.
         for (parent, var) in [("A", "a"), ("B", "b")] {
             s.add_class(ClassDef::new(parent).attr(AttrDef::scalar("k", AttrTarget::cst([var]))))
                 .unwrap();
         }
         s.add_class(ClassDef::new("C").is_a("A").is_a("B")).unwrap();
         assert_eq!(
-            s.visible_attribute("C", "k").map(|a| &a.target),
-            Some(&AttrTarget::cst(["b"]))
+            s.attribute("C", "k").map(|a| &a.target),
+            Some(&AttrTarget::cst(["a"]))
         );
         for class in ["Desk", "C", "Drawer", "Color"] {
             let all = s.attributes_of(class);
             for name in ["extent", "drawer", "color", "k", "missing"] {
                 assert_eq!(
-                    s.visible_attribute(class, name),
+                    s.attribute(class, name),
                     all.get(name).copied(),
                     "{class}.{name}"
                 );

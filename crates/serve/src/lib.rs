@@ -11,9 +11,9 @@
 //! * `GET /debug/inflight` — the in-flight query registry
 //!   (`lyric::flight::inflight`): every currently-executing query with
 //!   its live progress counters and percent-of-budget;
-//! * `GET /debug/flight` — the flight recorder rings
-//!   (`lyric::flight::recorder`): recent completed-query summaries and
-//!   sampled trace events;
+//! * `GET /debug/flight` — the flight recorder ring
+//!   (`lyric::flight::recorder`): recent completed queries, each with
+//!   the counters it consumed;
 //! * `GET /debug/caches` — the engine's current context generation and
 //!   the server database's store-index state;
 //! * `POST /query` — the request body is either a raw LyriC `SELECT`

@@ -115,10 +115,8 @@ fn main() -> ExitCode {
         };
     }
 
-    // Long-lived surface: publish the build-identity gauge and default
-    // the flight recorder's event tee on (explicit env still wins).
+    // Long-lived surface: publish the build-identity gauge.
     lyric::metrics::build::register_build_info();
-    lyric::flight::recorder::enable_events_default();
 
     let server = match Server::bind(&addr, Arc::new(db), opts) {
         Ok(s) => s,

@@ -1,7 +1,10 @@
 //! The `/metrics` scrape agrees *exactly* with the work `POST /query`
 //! reports: over live HTTP, the summed reply `stats` equal the scraped
 //! deltas of `lyric_queries_total`, of `lyric_query_duration_us_count`
-//! and of every `lyric_engine_<counter>_total`.
+//! and of every `lyric_engine_<counter>_total`. After the first query
+//! the scrape shows exactly the families the server, the flight
+//! recorder and the query runner's sink register — no engine-internal
+//! series.
 //!
 //! A single `#[test]` in its own binary, so no other test moves the
 //! process-global registry between the two scrapes (the in-process twin
@@ -25,6 +28,21 @@ const QUERIES: [&str; 3] = [
        AND (C(p,q) AND DRE(w1,z1) AND DRD(w1,z1,x1,y1,u1,v1)
             AND D(w,z,x,y,u,v) AND L(x,y) AND w = u1 AND z = v1
             AND 0 < u AND u < 20 AND 0 < v AND v < 10)",
+];
+
+/// Every family a scrape shows once one query has run, besides the 16
+/// `lyric_engine_<counter>_total`.
+const FAMILIES: [&str; 10] = [
+    "lyric_arena_pool_hits",
+    "lyric_arena_pool_misses",
+    "lyric_arena_recycled_bytes",
+    "lyric_budget_aborts_total",
+    "lyric_budget_threshold_total",
+    "lyric_flight_queries_total",
+    "lyric_inflight_queries",
+    "lyric_queries_total",
+    "lyric_query_duration_us",
+    "lyric_serve_busy_total",
 ];
 
 fn scrape(addr: SocketAddr) -> Exposition {
@@ -69,9 +87,22 @@ fn scraped_deltas_equal_summed_reply_stats() {
     let explained = format!(r#"{{"query": "{}", "explain": true}}"#, QUERIES[0]);
     let bodies = QUERIES.iter().chain(&QUERIES).chain(&QUERIES).copied();
     let mut expected = vec![0.0; series.len()];
-    for body in bodies.chain([explained.as_str()]) {
+    for (i, body) in bodies.chain([explained.as_str()]).enumerate() {
         let (status, reply) = http_request(addr, "POST", "/query", body).expect("query sent");
         assert_eq!(status, 200, "{body}: {reply}");
+        if i == 0 {
+            let mut shown: Vec<String> =
+                scrape(addr).families.into_iter().map(|f| f.name).collect();
+            shown.sort();
+            let mut want: Vec<String> = FAMILIES.iter().map(|f| f.to_string()).collect();
+            want.extend(
+                COUNTER_NAMES
+                    .iter()
+                    .map(|n| format!("lyric_engine_{n}_total")),
+            );
+            want.sort();
+            assert_eq!(shown, want, "the families a scrape shows after one query");
+        }
         let reply = lyric::trace::json::parse(&reply).expect("the reply is valid JSON");
         let stats = reply.get("stats").expect("the reply carries stats");
         // One query, one histogram observation, and each engine counter

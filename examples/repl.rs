@@ -47,17 +47,19 @@
 //! parallelism; answers are identical at every setting.
 //!
 //! `:metrics` renders the process-lifetime metric registry as a table:
-//! cumulative engine counters, query-latency quantiles (p50/p90/p99),
-//! budget events, and pool activity — the same data `lyric-serve`
-//! exposes at `/metrics` in Prometheus format.
+//! cumulative engine counters, query-latency quantiles (p50/p90/p99) and
+//! budget aborts and thresholds — the same data `lyric-serve` exposes at
+//! `/metrics` in Prometheus format, each series summed from the finished
+//! queries' records.
 //!
 //! `:inflight` lists the queries registered as executing right now (the
 //! shell itself runs queries synchronously, so from the prompt this
 //! shows other threads of the process — it mirrors `lyric-serve`'s
 //! `GET /debug/inflight`). `:flight` summarizes the process-lifetime
 //! flight recorder: the recent completed-query ring with outcomes,
-//! durations and engine counters. `:flight dump <file>` writes the full
-//! recorder state (rings, registry, build identity) as one JSON
+//! durations and the engine counters each query consumed — a budget
+//! abort's up to the abort. `:flight dump <file>` writes the full
+//! recorder state (ring, registry, build identity) as one JSON
 //! document — the same black box the engine drops into
 //! `LYRIC_FLIGHT_DIR` on a budget abort, panic, or `LYRIC_SLOW_MS`
 //! breach.
@@ -92,10 +94,8 @@ fn main() {
         chrome_path: None,
         threads: default_threads(),
     };
-    // Long-lived surface: publish the build-identity gauge and default
-    // the flight recorder's event tee on (explicit env still wins).
+    // Long-lived surface: publish the build-identity gauge.
     lyric::metrics::build::register_build_info();
-    lyric::flight::recorder::enable_events_default();
     println!("LyriC shell — the Figure 2 office database is loaded.");
     println!("End statements with ';'. Type :help for commands.\n");
 
@@ -201,7 +201,7 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
             println!(":stats            toggle the per-query engine statistics line");
             println!(":metrics          process-lifetime metrics (counters, latency quantiles)");
             println!(":inflight         queries executing right now, with live progress");
-            println!(":flight           recent completed queries from the flight recorder");
+            println!(":flight           recent completed queries: outcome, rows, counters used");
             println!(":flight dump <file>  write the full recorder state as JSON");
             println!(":save <file>      dump the database as text");
             println!(":load <file>      replace the database from a dump");
@@ -363,13 +363,8 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
             None => {
                 let queries = lyric::flight::recorder::recent_queries();
                 println!(
-                    "flight recorder: {} (events {}), {} quer{} held",
+                    "flight recorder: {}, {} quer{} held",
                     if lyric::flight::recorder::enabled() {
-                        "on"
-                    } else {
-                        "off"
-                    },
-                    if lyric::flight::recorder::events_enabled() {
                         "on"
                     } else {
                         "off"
@@ -400,6 +395,15 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
                         q.trace_id,
                         q.query
                     );
+                    let counters: Vec<String> = q
+                        .stats
+                        .nonzero_counters()
+                        .iter()
+                        .map(|(name, v)| format!("{name} {v}"))
+                        .collect();
+                    if !counters.is_empty() {
+                        println!("             {}", counters.join(", "));
+                    }
                 }
             }
             Some("dump") => match parts.next() {

@@ -12,16 +12,22 @@
 #
 # It prints every pair, then for each workload and end-to-end metric each
 # side's median and quartiles, the number of pairs the change wins (ties
-# count for neither side), and whether the claim rule holds: the change
+# count for neither side), and two verdicts. The claim verdict: the change
 # wins at least 9 in 10 pairs and its median beats the parent's by more
-# than the parent's interquartile range. Quartiles are the medians of the
-# lower and upper halves of the sorted runs (the median itself excluded
-# when the count is odd).
+# than the parent's interquartile range. The regression verdict, against
+# the metric's `bound` in BENCHMARK.json (a fraction of the parent's
+# median): `worse` when the change's median is worse than the parent's by
+# more than the bound; else `unresolved` when either side's interquartile
+# range is wider than the bound, unless every change run beats every
+# parent run; else `within bound`. Quartiles are the medians of the lower
+# and upper halves of the sorted runs (the median itself excluded when
+# the count is odd).
 #
 # Finally it appends one JSON line to BENCH_trajectory.jsonl: the change's
 # rev (`-dirty` when the working tree has uncommitted changes), the
 # parent's rev, `nproc`, the seeds, and per workload and metric the
-# medians, IQRs and wins, plus the failed and incorrect run counts.
+# medians, IQRs, wins and both verdicts, plus the failed and incorrect
+# run counts.
 #
 # Needs only bash, git, cargo and the POSIX tools. Builds and logs go to
 # $BENCH_PAIRS_DIR (default target/bench-pairs). A TERM or INT stops the
@@ -61,6 +67,7 @@ field() { sed -n "s/.*\"$1\": *\"\{0,1\}\([^\",}]*\)\"\{0,1\}.*/\1/p"; }
 mapfile -t workloads < <(section workloads | field name)
 mapfile -t metrics < <(section end_to_end | field name)
 mapfile -t better < <(section end_to_end | field better)
+mapfile -t bounds < <(section end_to_end | field bound)
 
 # --- Builds.
 rev=$(git rev-parse --short HEAD)
@@ -161,9 +168,23 @@ for w in "${workloads[@]}"; do
             -v iqr="$piqr" 'BEGIN {
                 gain = (b == "lower") ? pm - cm : cm - pm
                 print (w * 10 >= 9 * n && gain > iqr) ? "true" : "false" }')
-        printf '%-8s %-16s parent %s [%s, %s]  change %s [%s, %s]  wins %s/%s  claim %s\n' \
-            "$w" "$m" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3" "$wins" "$pairs" "$verdict"
-        json="$json\"$m\":{\"parent_median\":$pmed,\"parent_iqr\":$piqr,\"change_median\":$cmed,\"change_iqr\":$ciqr,\"wins\":$wins,\"pairs\":$pairs,\"claim\":$verdict},"
+        # The fastest and slowest run of each side, for "every change run
+        # beats every parent run".
+        read -r pmin pmax < <(sort -g "$data/parent.$m" | sed -n '1p;$p' | paste -sd' ')
+        read -r cmin cmax < <(sort -g "$data/change.$m" | sed -n '1p;$p' | paste -sd' ')
+        regression=$(awk -v b="${better[$i]}" -v bound="${bounds[$i]}" -v pm="$pmed" -v cm="$cmed" \
+            -v piqr="$piqr" -v ciqr="$ciqr" -v pmin="$pmin" -v pmax="$pmax" -v cmin="$cmin" \
+            -v cmax="$cmax" 'BEGIN {
+                loss = (b == "lower") ? cm - pm : pm - cm
+                sweep = (b == "lower") ? cmax < pmin : cmin > pmax
+                allowed = bound * pm
+                if (loss > allowed) print "worse"
+                else if ((piqr > allowed || ciqr > allowed) && !sweep) print "unresolved"
+                else print "within bound" }')
+        printf '%-8s %-16s parent %s [%s, %s]  change %s [%s, %s]  wins %s/%s  claim %s  bound %s: %s\n' \
+            "$w" "$m" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3" "$wins" "$pairs" "$verdict" \
+            "${bounds[$i]}" "$regression"
+        json="$json\"$m\":{\"parent_median\":$pmed,\"parent_iqr\":$piqr,\"change_median\":$cmed,\"change_iqr\":$ciqr,\"wins\":$wins,\"pairs\":$pairs,\"claim\":$verdict,\"regression\":\"$regression\"},"
     done
     pfail=$(awk '{ s += $1 } END { print s + 0 }' "$data/parent.failed")
     cfail=$(awk '{ s += $1 } END { print s + 0 }' "$data/change.failed")

@@ -155,8 +155,8 @@ fn fold_with(parts: &[CstObject], and: impl Fn(&CstObject, &CstObject) -> CstObj
 
 /// The engine counters charged while running `f`.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, EngineStats) {
-    let (value, stats, _) = run(&ExecOptions::default(), None, f).expect("unlimited budget");
-    (value, stats)
+    let (value, stats, _) = run(&ExecOptions::default(), None, f);
+    (value.expect("unlimited budget"), stats)
 }
 
 /// A `≠` atom over `v0..v2` with the expression of a random atom.

@@ -245,9 +245,8 @@ proptest! {
             let o = ExecOptions::default().with_boxes(boxes);
             let (answers, stats, _) = lyric::engine::run(&o, None, || {
                 (c.satisfiable(), d.satisfiable(), c.implies(&d))
-            })
-            .expect("unlimited budget");
-            (answers, stats)
+            });
+            (answers.expect("unlimited budget"), stats)
         };
         let (ans_on, stats_on) = run(true);
         let (ans_off, stats_off) = run(false);

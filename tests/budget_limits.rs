@@ -15,7 +15,8 @@ fn run_under<T>(
     f: impl FnOnce() -> T,
 ) -> Result<(T, EngineStats), BudgetExceeded> {
     let opts = ExecOptions::default().with_budget(budget);
-    run(&opts, None, f).map(|(value, stats, _)| (value, stats))
+    let (value, stats, _) = run(&opts, None, f);
+    value.map(|value| (value, stats))
 }
 
 /// Execute `query` under `budget` (default options otherwise).

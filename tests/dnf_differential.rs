@@ -98,9 +98,8 @@ proptest! {
             let o = lyric::ExecOptions::default().with_arith_fast(fast);
             let (out, _stats, _) = lyric::engine::run(&o, None, || {
                 (a.and(&b), a.or(&b), a.simplify(), a.negate())
-            })
-            .expect("unlimited budget");
-            out
+            });
+            out.expect("unlimited budget")
         };
         let fast = run(true);
         let big = run(false);

@@ -6,7 +6,7 @@ use lyric::paper_example::{box2, point2, translation2};
 use lyric::{execute, LyricError};
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, Conjunction, CstObject, LinExpr, Var};
-use lyric_oodb::{Database, Oid, Value};
+use lyric_oodb::{AttrDef, AttrTarget, ClassDef, Database, Oid, Value};
 
 fn r(n: i64) -> Rational {
     Rational::from_int(n)
@@ -268,4 +268,52 @@ fn path_constants_in_formulas() {
     assert_eq!(res.rows.len(), 1);
     let region = res.rows[0][1].as_cst().unwrap();
     assert!(region.denotes_same(&box2("u", "v", 2, 10, 2, 6)));
+}
+
+/// A class with two parents that both declare `k` takes the first
+/// parent's declaration on every path: an insert is checked against
+/// `A.k` (one variable), and a query reads the stored value as `A.k`.
+#[test]
+fn inherited_attribute_resolves_alike_for_inserts_and_queries() {
+    let mut schema = lyric::paper_example::schema();
+    for (parent, vars) in [("A", &["a"][..]), ("B", &["b", "c"][..])] {
+        let k = AttrDef::scalar("k", AttrTarget::cst(vars.iter().copied()));
+        schema.add_class(ClassDef::new(parent).attr(k)).unwrap();
+    }
+    schema
+        .add_class(ClassDef::new("C").is_a("A").is_a("B"))
+        .unwrap();
+    let mut db = Database::new(schema).unwrap();
+
+    let var = |name: &str| LinExpr::var(Var::new(name));
+    let segment = CstObject::from_conjunction(
+        vec![Var::new("a")],
+        Conjunction::of([
+            Atom::ge(var("a"), LinExpr::from(0)),
+            Atom::le(var("a"), LinExpr::from(4)),
+        ]),
+    );
+    db.insert(
+        Oid::named("c1"),
+        "C",
+        [("k", Value::Scalar(Oid::cst(segment)))],
+    )
+    .expect("a one-variable k is A.k's shape");
+    let square = box2("b", "c", 0, 1, 0, 1);
+    assert!(
+        db.insert(
+            Oid::named("c2"),
+            "C",
+            [("k", Value::Scalar(Oid::cst(square)))]
+        )
+        .is_err(),
+        "B.k's two-variable shape is not C's k"
+    );
+
+    let res = execute(
+        &mut db,
+        "SELECT X FROM C X WHERE X.k[K] AND (K(a) AND a >= 3)",
+    )
+    .expect("the query reads k as A.k");
+    assert_eq!(res.rows, vec![vec![Oid::named("c1")]]);
 }

@@ -41,10 +41,11 @@ fn dumps_in(dir: &PathBuf, trigger: &str) -> Vec<PathBuf> {
 
 /// The acceptance pin: a query that trips its pivot budget writes
 /// exactly one `budget_abort` dump — valid JSON whose offender carries
-/// the query, outcome, and tripped resource, and whose in-flight
-/// section still contains the aborting slot (the dump is written
-/// *before* the registry guard releases). The registry itself is empty
-/// once the call returns, and the recorder ring holds the summary.
+/// the query, outcome, tripped resource and the counters the abort
+/// consumed, and whose in-flight section still contains the aborting
+/// slot (the dump is written *before* the registry guard releases). The
+/// registry itself is empty once the call returns, and the recorder ring
+/// holds the record with the same counters.
 #[test]
 fn budget_abort_writes_one_attributed_dump() {
     let _lock = DUMP_STATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -103,15 +104,26 @@ fn budget_abort_writes_one_attributed_dump() {
         "dump captured the offender still in flight"
     );
 
+    let record = lyric::flight::recorder::recent_queries()
+        .into_iter()
+        .find(|q| {
+            q.query_hash == lyric::metrics::querylog::query_hash(query)
+                && q.outcome.name() == "budget_exceeded"
+        })
+        .expect("recorder ring holds the aborted query's record");
+    let counters = record.stats.nonzero_counters();
     assert!(
-        lyric::flight::recorder::recent_queries()
-            .iter()
-            .any(
-                |q| q.query_hash == lyric::metrics::querylog::query_hash(query)
-                    && q.outcome.name() == "budget_exceeded"
-            ),
-        "recorder ring holds the aborted query's summary"
+        record.stats.pivots > 1,
+        "the record holds the pivots past the cap: {counters:?}"
     );
+    let stats = offender.get("stats").expect("the offender carries stats");
+    for (name, value) in counters {
+        assert_eq!(
+            stats.get(name).and_then(|v| v.as_f64()),
+            Some(value as f64),
+            "offender stats.{name}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

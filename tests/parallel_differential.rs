@@ -203,10 +203,8 @@ fn dnf_operations_are_thread_count_invariant() {
         };
         let run = |threads: usize| -> (Dnf, Dnf) {
             let o = ExecOptions::default().with_threads(threads);
-            let ((prod, simp), _stats, _) =
-                lyric::engine::run(&o, None, || (a.and(&b), a.simplify()))
-                    .expect("unlimited budget");
-            (prod, simp)
+            let (value, _stats, _) = lyric::engine::run(&o, None, || (a.and(&b), a.simplify()));
+            value.expect("unlimited budget")
         };
         let (prod1, simp1) = run(1);
         for threads in [2usize, 4, 8] {
