@@ -201,12 +201,10 @@ fn main() {
     record(&mut report, "e9_telemetry_budgets", || void(e9));
     record(&mut report, "e10_hot_spans", e10);
     record(&mut report, "e11_parallel_speedup", e11);
-    record(&mut report, "e12_metrics_overhead", e12);
     record(&mut report, "e13_arith_fast_path", e13);
     record(&mut report, "e14_box_pruning", e14);
     record(&mut report, "e15_explain_overhead", e15);
     record(&mut report, "e16_store_index", e16);
-    record(&mut report, "e17_flight_overhead", e17);
     let doc = Json::obj([
         (
             "host_parallelism",
@@ -709,87 +707,67 @@ fn e10() -> Json {
 }
 
 /// E11 — parallel evaluation: the E2 pairwise workload (tracing off)
-/// at 1/2/4/8 evaluation threads, with per-thread-count answer equality
-/// against the serial run. Speedups are relative to the 1-thread run on
-/// *this* host — on a single-core machine they are ~1.0x by construction,
-/// so the host's available parallelism is recorded alongside.
+/// at 2/4/8 evaluation threads, each judged against the 1-thread run by
+/// [`judge_overhead`] with no bar, with per-thread-count answer equality
+/// against the serial run. A pair's speedup is its median 1-thread run
+/// over its median n-thread run, `1 / (1 + overhead)`; the median and
+/// 95% CI printed are that map of the judged overhead's. Speedups are
+/// relative to *this* host — on a single-core machine they are ~1.0x
+/// by construction, so the host's available parallelism is recorded
+/// alongside.
 fn e11() -> Json {
     println!("## E11 — parallel evaluation (shared-cursor handout, deterministic merge)\n");
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!("host available parallelism: {host}\n");
-    println!("| threads | pairwise query, n=32 (ms) | speedup vs 1 thread | answers == serial |");
-    println!("|---|---|---|---|");
     let db = workload::office_db(32, 42);
-    let serial = {
-        let mut d = db.clone();
-        execute_with_options(&mut d, Q_PAIRWISE, &ExecOptions::default().with_threads(1))
-            .expect("pairwise query evaluates")
+    let run = |opts: &ExecOptions| {
+        lyric::execute_shared(&db, Q_PAIRWISE, opts).expect("pairwise query evaluates")
     };
-    let mut base_ms = None;
+    let one = ExecOptions::default().with_threads(1);
+    let serial = run(&one);
+    println!("| threads | 1 thread (ms) | n threads (ms) | median speedup [95% CI] | answers == serial |");
+    println!("|---|---|---|---|---|");
+    let speedup = |pct: f64| 100.0 / (100.0 + pct);
     let mut detail: Vec<Json> = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
+    for threads in [2usize, 4, 8] {
         let opts = ExecOptions::default().with_threads(threads);
-        let (ms, res) = time_ms(3, || {
-            let mut d = db.clone();
-            execute_with_options(&mut d, Q_PAIRWISE, &opts).expect("pairwise query evaluates")
-        });
-        let base = *base_ms.get_or_insert(ms);
-        let equal = res == serial;
-        println!("| {threads} | {ms:.1} | {:.2}x | {equal} |", base / ms);
-        detail.push(Json::obj([
+        let equal = run(&opts) == serial;
+        let judged = judge_overhead(
+            &format!("E11 {threads} threads"),
+            None,
+            || {
+                run(&one);
+            },
+            || {
+                run(&opts);
+            },
+        );
+        let (median, lo, hi) = (
+            speedup(judged.median_pct),
+            speedup(judged.ci_pct.1),
+            speedup(judged.ci_pct.0),
+        );
+        println!(
+            "| {threads} | {:.1} | {:.1} | {median:.2}x [{lo:.2}x, {hi:.2}x] | {equal} |",
+            judged.base_ms, judged.mode_ms
+        );
+        let mut entry = vec![
             ("threads", Json::int(threads as u64)),
-            ("best_ms", Json::Num(ms)),
-            ("speedup", Json::Num(base / ms)),
+            ("speedup_median", Json::Num(median)),
+            ("speedup_ci95_lo", Json::Num(lo)),
+            ("speedup_ci95_hi", Json::Num(hi)),
             ("answers_equal_serial", Json::Bool(equal)),
-        ]));
+        ];
+        entry.extend(judged.json());
+        detail.push(Json::obj(entry));
     }
-    println!("\nanswers are bit-identical at every thread count (work is handed out by index and merged in index order). Speedup scales with the host's cores; regenerate with `cargo run -p lyric-bench --bin report --release` to measure this machine.\n");
+    println!("\npairwise query over office_db(32); times are median runs, median over batch pairs. Answers are bit-identical at every thread count (work is handed out by index and merged in index order). Speedup scales with the host's cores; regenerate with `cargo run -p lyric-bench --bin report --release` to measure this machine.\n");
     Json::obj([
         ("host_parallelism", Json::int(host as u64)),
         ("runs", Json::Arr(detail)),
     ])
-}
-
-/// E12 — metrics overhead: the identical warmed workload with the
-/// process-lifetime metric layer enabled (the default) vs disabled
-/// (`set_enabled(false)`, the same switch as `LYRIC_METRICS=0`). The
-/// enabled path adds striped-atomic counter flushes and one histogram
-/// observation per query; the acceptance bar is < 5% overhead, judged
-/// by [`judge_overhead`].
-fn e12() -> Json {
-    println!("## E12 — metrics overhead (enabled vs disabled)\n");
-    let db = workload::office_db(24, 42);
-    let opts = ExecOptions::default().with_threads(2);
-    let run = || {
-        lyric::execute_shared(&db, Q_LINEAR, &opts).expect("linear query evaluates");
-    };
-    // Warm the arena pools and lazy statics so both modes measure steady
-    // state.
-    run();
-    let judged = judge_overhead(
-        "E12 metrics",
-        Some(5.0),
-        || {
-            lyric::metrics::set_enabled(false);
-            run();
-        },
-        || {
-            lyric::metrics::set_enabled(true);
-            run();
-        },
-    );
-    lyric::metrics::set_enabled(true);
-    println!("| mode | linear query, n=24 (median run, median over batch pairs, ms) |");
-    println!("|---|---|");
-    println!("| metrics enabled | {:.2} |", judged.mode_ms);
-    println!("| metrics disabled | {:.2} |", judged.base_ms);
-    println!(
-        "\nmeasured overhead: {}. The recording path is a handful of relaxed striped-atomic adds plus one histogram observation per query, made once from the query's record by the runner's sink — not per operation.\n",
-        judged.verdict()
-    );
-    Json::obj(judged.json())
 }
 
 /// E13 — small-coefficient arithmetic fast path: the identical E2/E3/E6
@@ -1147,47 +1125,6 @@ fn e16() -> Json {
         ("index_build_ms", Json::Num(build_ms)),
         ("rows", Json::Arr(detail)),
     ])
-}
-
-/// E17 — flight-recorder overhead: the identical warmed workload with
-/// the recorder on (the default: in-flight registration, live progress
-/// mirroring into the slot's atomics, one ring push per completion) vs
-/// off (`set_enabled(false)`, the same switch as `LYRIC_FLIGHT=0`, which
-/// also skips registration). Acceptance bar < 5%, judged by
-/// [`judge_overhead`].
-fn e17() -> Json {
-    println!("## E17 — flight-recorder overhead (recorder on vs off)\n");
-    let db = workload::office_db(24, 42);
-    let opts = ExecOptions::default().with_threads(2);
-    let run = || {
-        lyric::execute_shared(&db, Q_LINEAR, &opts).expect("linear query evaluates");
-    };
-    run(); // warm the arena pools and lazy statics so both modes measure steady state
-    let judged = judge_overhead(
-        "E17 flight recorder",
-        Some(5.0),
-        || {
-            lyric::flight::recorder::set_enabled(false);
-            run();
-        },
-        || {
-            lyric::flight::recorder::set_enabled(true);
-            run();
-        },
-    );
-    lyric::flight::recorder::set_enabled(true);
-    println!("| mode | linear query, n=24 (median run, median over batch pairs, ms) |");
-    println!("|---|---|");
-    println!("| recorder on | {:.2} |", judged.mode_ms);
-    println!("| recorder off | {:.2} |", judged.base_ms);
-    println!(
-        "\nmeasured overhead: {}. The recording path is one \
-         registry insert and one striped-ring push per query plus relaxed atomic adds at \
-         counting sites the engine already visits; the disabled path is a single \
-         relaxed load, pinned allocation-free by crates/flight/tests/zero_alloc.rs.\n",
-        judged.verdict()
-    );
-    Json::obj(judged.json())
 }
 
 fn answers_match(direct: &lyric::QueryResult, flat: &[(Oid, CstObject)]) -> bool {

@@ -52,6 +52,7 @@ use crate::ast::{
     Selector, Step,
 };
 use crate::diag::{codes, Diagnostic, Severity};
+use crate::eval::QueryNames;
 use crate::span::Span;
 use lyric_arith::Rational;
 use lyric_constraint::{Atom, CstFamily, FamilyOp, IntervalBox, LinExpr, RelOp};
@@ -225,7 +226,7 @@ struct Analyzer<'a> {
     diags: Vec<Diagnostic>,
     /// Variables the evaluator declares up front: FROM variables, the
     /// view-name variable, and every bracket selector variable anywhere in
-    /// the query (mirrors `Ctx::new`).
+    /// the query (`QueryNames::declared`, the evaluator's own set).
     declared: BTreeSet<String>,
     /// Variables possibly bound at the current analysis point.
     bound: BTreeSet<String>,
@@ -238,13 +239,7 @@ impl Analyzer<'_> {
     // ------------------------------------------------------------ driver
 
     fn select(&mut self, q: &SelectQuery, view_var: Option<&str>) {
-        // Mirror Ctx::new: declare FROM vars, the view variable, and all
-        // bracket selector variables before any left-to-right binding.
-        self.declared.extend(q.from.iter().map(|f| f.var.clone()));
-        if let Some(v) = view_var {
-            self.declared.insert(v.to_string());
-        }
-        scan_query(q, &mut self.declared);
+        self.declared.extend(QueryNames::of(q, view_var).declared);
 
         // FROM: classes must exist; variables bind in clause order.
         let mut seen_from: BTreeSet<&str> = BTreeSet::new();
@@ -1420,82 +1415,6 @@ fn collect_constraint_vars(
             collect_constraint_vars(y, bound, declared, out);
         }
         Arith::Neg(x) => collect_constraint_vars(x, bound, declared, out),
-    }
-}
-
-// Mirror of `Ctx::new`'s selector-variable scan: FROM variables, the view
-// variable and bracket selectors are declared before evaluation begins.
-fn scan_query(q: &SelectQuery, out: &mut BTreeSet<String>) {
-    fn scan_path(p: &PathExpr, out: &mut BTreeSet<String>) {
-        for s in &p.steps {
-            if let Some(Selector::Var(v)) = &s.selector {
-                out.insert(v.clone());
-            }
-        }
-    }
-    fn scan_arith(a: &Arith, out: &mut BTreeSet<String>) {
-        match a {
-            Arith::PathConst(p) => scan_path(p, out),
-            Arith::Add(x, y) | Arith::Sub(x, y) | Arith::Mul(x, y) => {
-                scan_arith(x, out);
-                scan_arith(y, out);
-            }
-            Arith::Neg(x) => scan_arith(x, out),
-            Arith::Num(_) | Arith::Var(_) => {}
-        }
-    }
-    fn scan_formula(f: &Formula, out: &mut BTreeSet<String>) {
-        match f {
-            Formula::And(a, b) | Formula::Or(a, b) => {
-                scan_formula(a, out);
-                scan_formula(b, out);
-            }
-            Formula::Not(a) | Formula::Proj { body: a, .. } => scan_formula(a, out),
-            Formula::Pred { path, .. } => scan_path(path, out),
-            Formula::Chain { first, rest, .. } => {
-                scan_arith(first, out);
-                for (_, a) in rest {
-                    scan_arith(a, out);
-                }
-            }
-        }
-    }
-    fn scan_cond(c: &Cond, out: &mut BTreeSet<String>) {
-        match c {
-            Cond::And(a, b) | Cond::Or(a, b) => {
-                scan_cond(a, out);
-                scan_cond(b, out);
-            }
-            Cond::Not(a) => scan_cond(a, out),
-            Cond::PathPred(p) => scan_path(p, out),
-            Cond::Compare { lhs, rhs, .. } => {
-                for op in [lhs, rhs] {
-                    if let CmpOperand::Path(p) = op {
-                        scan_path(p, out);
-                    }
-                }
-            }
-            Cond::Sat(f) => scan_formula(f, out),
-            Cond::Entails(a, b) => {
-                scan_formula(a, out);
-                scan_formula(b, out);
-            }
-        }
-    }
-    if let Some(w) = &q.where_clause {
-        scan_cond(w, out);
-    }
-    for item in &q.items {
-        match &item.value {
-            SelectValue::Path(p) => scan_path(p, out),
-            SelectValue::Formula(f) => scan_formula(f, out),
-            SelectValue::Optimize {
-                objective, formula, ..
-            } => {
-                scan_arith(objective, out);
-                scan_formula(formula, out);
-            }
-        }
     }
 }
 

@@ -214,12 +214,10 @@ fn run_statement(
             explain: plan.is_some(),
             ..opts.clone()
         },
-        guard.as_ref().map(|g| g.progress()),
+        Some(guard.progress()),
         || {
             trace_id.set(lyric_engine::generation());
-            if let Some(g) = &guard {
-                g.set_trace_id(trace_id.get());
-            }
+            guard.set_trace_id(trace_id.get());
             match stmt {
                 Statement::Select(db, s) => eval_select_query(db, s, plan.as_ref().map(|p| &p.1)),
                 Statement::View(db, v) => execute_view(db, v),
@@ -307,16 +305,10 @@ fn analyzer_rejections() -> &'static lyric_metrics::Counter {
 }
 
 /// Register a statement in the in-flight registry for the duration of its
-/// run, when the flight recorder is enabled. One switch —
-/// `LYRIC_FLIGHT=0` or `flight::set_enabled(false)` — turns off both the
-/// registry and the completed-query ring, which is the recorder-off
-/// baseline experiment E17 measures against.
-fn register(query: &str, query_hash: u64, opts: &ExecOptions) -> Option<flight::InflightGuard> {
-    if !flight::recorder::enabled() {
-        return None;
-    }
+/// run.
+fn register(query: &str, query_hash: u64, opts: &ExecOptions) -> flight::InflightGuard {
     let b = &opts.budget;
-    Some(flight::register(flight::InflightDesc {
+    flight::register(flight::InflightDesc {
         query: query.to_string(),
         query_hash,
         threads: opts.threads.max(1),
@@ -326,7 +318,7 @@ fn register(query: &str, query_hash: u64, opts: &ExecOptions) -> Option<flight::
             disjuncts: b.max_disjuncts,
             deadline_ms: b.deadline.map(|d| d.as_millis() as u64),
         },
-    }))
+    })
 }
 
 /// The `SELECT` arm of the evaluator: needs only shared access to the

@@ -113,9 +113,7 @@ pub fn explain(db: &Database, src: &str) -> Result<ExplainReport, LyricError> {
 /// query-log sink is installed, a slow threshold is configured, and
 /// `LYRIC_SLOW_EXPLAIN=1` armed the gate.
 pub(crate) fn slow_explain_active() -> bool {
-    lyric_metrics::enabled()
-        && lyric_metrics::querylog::active()
-        && lyric_metrics::querylog::slow_explain()
+    lyric_metrics::querylog::active() && lyric_metrics::querylog::slow_explain()
 }
 
 /// EXPLAIN ANALYZE's attribution: fold an explained run's trace onto its

@@ -104,23 +104,14 @@ fn series() -> &'static Series {
     })
 }
 
-/// Publish one finished query: its `/metrics` series (when metrics are
-/// enabled), its query-log line, and — for a query registered in flight
-/// — its flight record and the dump an anomaly calls for. `budget` is
-/// the budget it ran under, which the threshold series are judged
-/// against.
-pub(crate) fn publish(
-    record: QueryRecord,
-    budget: &EngineBudget,
-    guard: Option<flight::InflightGuard>,
-) {
-    if lyric_metrics::enabled() {
-        count(&record, budget);
-    }
+/// Publish one finished query: its `/metrics` series, its query-log
+/// line, and its flight record with the dump an anomaly calls for.
+/// `budget` is the budget it ran under, which the threshold series are
+/// judged against; `guard` is its in-flight slot, released last.
+pub(crate) fn publish(record: QueryRecord, budget: &EngineBudget, guard: flight::InflightGuard) {
+    count(&record, budget);
     querylog::log(&record);
-    if let Some(guard) = guard {
-        flight::finish(guard, record);
-    }
+    flight::finish(guard, record);
 }
 
 fn count(record: &QueryRecord, budget: &EngineBudget) {

@@ -12,7 +12,7 @@
 //!   engine's own per-query counters, so `/debug/inflight` and REPL
 //!   `:inflight` show live progress and percent-of-budget. A guard type
 //!   deregisters on every exit path, including budget unwind and panic.
-//! * [`recorder`] — a fixed-capacity lock-striped [`ring::Ring`] of
+//! * [`recorder`] — a fixed-capacity [`ring::Ring`] of
 //!   completed-query records, each with the counters its query consumed
 //!   (an aborted query's too).
 //! * [`mod@dump`] — the anomaly black box: on budget abort, panic,
@@ -25,13 +25,14 @@
 //! for. Like `lyric-trace` and `lyric-metrics`, this crate is
 //! dependency-free (std plus those two) and sits *below* `lyric-engine`
 //! in the workspace: the engine counts into the slot, surfaces pull JSON
-//! out, and nothing here ever blocks a query on more than a striped
-//! mutex.
+//! out, and a query takes the registry's and the ring's mutex only as
+//! it starts and finishes, never per engine operation.
 //!
-//! Environment (parsed once in `lyric_metrics::env`): `LYRIC_FLIGHT=0`
-//! disables query recording and registration, and `LYRIC_FLIGHT_DIR=...`
-//! configures (and thereby enables) anomaly dumps. Experiment E17 prices
-//! the enabled recorder.
+//! Every admitted query is registered and recorded; there is no off
+//! switch, because a recorder that could be off could not be switched on
+//! for a query that is already running. `LYRIC_FLIGHT_DIR=...` (parsed
+//! once in `lyric_metrics::env`) configures, and thereby enables,
+//! anomaly dumps.
 
 #![warn(missing_docs)]
 
@@ -42,7 +43,7 @@ pub mod ring;
 
 pub use dump::{dump, panic_dump, set_dump_dir, Trigger};
 pub use inflight::{register, BudgetCaps, InflightDesc, InflightGuard, Progress};
-pub use recorder::{record_query, set_enabled};
+pub use recorder::record_query;
 pub use ring::Ring;
 
 use lyric_metrics::querylog::{Outcome, QueryRecord};

@@ -4,31 +4,16 @@
 //! Aircraft flight recorders answer "what were the last minutes like?"
 //! after the fact; this one does the same for the engine. The ring holds
 //! the [`QueryRecord`] of each completed query (any outcome, with the
-//! counters it consumed), capacity [`QUERY_RING`]. Recording is on by
-//! default and costs one striped-ring push per query; `LYRIC_FLIGHT=0`
-//! (or [`set_enabled`]) turns it off.
+//! counters it consumed), capacity [`QUERY_RING`]. Recording is always
+//! on and costs one ring push per query.
 
 use crate::ring::Ring;
-use lyric_metrics::env::Switch;
 use lyric_metrics::querylog::QueryRecord;
 use lyric_trace::json::Json;
 use std::sync::OnceLock;
 
 /// Completed-query ring capacity.
 pub const QUERY_RING: usize = 256;
-
-static ENABLED: Switch = Switch::new(|e| e.flight);
-
-/// True when completed queries are recorded (the default). Initially
-/// from `LYRIC_FLIGHT` (`0`/`off`/`false` disables), then [`set_enabled`].
-pub fn enabled() -> bool {
-    ENABLED.get()
-}
-
-/// Enable or disable completed-query recording process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.set(on);
-}
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
 pub fn unix_ms() -> u64 {
@@ -43,23 +28,9 @@ fn query_ring() -> &'static Ring<QueryRecord> {
     R.get_or_init(|| Ring::new(QUERY_RING))
 }
 
-fn recorded_counter() -> &'static lyric_metrics::Counter {
-    static C: OnceLock<lyric_metrics::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        lyric_metrics::global().counter(
-            "lyric_flight_queries_total",
-            "Completed queries recorded in the flight-recorder ring.",
-        )
-    })
-}
-
-/// Record a completed query (no-op while the recorder is disabled).
+/// Record a completed query.
 pub fn record_query(record: QueryRecord) {
-    if !enabled() {
-        return;
-    }
     query_ring().push(record);
-    recorded_counter().inc();
 }
 
 /// The held query records, oldest first.
@@ -80,7 +51,6 @@ pub(crate) fn queries_json() -> Json {
 /// The recorder state as a JSON document (the `/debug/flight` body).
 pub fn to_json() -> Json {
     Json::obj([
-        ("enabled", Json::Bool(enabled())),
         ("query_capacity", Json::int(query_ring().capacity() as u64)),
         ("queries_recorded", Json::int(query_ring().pushed())),
         ("queries", queries_json()),
@@ -111,7 +81,6 @@ mod tests {
 
     #[test]
     fn recorded_queries_round_trip_through_json() {
-        set_enabled(true);
         record_query(summary(0xabcd));
         let doc = to_json();
         let text = doc.to_string();
@@ -133,14 +102,5 @@ mod tests {
             mine.get("error").is_none(),
             "the error text is the offender's"
         );
-    }
-
-    #[test]
-    fn disabled_recorder_drops_summaries() {
-        set_enabled(false);
-        let before = query_ring().pushed();
-        record_query(summary(0xfeed));
-        assert_eq!(query_ring().pushed(), before);
-        set_enabled(true);
     }
 }

@@ -1,96 +1,79 @@
-//! A fixed-capacity, lock-striped ring buffer.
+//! A fixed-capacity ring buffer behind one mutex.
 //!
 //! The flight recorder keeps the last N completed-query records for the
-//! lifetime of the process.
-//! Writers are concurrent queries on arbitrary threads; readers are the
-//! `/debug/flight` endpoint and anomaly dumps, which are rare. The
-//! classic answer is one mutex around a `VecDeque`, but that serializes
-//! every completing query on one lock. Instead the buffer is striped:
-//! a global atomic hands out a total-order sequence number, and entry
-//! `seq` lives in stripe `seq % STRIPES`, each stripe its own small
-//! mutex-guarded deque. Writers touching different stripes never
-//! contend; readers lock the stripes one at a time and merge by
-//! sequence number.
+//! lifetime of the process. Each finished query pushes once, from the
+//! query runner's sink; readers are the `/debug/flight` endpoint, the
+//! REPL and anomaly dumps, which are rare. One mutex around a
+//! `VecDeque` serves that traffic, and it gives the properties a
+//! black-box recorder needs (pinned by the proptest layer in
+//! `tests/ring_properties.rs`):
 //!
-//! The striping preserves the properties a black-box recorder needs
-//! (pinned by the proptest layer in `tests/ring_properties.rs`):
-//!
-//! * **bounded** — each stripe holds at most `capacity / STRIPES`
-//!   entries, so the whole ring never exceeds `capacity` (capacities
-//!   are rounded up to a stripe multiple at construction);
-//! * **no loss below capacity** — sequence numbers are dealt to stripes
-//!   round-robin, so `k ≤ capacity` pushes put at most `capacity /
-//!   STRIPES` entries in any stripe: nothing is evicted;
-//! * **FIFO** — [`Ring::snapshot`] returns entries sorted by sequence
-//!   number, and eviction always discards the lowest sequence in the
-//!   fullest stripe, which round-robin dealing keeps within one stripe
-//!   "lap" of global FIFO order.
+//! * **bounded** — the ring never holds more than its capacity, which
+//!   is exactly the requested size;
+//! * **no loss below capacity** — nothing is evicted until the ring is
+//!   full;
+//! * **FIFO** — entries are appended under the lock in the order their
+//!   pushes take it, eviction discards the oldest, and
+//!   [`Ring::snapshot`] returns them oldest first.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Number of stripes; power of two so the stripe pick is a mask.
-const STRIPES: usize = 8;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// The held entries and the lifetime push count, kept under one lock so
+/// a reader sees them agree.
+struct State<T> {
+    items: VecDeque<T>,
+    pushed: u64,
 }
 
-/// A bounded multi-producer ring of `T`s; see the module docs for the
-/// striping scheme and its guarantees.
+/// A bounded multi-producer ring of `T`s; see the module docs for its
+/// guarantees.
 pub struct Ring<T> {
-    stripes: Vec<Mutex<VecDeque<(u64, T)>>>,
-    seq: AtomicU64,
-    stripe_cap: usize,
+    state: Mutex<State<T>>,
+    capacity: usize,
 }
 
 impl<T> Ring<T> {
-    /// A ring holding at most `capacity` entries (rounded up to the next
-    /// multiple of the stripe count; minimum one entry per stripe).
+    /// A ring holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Ring<T> {
-        let stripe_cap = capacity.div_ceil(STRIPES).max(1);
         Ring {
-            stripes: (0..STRIPES).map(|_| Mutex::new(VecDeque::new())).collect(),
-            seq: AtomicU64::new(0),
-            stripe_cap,
+            state: Mutex::new(State {
+                items: VecDeque::new(),
+                pushed: 0,
+            }),
+            capacity,
         }
     }
 
-    /// The bounded capacity (stripe multiple; ≥ the requested capacity).
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        // Every update leaves the deque and the count valid, so a guard
+        // poisoned by a panicking reader's clone is still sound to use.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The bounded capacity, as requested.
     pub fn capacity(&self) -> usize {
-        self.stripe_cap * STRIPES
+        self.capacity
     }
 
     /// Total pushes over the ring's lifetime (≥ current length).
     pub fn pushed(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.lock().pushed
     }
 
-    /// Append an entry, evicting the oldest entry of its stripe if that
-    /// stripe is full. Returns the entry's global sequence number.
-    pub fn push(&self, item: T) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut q = lock(&self.stripes[(seq as usize) & (STRIPES - 1)]);
-        // Sequence numbers are assigned before the stripe lock is taken,
-        // so a slow writer can arrive after a faster, higher-sequence
-        // one; insert in sequence order (scanning from the back — the
-        // common case is an append).
-        let mut at = q.len();
-        while at > 0 && q[at - 1].0 > seq {
-            at -= 1;
+    /// Append an entry, evicting the oldest one if the ring is full.
+    pub fn push(&self, item: T) {
+        let mut s = self.lock();
+        s.pushed += 1;
+        s.items.push_back(item);
+        if s.items.len() > self.capacity {
+            s.items.pop_front();
         }
-        q.insert(at, (seq, item));
-        while q.len() > self.stripe_cap {
-            q.pop_front();
-        }
-        seq
     }
 
-    /// Entries currently held (racy under concurrent pushes; exact when
-    /// quiescent).
+    /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| lock(s).len()).sum()
+        self.lock().items.len()
     }
 
     /// True when no entries are held.
@@ -98,23 +81,16 @@ impl<T> Ring<T> {
         self.len() == 0
     }
 
-    /// Discard every entry (sequence numbers keep advancing).
+    /// Discard every entry (the push count keeps advancing).
     pub fn clear(&self) {
-        for s in &self.stripes {
-            lock(s).clear();
-        }
+        self.lock().items.clear();
     }
 }
 
 impl<T: Clone> Ring<T> {
-    /// Every held entry, oldest first (sorted by sequence number).
+    /// Every held entry, oldest first.
     pub fn snapshot(&self) -> Vec<T> {
-        let mut all: Vec<(u64, T)> = Vec::with_capacity(self.capacity());
-        for s in &self.stripes {
-            all.extend(lock(s).iter().cloned());
-        }
-        all.sort_by_key(|(seq, _)| *seq);
-        all.into_iter().map(|(_, item)| item).collect()
+        self.lock().items.iter().cloned().collect()
     }
 }
 
@@ -123,11 +99,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn capacity_rounds_up_to_a_stripe_multiple() {
-        assert_eq!(Ring::<u32>::new(1).capacity(), 8);
-        assert_eq!(Ring::<u32>::new(8).capacity(), 8);
-        assert_eq!(Ring::<u32>::new(9).capacity(), 16);
-        assert_eq!(Ring::<u32>::new(256).capacity(), 256);
+    fn capacity_is_the_requested_size() {
+        for cap in [1, 8, 9, 256] {
+            assert_eq!(Ring::<u32>::new(cap).capacity(), cap);
+        }
     }
 
     #[test]

@@ -5,11 +5,9 @@
 //! |---|---|---|
 //! | `LYRIC_THREADS` | [`Env::threads`] | host parallelism |
 //! | `LYRIC_INDEX` | [`Env::index`] | on |
-//! | `LYRIC_METRICS` | [`Env::metrics`] | on |
 //! | `LYRIC_QUERY_LOG` | [`Env::query_log`] | no log |
 //! | `LYRIC_SLOW_MS` | [`Env::slow_ms`] | no threshold |
 //! | `LYRIC_SLOW_EXPLAIN` | [`Env::slow_explain`] | off |
-//! | `LYRIC_FLIGHT` | [`Env::flight`] | on |
 //! | `LYRIC_FLIGHT_DIR` | [`Env::flight_dir`] | no dumps |
 //!
 //! An on/off variable has one spelling, trimmed and in any case: `0`,
@@ -21,12 +19,9 @@
 //! `lyric-arith`, with the same spellings: that crate has no
 //! dependencies, and its `Rational`s also run outside any engine.
 //!
-//! The process reads its environment through [`get`] on first use. The
-//! gates that every query consults ([`crate::enabled`], the flight
-//! recorder's) are [`Switch`]es: once resolved, one relaxed load.
+//! The process reads its environment through [`get`] on first use.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// The parsed runtime environment.
@@ -37,8 +32,6 @@ pub struct Env {
     pub threads: Option<usize>,
     /// `LYRIC_INDEX`: bind FROM variables through the store index.
     pub index: bool,
-    /// `LYRIC_METRICS`: record metrics.
-    pub metrics: bool,
     /// `LYRIC_QUERY_LOG`: the query-log target, `stderr` (or `-`) or a
     /// file path to append to.
     pub query_log: Option<String>,
@@ -48,8 +41,6 @@ pub struct Env {
     /// `LYRIC_SLOW_EXPLAIN`: attach an explain-analyze summary to slow
     /// query-log lines.
     pub slow_explain: bool,
-    /// `LYRIC_FLIGHT`: record completed queries in the flight recorder.
-    pub flight: bool,
     /// `LYRIC_FLIGHT_DIR`: the directory anomaly dumps are written to.
     pub flight_dir: Option<PathBuf>,
 }
@@ -69,13 +60,11 @@ impl Env {
                 .and_then(|v| v.trim().parse().ok())
                 .filter(|&n| n >= 1),
             index: switch("LYRIC_INDEX", true),
-            metrics: switch("LYRIC_METRICS", true),
             query_log: text("LYRIC_QUERY_LOG"),
             slow_ms: var("LYRIC_SLOW_MS")
                 .and_then(|v| v.trim().parse::<i64>().ok())
                 .and_then(|v| u64::try_from(v).ok()),
             slow_explain: switch("LYRIC_SLOW_EXPLAIN", false),
-            flight: switch("LYRIC_FLIGHT", true),
             flight_dir: text("LYRIC_FLIGHT_DIR").map(PathBuf::from),
         }
     }
@@ -94,53 +83,6 @@ fn flag(value: &str) -> Option<bool> {
         "0" | "off" | "false" => Some(false),
         "1" | "on" | "true" => Some(true),
         _ => None,
-    }
-}
-
-const UNRESOLVED: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-
-/// A process-wide on/off gate that starts from the environment and can
-/// be set in code.
-pub struct Switch {
-    state: AtomicU8,
-    from_env: fn(&Env) -> bool,
-}
-
-impl Switch {
-    /// A gate whose initial value is `from_env` of [`get`].
-    pub const fn new(from_env: fn(&Env) -> bool) -> Switch {
-        Switch {
-            state: AtomicU8::new(UNRESOLVED),
-            from_env,
-        }
-    }
-
-    /// The gate's value: one relaxed load once resolved. Relaxed is
-    /// enough because the gate publishes no other data.
-    #[inline]
-    pub fn get(&self) -> bool {
-        match self.state.load(Ordering::Relaxed) {
-            UNRESOLVED => self.resolve(),
-            state => state == ON,
-        }
-    }
-
-    /// Set the gate, overriding the environment.
-    pub fn set(&self, on: bool) {
-        self.state
-            .store(if on { ON } else { OFF }, Ordering::Relaxed);
-    }
-
-    #[cold]
-    fn resolve(&self) -> bool {
-        let state = if (self.from_env)(get()) { ON } else { OFF };
-        // A `set` that ran meanwhile wins over the environment.
-        let _ =
-            self.state
-                .compare_exchange(UNRESOLVED, state, Ordering::Relaxed, Ordering::Relaxed);
-        self.state.load(Ordering::Relaxed) == ON
     }
 }
 
@@ -167,11 +109,9 @@ mod tests {
             Env {
                 threads: None,
                 index: true,
-                metrics: true,
                 query_log: None,
                 slow_ms: None,
                 slow_explain: false,
-                flight: true,
                 flight_dir: None,
             }
         );
@@ -180,11 +120,9 @@ mod tests {
     #[test]
     fn switches_take_one_spelling_and_keep_their_default_otherwise() {
         type Field = fn(&Env) -> bool;
-        let switches: [(&str, bool, Field); 4] = [
+        let switches: [(&str, bool, Field); 2] = [
             ("LYRIC_INDEX", true, |e| e.index),
-            ("LYRIC_METRICS", true, |e| e.metrics),
             ("LYRIC_SLOW_EXPLAIN", false, |e| e.slow_explain),
-            ("LYRIC_FLIGHT", true, |e| e.flight),
         ];
         for (name, default, field) in switches {
             for v in OFFS {
@@ -230,16 +168,5 @@ mod tests {
         let e = parse(&[("LYRIC_QUERY_LOG", ""), ("LYRIC_FLIGHT_DIR", "  ")]);
         assert_eq!(e.query_log, None);
         assert_eq!(e.flight_dir, None);
-    }
-
-    #[test]
-    fn a_switch_starts_from_the_environment_until_set() {
-        static RESOLVED: Switch = Switch::new(|_| true);
-        assert!(RESOLVED.get(), "resolved from the environment");
-        RESOLVED.set(false);
-        assert!(!RESOLVED.get());
-        static SET_FIRST: Switch = Switch::new(|_| true);
-        SET_FIRST.set(false);
-        assert!(!SET_FIRST.get(), "a set before the first read wins");
     }
 }

@@ -6,11 +6,12 @@
 //! that, each power-of-two octave `[2^k, 2^(k+1))` is subdivided into 16
 //! linear sub-buckets of width `2^(k-4)`, so a bucket's width is at most
 //! 1/16 of its lower bound. Quantile estimation returns the inclusive
-//! upper bound of the selected bucket, which yields the documented error
-//! contract: the estimate `e` for a true quantile value `v` satisfies
-//! `v <= e <= v + v/16` — an over-estimate by at most **6.25%**, and
-//! exact for values below 16. The histogram-oracle differential tests
-//! pin exactly this bound.
+//! upper bound of the selected bucket, clamped to the exact maximum,
+//! which yields the documented error contract: the estimate `e` for a
+//! true quantile value `v` satisfies `v <= e <= v + v/16` — an
+//! over-estimate by at most **6.25%**, exact for values below 16, and
+//! never above the largest observation. The histogram-oracle
+//! differential tests pin exactly this bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -113,9 +114,9 @@ impl HistSnapshot {
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) under the nearest-rank
     /// definition: the estimate covers the `max(1, ceil(q·count))`-th
     /// smallest observation. Returns the inclusive upper bound of that
-    /// observation's bucket — never below the true value and at most
-    /// 6.25% above it (exact below 16). Returns 0 for an empty
-    /// histogram.
+    /// observation's bucket, clamped to [`Self::max`] — never below the
+    /// true value, at most 6.25% above it (exact below 16), and never
+    /// above the largest observation. Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -129,7 +130,8 @@ impl HistSnapshot {
                 // the topmost bucket where it saturates (true bound 2^64),
                 // making `u64::MAX` itself the inclusive bound.
                 let (_, hi) = bucket_bounds(i);
-                return if i == NUM_BUCKETS - 1 { hi } else { hi - 1 };
+                let upper = if i == NUM_BUCKETS - 1 { hi } else { hi - 1 };
+                return upper.min(self.max);
             }
         }
         self.max
@@ -220,6 +222,18 @@ mod tests {
         let p99 = s.p99();
         assert!((99..=105).contains(&p99), "p99 = {p99}");
         assert_eq!(s.quantile(0.0), 1, "rank clamps to the minimum");
+    }
+
+    #[test]
+    fn one_observation_reads_back_exactly() {
+        // 152 lies in bucket [152, 160): the bucket bound alone would
+        // report 159, a latency no query had.
+        let h = AtomicHistogram::new();
+        h.observe(152);
+        let s = h.snapshot();
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(s.quantile(q), 152, "q = {q}");
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! `lyric-trace` (itself dependency-free), for the counter set and the
 //! JSON writer, so it can sit below every other crate in the workspace:
 //!
-//! * a global [`Registry`] of named metrics: monotonic [`Counter`]s
-//!   (stripe-sharded atomics, so hot increment sites do not contend),
-//!   [`Gauge`]s, and log-linear [`Histogram`]s with fixed buckets
+//! * a global [`Registry`] of named metrics: monotonic [`Counter`]s and
+//!   [`Gauge`]s (one atomic each), and log-linear [`Histogram`]s with
+//!   fixed buckets
 //!   and p50/p90/p99/max quantile estimation (see [`hist`] for the
 //!   documented error bound);
 //! * Prometheus text-format 0.0.4 exposition via [`render_prometheus`],
@@ -23,10 +23,9 @@
 //!   `LYRIC_ARITH_FAST`, parsed once per process, for the engine, the
 //!   flight recorder and the query log alike.
 //!
-//! Metrics are enabled by default; [`set_enabled`] (or
-//! `LYRIC_METRICS=0`) turns every recording path into an early return so
-//! the overhead of the disabled path is one relaxed atomic load
-//! (experiment E12 pins the enabled-path overhead).
+//! Recording is always on. The runner's sink writes the per-query series
+//! once per finished query — a few dozen relaxed atomic updates and one
+//! histogram observation — which is too little to need an off switch.
 //!
 //! [`EngineStats`]: lyric_trace::stats::EngineStats
 
@@ -45,39 +44,9 @@ pub use registry::{
     Registry, SeriesSnapshot, Snapshot,
 };
 
-static ENABLED: env::Switch = env::Switch::new(|e| e.metrics);
-
-/// True when metric recording is enabled (the default). Controlled by
-/// [`set_enabled`] and initially by `LYRIC_METRICS` ([`env::Env::metrics`]).
-pub fn enabled() -> bool {
-    ENABLED.get()
-}
-
-/// Enable or disable all metric recording process-wide. Reading
-/// ([`Registry::snapshot`], [`render_prometheus`]) always works; only the
-/// recording paths are gated.
-pub fn set_enabled(on: bool) {
-    ENABLED.set(on);
-}
-
 /// Render the global registry in Prometheus text format 0.0.4. Output is
 /// deterministic for a quiescent registry: families sort by name and
 /// series by their label sets.
 pub fn render_prometheus() -> String {
     prometheus::render(&global().snapshot())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn enabled_toggles() {
-        // Registers nothing in the global registry; only flips the flag.
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-    }
 }

@@ -43,7 +43,7 @@
 use lyric_trace::json::Json;
 use lyric_trace::stats::EngineStats;
 use std::io::Write;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The query-log line schema version written by [`QueryRecord::log_json`].
@@ -272,20 +272,24 @@ pub fn slow_ms() -> Option<u64> {
     (v >= 0).then_some(v as u64)
 }
 
-/// Whether slow-query log lines should carry an explain-analyze summary;
-/// initially `LYRIC_SLOW_EXPLAIN`.
-static SLOW_EXPLAIN: crate::env::Switch = crate::env::Switch::new(|e| e.slow_explain);
+/// Whether slow-query log lines should carry an explain-analyze summary.
+/// Initialized from `LYRIC_SLOW_EXPLAIN`, overridable via
+/// [`set_slow_explain`].
+fn slow_explain_cell() -> &'static AtomicBool {
+    static SLOW_EXPLAIN: OnceLock<AtomicBool> = OnceLock::new();
+    SLOW_EXPLAIN.get_or_init(|| AtomicBool::new(crate::env::get().slow_explain))
+}
 
 /// Override the slow-explain gate (the `LYRIC_SLOW_EXPLAIN` default).
 pub fn set_slow_explain(on: bool) {
-    SLOW_EXPLAIN.set(on);
+    slow_explain_cell().store(on, Ordering::Relaxed);
 }
 
 /// True when slow-query lines should carry an explain-analyze summary:
 /// the gate is on **and** a slow threshold is configured (without a
 /// threshold every query would pay the explain instrumentation).
 pub fn slow_explain() -> bool {
-    SLOW_EXPLAIN.get() && slow_ms().is_some()
+    slow_explain_cell().load(Ordering::Relaxed) && slow_ms().is_some()
 }
 
 fn slow_counter() -> &'static crate::Counter {
@@ -298,13 +302,10 @@ fn slow_counter() -> &'static crate::Counter {
     })
 }
 
-/// Write one query's line. A no-op when metrics are disabled or no sink
-/// is installed; when a slow threshold is configured, only queries at or
-/// above it are written (each also bumping `lyric_slow_queries_total`).
+/// Write one query's line. A no-op when no sink is installed; when a
+/// slow threshold is configured, only queries at or above it are written
+/// (each also bumping `lyric_slow_queries_total`).
 pub fn log(r: &QueryRecord) {
-    if !crate::enabled() {
-        return;
-    }
     let mut guard = lock(sink_slot());
     let Some(sink) = guard.as_mut() else {
         return;

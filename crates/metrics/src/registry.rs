@@ -2,55 +2,27 @@
 //!
 //! Registration is idempotent — asking for an existing name + label set
 //! returns a clone of the existing handle, so independent modules (the
-//! engine, the query log, the serve binary) can all register the metrics
+//! query runner's sink, the query log, the serve binary) can all register the metrics
 //! they touch without coordination. Handles are `Arc`s; the hot
 //! recording paths never take the registry lock.
 //!
-//! Counters are striped across cache-line-aligned atomic shards keyed by
-//! a per-thread stripe id, so concurrent workers incrementing the same
-//! counter do not bounce one cache line; reads sum the stripes.
+//! A counter or gauge is one shared `AtomicU64`: each series is written
+//! once per finished query, by the query runner's sink, or on a rare
+//! event (an analyzer rejection, a dump, a refused connection), so one
+//! relaxed atomic update is all a write needs.
 //!
 //! Snapshots (and therefore the Prometheus and table renderings) are
 //! deterministic: metrics are kept in a `BTreeMap` ordered by name and
 //! then by the sorted label set.
 
 use crate::hist::{AtomicHistogram, HistSnapshot};
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Number of counter stripes; power of two so the stripe pick is a mask.
-const STRIPES: usize = 8;
-
-#[repr(align(64))]
-#[derive(Default)]
-struct Stripe(AtomicU64);
-
-/// This thread's stripe index, assigned round-robin at first use.
-fn stripe_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|s| {
-        let mut i = s.get();
-        if i == usize::MAX {
-            i = NEXT.fetch_add(1, Ordering::Relaxed) & (STRIPES - 1);
-            s.set(i);
-        }
-        i
-    })
-}
-
-struct CounterCore {
-    stripes: [Stripe; STRIPES],
-}
-
-/// A monotonic counter handle. Cloning shares the underlying cells;
-/// increments are no-ops while metrics are disabled.
+/// A monotonic counter handle. Cloning shares the underlying cell.
 #[derive(Clone)]
-pub struct Counter(Arc<CounterCore>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Add 1.
@@ -60,35 +32,23 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.0.stripes[stripe_index()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current total (sum over stripes).
+    /// The current total.
     pub fn value(&self) -> u64 {
-        self.0
-            .stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
 /// A gauge handle: a value that can move both ways (thread counts,
-/// configured thresholds). Writes are no-ops while metrics are disabled.
+/// configured thresholds).
 #[derive(Clone)]
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// Replace the value.
     pub fn set(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
         self.0.store(v, Ordering::Relaxed);
     }
 
@@ -99,17 +59,13 @@ impl Gauge {
 }
 
 /// A histogram handle; see [`crate::hist`] for the bucket layout and
-/// quantile error contract. Observations are no-ops while metrics are
-/// disabled.
+/// quantile error contract.
 #[derive(Clone)]
 pub struct Histogram(Arc<AtomicHistogram>);
 
 impl Histogram {
     /// Record one observation.
     pub fn observe(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
         self.0.observe(v);
     }
 
@@ -218,9 +174,7 @@ impl Registry {
     /// different kind panics.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
         match self.register(name, help, labels, MetricKind::Counter, || {
-            Metric::Counter(Counter(Arc::new(CounterCore {
-                stripes: Default::default(),
-            })))
+            Metric::Counter(Counter(Arc::new(AtomicU64::new(0))))
         }) {
             Metric::Counter(c) => c,
             _ => unreachable!("kind checked in register"),

@@ -65,7 +65,8 @@ proptest! {
         }
     }
 
-    /// Count, sum, and max are exact regardless of bucketing.
+    /// Count, sum, and max are exact regardless of bucketing, and no
+    /// quantile estimate exceeds the max.
     #[test]
     fn count_sum_max_are_exact(values in values_strategy()) {
         let s = record(&values);
@@ -76,6 +77,10 @@ proptest! {
         }
         prop_assert_eq!(s.sum, sum);
         prop_assert_eq!(s.max, values.iter().copied().max().unwrap_or(0));
+        for q in [0.5, 0.9, 0.99, 1.0] {
+            let est = s.quantile(q);
+            prop_assert!(est <= s.max, "q={} estimate {} above max {}", q, est, s.max);
+        }
     }
 
     /// Prometheus round-trip: rendering a registry snapshot and parsing

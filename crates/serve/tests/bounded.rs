@@ -41,7 +41,6 @@ fn error_of(body: &str) -> String {
 #[test]
 fn healthz_answers_and_excess_queries_get_503_while_every_permit_is_held() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    lyric::flight::recorder::set_enabled(true);
     // The pairwise join over 128 objects with the box layer and the small
     // arithmetic off sends 16,256 pairs to the `BigInt` simplex: seconds
     // in a release build, far longer in a debug one, against a 2 s

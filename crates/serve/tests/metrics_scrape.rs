@@ -32,13 +32,12 @@ const QUERIES: [&str; 3] = [
 
 /// Every family a scrape shows once one query has run, besides the 16
 /// `lyric_engine_<counter>_total`.
-const FAMILIES: [&str; 10] = [
+const FAMILIES: [&str; 9] = [
     "lyric_arena_pool_hits",
     "lyric_arena_pool_misses",
     "lyric_arena_recycled_bytes",
     "lyric_budget_aborts_total",
     "lyric_budget_threshold_total",
-    "lyric_flight_queries_total",
     "lyric_inflight_queries",
     "lyric_queries_total",
     "lyric_query_duration_us",

@@ -24,11 +24,10 @@
 //! statistics line (pivots, FM atoms, disjuncts, sat/entailment checks).
 //!
 //! `:explain <query>` prints the static operator plan (extent sizes,
-//! constraint atom/disjunct counts, the algebra rewrite rules that
-//! apply); `:explain analyze <query>` runs the query and annotates each
-//! operator with rows in/out, exclusive/inclusive time and its engine
-//! counter share — the same report `lyric-serve` returns for
-//! `{"explain": true}` query bodies.
+//! constraint atom/disjunct counts); `:explain analyze <query>` runs the
+//! query and annotates each operator with rows in/out,
+//! exclusive/inclusive time and its engine counter share — the same
+//! report `lyric-serve` returns for `{"explain": true}` query bodies.
 //!
 //! `:profile <query>` runs one query with tracing and prints its span
 //! tree: per-phase wall-clock with hot-path percentages, source byte
@@ -363,12 +362,7 @@ fn meta_command(db: &mut lyric::oodb::Database, session: &mut Session, cmd: &str
             None => {
                 let queries = lyric::flight::recorder::recent_queries();
                 println!(
-                    "flight recorder: {}, {} quer{} held",
-                    if lyric::flight::recorder::enabled() {
-                        "on"
-                    } else {
-                        "off"
-                    },
+                    "flight recorder: {} quer{} held",
                     queries.len(),
                     if queries.len() == 1 { "y" } else { "ies" },
                 );

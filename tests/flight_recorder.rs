@@ -51,7 +51,6 @@ fn budget_abort_writes_one_attributed_dump() {
     let _lock = DUMP_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = fresh_dump_dir("abort");
     lyric::flight::set_dump_dir(Some(dir.clone()));
-    lyric::flight::recorder::set_enabled(true);
 
     let mut db = paper_example::database();
     // The desk-in-room join: its `(φ)` needs the simplex.
@@ -134,7 +133,6 @@ fn slow_threshold_breach_dumps_on_its_own() {
     let _lock = DUMP_STATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = fresh_dump_dir("slow");
     lyric::flight::set_dump_dir(Some(dir.clone()));
-    lyric::flight::recorder::set_enabled(true);
     lyric::metrics::querylog::set_slow_ms(Some(0));
 
     let db = paper_example::database();
@@ -163,7 +161,6 @@ fn slow_threshold_breach_dumps_on_its_own() {
 fn inflight_registry_is_visible_during_evaluation_and_empty_after() {
     let _lock = DUMP_STATE.lock().unwrap_or_else(|e| e.into_inner());
     lyric::flight::set_dump_dir(None); // deadline aborts must not spray files
-    lyric::flight::recorder::set_enabled(true);
 
     let db = workload::office_db(8, 42);
     let hash = lyric::metrics::querylog::query_hash(Q_PAIRWISE);

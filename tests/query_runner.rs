@@ -95,8 +95,6 @@ fn assert_reports(res: &QueryResult, trace: bool, explain: bool, label: &str) {
 
 #[test]
 fn every_entry_point_and_flag_runs_the_one_runner() {
-    lyric::metrics::set_enabled(true);
-    lyric::flight::recorder::set_enabled(true);
     lyric::flight::set_dump_dir(None);
     let db = paper_example::database();
     let reference = execute(&mut db.clone(), PAPER).expect("the paper query evaluates");

@@ -40,7 +40,6 @@ fn v1_fixture_and_live_v2_lines_parse_identically() {
     // A line captured from the live logger is v2: same body, prefixed
     // with the schema version and the build's git revision.
     let db = paper_example::database();
-    lyric::metrics::set_enabled(true);
     let buf = querylog::capture();
     let query = "SELECT X FROM Desk X";
     let res = execute_shared(&db, query, &ExecOptions::default());

@@ -99,7 +99,6 @@ fn opts() -> ExecOptions {
 #[test]
 fn slow_log_lines_carry_a_top_nodes_summary() {
     let db = database();
-    lyric::metrics::set_enabled(true);
     let buf = querylog::capture();
     querylog::set_slow_ms(Some(0)); // every query is "slow"
     querylog::set_slow_explain(true);
