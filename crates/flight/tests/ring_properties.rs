@@ -1,16 +1,15 @@
-//! Property layer for the lock-striped ring buffer.
+//! Property layer for the one-lock ring buffer.
 //!
 //! The flight recorder's usefulness rests on three [`Ring`] guarantees
 //! (see the module docs in `src/ring.rs`): held entries never exceed the
-//! (stripe-rounded) capacity, nothing is lost while at or below
-//! capacity, and `snapshot` is globally FIFO — under single-threaded
-//! pushes eviction keeps *exactly* the newest `capacity` entries,
-//! because round-robin sequence dealing spreads any contiguous window of
-//! `capacity` sequence numbers evenly across the stripes. A scoped-
+//! capacity, which is exactly the requested size; nothing is lost while
+//! at or below capacity; and `snapshot` returns entries in arrival
+//! order, oldest first — so under single-threaded pushes eviction keeps
+//! *exactly* the newest `capacity` entries, in push order. A scoped-
 //! thread soak pins the concurrent half: no loss below capacity, every
 //! entry distinct, and each writer's entries appear in its push order
-//! (sequence numbers are handed out atomically, so one thread's pushes
-//! are strictly increasing and `snapshot`'s sort restores them).
+//! (each push appends under the one lock, so one thread's pushes arrive
+//! in the order it made them, and eviction only drops from the front).
 
 use lyric_flight::Ring;
 use proptest::prelude::*;
@@ -94,7 +93,7 @@ fn concurrent_writers_below_capacity_lose_nothing_and_keep_per_thread_order() {
 
 /// The same soak past capacity: the bound holds under contention and
 /// surviving entries still honour per-writer order (eviction only ever
-/// removes a stripe's oldest, so it cannot reorder what remains).
+/// removes the oldest entry, so it cannot reorder what remains).
 #[test]
 fn concurrent_writers_past_capacity_stay_bounded_and_ordered() {
     const THREADS: usize = 8;

@@ -37,9 +37,11 @@ use std::time::Duration;
 pub struct PlanNode {
     /// Preorder id, `0` for the root; stable for a given query text.
     pub id: u32,
-    /// Stable snake_case operator name (`select`, `from_bind`, `where`,
-    /// `and`, `or`, `not`, `sat`, `entails`, `compare`, `path_pred`,
-    /// `select_item`, `optimize`).
+    /// Stable snake_case operator name (`select`, `from_bind`,
+    /// `semijoin`, `where`, `and`, `or`, `not`, `sat`, `entails`,
+    /// `compare`, `path_pred`, `select_item`, `optimize`). A `semijoin`
+    /// sits under a `from_bind`: the part of a WHERE `(φ)` that reads
+    /// that FROM variable alone, checked on each of its candidates.
     pub op: &'static str,
     /// Human detail: class/variable names, path text, operator symbol.
     pub label: String,
